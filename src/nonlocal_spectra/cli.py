@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -310,11 +310,7 @@ def main(argv=None):
     if args.output is not None:
         cfg.output_dir = args.output
     if args.seed is not None:
-        cfg.solver = SolverConfig(
-            tau=cfg.solver.tau, tol=cfg.solver.tol,
-            max_iters=cfg.solver.max_iters, splitting=cfg.solver.splitting,
-            seed=args.seed, projection_radius=cfg.solver.projection_radius,
-            min_iters=cfg.solver.min_iters)
+        cfg.solver = replace(cfg.solver, seed=args.seed)
         cfg.raw.setdefault("solver", {})["seed"] = args.seed
 
     if args.verbose:

@@ -12,15 +12,21 @@ error.
 Dirichlet eigenvalues of balls use the same iteration with a hard support
 projection after every sub-step, which keeps the iterate exactly inside
 the discrete analogue of the constrained subspace.
+
+Work per solve: one SpectralOperator is built, so the multiplier
+Phi(|xi|^2) is evaluated once per solve, not once per iteration.  Each
+iteration does exactly three transforms: the forward and inverse transform
+of the kinetic step, and one forward transform of the normalized iterate
+for the Rayleigh quotient.  The ball projection is folded into the
+pointwise factors on either side of the kinetic step.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .spectral_core import (Field, FormValue, apply_multiplier, dirichlet_form,
-                            multiplier_values, _require_same_grid)
+from .spectral_core import Field, SpectralOperator, _require_same_grid
 
 _MIN_ITERS_BEFORE_STOP = 5
 
@@ -62,20 +68,29 @@ class EigenResult:
 
 def initial_field(grid, symbol, cfg):
     """Deterministic positive random seed field with one smoothing pass."""
-    rng = np.random.default_rng(cfg.seed)
-    values = rng.uniform(0.5, 1.5, size=grid.shape)
-    u = Field(grid=grid, values=values)
-    spec = np.fft.rfftn(u.values)
-    spec *= np.exp(-cfg.tau * multiplier_values(symbol, grid))
-    u = Field(grid=grid, values=np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d))))
-    return _normalized(u)
+    op = SpectralOperator(symbol, grid)
+    return _seed_field(op, cfg.seed, np.exp(-cfg.tau * op.multiplier))
+
+
+def _seed_field(op, seed, kinetic_factor):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 1.5, size=op.grid.shape)
+    return _normalized(Field(grid=op.grid, values=op.filter(values, kinetic_factor)))
+
+
+def _unit(values, cell_volume):
+    """values scaled to unit L^2 norm, or None if the norm is 0 or not finite."""
+    n = math.sqrt(cell_volume * float(np.sum(values ** 2)))
+    if n == 0.0 or not math.isfinite(n):
+        return None
+    return values / n
 
 
 def _normalized(u):
-    n = u.l2_norm()
-    if n == 0.0 or not np.isfinite(n):
+    values = _unit(u.values, u.grid.cell_volume)
+    if values is None:
         raise RuntimeError("iterate collapsed to zero or diverged")
-    return Field(grid=u.grid, values=u.values / n)
+    return Field(grid=u.grid, values=values)
 
 
 def _projection_mask(grid, radius):
@@ -85,18 +100,16 @@ def _projection_mask(grid, radius):
 def ground_state(symbol, potential, cfg, u0=None):
     """Ground state of Phi(-Delta) + V by normalized imaginary-time splitting.
 
-    potential: a PotentialField (or None for the free operator).  When
-    cfg.projection_radius is set, every sub-step is followed by the hard
-    restriction to the ball, which computes the Dirichlet problem instead.
+    potential: a PotentialField; it also fixes the grid, so the free
+    operator takes an explicit zero potential.  When cfg.projection_radius
+    is set, every sub-step is followed by the hard restriction to the
+    ball, which computes the Dirichlet problem instead.
     """
-    if potential is not None:
-        grid = potential.grid
-        V = potential.values
-    else:
-        if cfg.projection_radius is None:
-            raise ValueError("free ground state requires a grid via potential "
-                             "or a projection radius with a grid")
-        raise ValueError("pass an explicit zero potential to fix the grid")
+    if potential is None:
+        raise ValueError("ground_state needs a potential to fix the grid; "
+                         "pass an explicit zero potential for the free operator")
+    grid = potential.grid
+    V = potential.values
     if not np.all(V > -np.inf) or not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite (bounded below)")
 
@@ -106,47 +119,44 @@ def ground_state(symbol, potential, cfg, u0=None):
             raise ValueError("projection radius must fit inside the box")
         mask = _projection_mask(grid, cfg.projection_radius)
 
-    kinetic_factor = np.exp(-cfg.tau * multiplier_values(symbol, grid))
-    if cfg.splitting == "strang":
-        with np.errstate(over="ignore", under="ignore"):
-            pot_half = np.exp(-0.5 * cfg.tau * V)
-        pot_steps = (pot_half, pot_half)
-    else:
-        with np.errstate(over="ignore", under="ignore"):
-            pot_steps = (np.exp(-cfg.tau * V), None)
+    op = SpectralOperator(symbol, grid)
+    kinetic_factor = np.exp(-cfg.tau * op.multiplier)
+    with np.errstate(over="ignore", under="ignore"):
+        if cfg.splitting == "strang":
+            pre = post = np.exp(-0.5 * cfg.tau * V)
+        else:
+            pre, post = np.exp(-cfg.tau * V), None
+    if mask is not None:
+        # mask is 0/1, so folding it into the factors changes no bit of
+        # the masked iterate.
+        pre = pre * mask
+        post = mask if post is None else post * mask
 
     if u0 is not None:
         _require_same_grid(u0.grid, grid)
-        u = _normalized(u0)
+        start = _normalized(u0)
     else:
-        u = initial_field(grid, symbol, cfg)
+        start = _seed_field(op, cfg.seed, kinetic_factor)
     if mask is not None:
-        u = _normalized(Field(grid=grid, values=u.values * mask))
+        start = _normalized(Field(grid=grid, values=start.values * mask))
 
-    pot_field = Field(grid=grid, values=V)
+    u = start.values
+    cell_volume = grid.cell_volume
     history = []
     lam_prev = np.inf
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        vals = u.values * pot_steps[0]
-        if mask is not None:
-            vals = vals * mask
-        spec = np.fft.rfftn(vals)
-        spec *= kinetic_factor
-        vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
-        if mask is not None:
-            vals = vals * mask
-        if pot_steps[1] is not None:
-            vals = vals * pot_steps[1]
-            if mask is not None:
-                vals = vals * mask
-        if not np.all(np.isfinite(vals)):
-            raise RuntimeError(f"NaN/Inf in iterate at iteration {iters}; "
-                               f"tau={cfg.tau} may be too large for this V")
-        u = _normalized(Field(grid=grid, values=vals))
-        form = dirichlet_form(symbol, u, u, pot_field)
-        lam = form.total
+        vals = op.filter(u * pre, kinetic_factor)
+        if post is not None:
+            vals *= post
+        u = _unit(vals, cell_volume)
+        if u is None:
+            if not np.all(np.isfinite(vals)):
+                raise RuntimeError(f"NaN/Inf in iterate at iteration {iters}; "
+                                   f"tau={cfg.tau} may be too large for this V")
+            raise RuntimeError("iterate collapsed to zero or diverged")
+        lam = op.kinetic_energy(u) + cell_volume * float(np.sum(V * u * u))
         history.append(lam)
         if iters > max(_MIN_ITERS_BEFORE_STOP, cfg.min_iters) \
                 and abs(lam - lam_prev) < cfg.tol:
@@ -154,33 +164,23 @@ def ground_state(symbol, potential, cfg, u0=None):
             break
         lam_prev = lam
 
-    residual = _residual_norm(symbol, pot_field, u, history[-1], mask)
+    phi = Field(grid=grid, values=u)
+    residual = op.residual(phi, history[-1], potential, mask)
     meta = {"potential": getattr(potential, "meta", {}),
             "projection_radius": cfg.projection_radius}
-    return EigenResult(lam=history[-1], phi=u, residual=residual, iters=iters,
+    return EigenResult(lam=history[-1], phi=phi, residual=residual, iters=iters,
                        history=history, converged=converged, config=cfg,
                        meta=meta)
-
-
-def _residual_norm(symbol, pot_field, u, lam, mask=None):
-    Hu = apply_multiplier(symbol, u).values + pot_field.values * u.values
-    vals = Hu - lam * u.values
-    if mask is not None:
-        # The Dirichlet eigen-equation holds inside the ball only.
-        vals = vals * mask
-    res = Field(grid=u.grid, values=vals)
-    return res.l2_norm()
 
 
 def fourier_residual(symbol, potential, result):
     """L^2 norm of Phi(|xi|^2) phi_hat - lam phi_hat - F[V phi] (Plancherel)."""
     grid = result.phi.grid
-    pot_field = potential.field if potential is not None else \
-        Field(grid=grid, values=np.zeros(grid.shape))
     mask = None
     if result.config.projection_radius is not None:
         mask = _projection_mask(grid, result.config.projection_radius)
-    return _residual_norm(symbol, pot_field, result.phi, result.lam, mask)
+    return SpectralOperator(symbol, grid).residual(result.phi, result.lam,
+                                                   potential, mask)
 
 
 def dirichlet_ground_state(symbol, radius, grid, cfg, u0=None):
@@ -188,10 +188,8 @@ def dirichlet_ground_state(symbol, radius, grid, cfg, u0=None):
     if not radius < grid.L / 2.0:
         raise ValueError(f"ball radius {radius} does not fit in the box")
     zero_pot = _zero_potential(grid)
-    dir_cfg = SolverConfig(tau=cfg.tau, tol=cfg.tol, max_iters=cfg.max_iters,
-                           splitting=cfg.splitting, seed=cfg.seed,
-                           projection_radius=radius, min_iters=cfg.min_iters)
-    return ground_state(symbol, zero_pot, dir_cfg, u0=u0)
+    return ground_state(symbol, zero_pot, replace(cfg, projection_radius=radius),
+                        u0=u0)
 
 
 def _zero_potential(grid):

@@ -6,7 +6,6 @@ a 64-bit float, so identical runs produce byte-identical files.
 
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np

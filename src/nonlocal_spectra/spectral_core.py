@@ -5,6 +5,12 @@ frequency lattice is xi_k = 2 pi k / L.  All norms carry the measure
 weight h^d.  Fourier-side operations use the real-to-real transform path
 (rfftn/irfftn), which enforces conjugate symmetry structurally.
 
+SpectralOperator(symbol, grid) is Phi(-Delta) on one grid: it evaluates
+the multiplier Phi(|xi|^2) once and provides apply, form, seminorm and
+residual, plus the unchecked array-level filter and kinetic_energy that
+the eigensolver's inner loop uses.  The module-level apply_multiplier,
+dirichlet_form and seminorm_fourier are one-shot calls into it.
+
 Two independent routes to the kinetic seminorm are provided:
 
   * seminorm_fourier:  [u]_Phi^2 = sum_k Phi(|xi_k|^2) |u_hat(xi_k)|^2
@@ -26,9 +32,6 @@ from scipy import integrate, special
 
 from .bernstein_kernels import massless_constant, tanh_sinh_quadrature
 from .special_functions import DEFAULT_QUAD, QuadratureError
-
-_HURWITZ_OK = hasattr(special, "zeta")
-
 
 class CostGuardError(ValueError):
     """Requested direct quadrature exceeds the cost guard; use the Fourier route."""
@@ -140,21 +143,92 @@ class FormValue:
         return self.kinetic + self.potential
 
 
+def _potential_values(V):
+    """Values of a Field or of a PotentialField."""
+    return V.values if isinstance(V, Field) else V.field.values
+
+
 def multiplier_values(symbol, grid):
     """Phi(|xi|^2) on the rfftn layout with the zero mode pinned to 0."""
     z = _freq_sq_rfft(grid.d, grid.n, grid.L)
     return symbol.evaluate(z)
 
 
+class SpectralOperator:
+    """Phi(-Delta) on one grid, with the multiplier evaluated once.
+
+    The array-level methods (``filter``, ``kinetic_energy``) take plain
+    value arrays of the grid's shape and do no checks, so an iterative
+    solver can call them in its inner loop; ``apply``, ``form``,
+    ``seminorm`` and ``residual`` are the checked Field-level operations.
+    """
+
+    def __init__(self, symbol, grid):
+        self.grid = grid
+        self.multiplier = multiplier_values(symbol, grid)
+        self.weighted_multiplier = _rfft_weights(grid.d, grid.n) * self.multiplier
+        self.cell_volume = grid.cell_volume
+        self.measure = grid.cell_volume / grid.n ** grid.d
+        self.axes = tuple(range(grid.d))
+
+    def filter(self, values, factor):
+        """irfftn(factor * rfftn(values)): one forward, one inverse transform."""
+        spec = np.fft.rfftn(values)
+        spec *= factor
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
+
+    def kinetic_energy(self, values):
+        """E_Phi(u, u) from one forward transform."""
+        spec = np.fft.rfftn(values)
+        return self._cross_energy(spec, spec)
+
+    def _cross_energy(self, su, sv):
+        return self.measure * float(
+            np.sum(self.weighted_multiplier * (su * np.conj(sv)).real))
+
+    def apply(self, u):
+        """Phi(-Delta) u as a Field."""
+        _require_same_grid(u.grid, self.grid)
+        out = self.filter(u.values, self.multiplier)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError("multiplier application produced non-finite values")
+        return Field(grid=self.grid, values=out)
+
+    def form(self, u, v, V=None):
+        """A(u,v) = E_Phi(u,v) + <Vu,v>; transforms once when v is u."""
+        _require_same_grid(u.grid, self.grid)
+        _require_same_grid(v.grid, self.grid)
+        su = np.fft.rfftn(u.values)
+        sv = su if v is u else np.fft.rfftn(v.values)
+        kinetic = self._cross_energy(su, sv)
+        potential = 0.0
+        if V is not None:
+            potential = self.cell_volume * float(
+                np.sum(_potential_values(V) * u.values * v.values))
+        return FormValue(kinetic=kinetic, potential=potential)
+
+    def seminorm(self, u):
+        """[u]_Phi from the Fourier side."""
+        _require_same_grid(u.grid, self.grid)
+        power, measure = _spectral_weights(u)
+        sq = measure * float(np.sum(self.multiplier * power))
+        return math.sqrt(max(sq, 0.0))
+
+    def residual(self, u, lam, V=None, mask=None):
+        """||(Phi(-Delta) + V - lam) u||_2, restricted to mask if given."""
+        Hu = self.apply(u).values
+        if V is not None:
+            Hu = Hu + _potential_values(V) * u.values
+        vals = Hu - lam * u.values
+        if mask is not None:
+            # The Dirichlet eigen-equation holds inside the ball only.
+            vals = vals * mask
+        return Field(grid=self.grid, values=vals).l2_norm()
+
+
 def apply_multiplier(symbol, field):
     """Phi(-Delta) u via transform, multiply by Phi(|xi|^2), inverse transform."""
-    grid = field.grid
-    spec = np.fft.rfftn(field.values)
-    spec *= multiplier_values(symbol, grid)
-    out = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("multiplier application produced non-finite values")
-    return Field(grid=grid, values=out)
+    return SpectralOperator(symbol, field.grid).apply(field)
 
 
 def _spectral_weights(field):
@@ -168,27 +242,12 @@ def _spectral_weights(field):
 
 def seminorm_fourier(symbol, field):
     """[u]_Phi computed from the Fourier side (the symbol route)."""
-    power, measure = _spectral_weights(field)
-    z = _freq_sq_rfft(field.grid.d, field.grid.n, field.grid.L)
-    sq = measure * float(np.sum(symbol.evaluate(z) * power))
-    return math.sqrt(max(sq, 0.0))
+    return SpectralOperator(symbol, field.grid).seminorm(field)
 
 
 def dirichlet_form(symbol, u, v, V=None):
     """A(u,v) = E_Phi(u,v) + <Vu,v>, computed spectrally / pointwise."""
-    _require_same_grid(u.grid, v.grid)
-    grid = u.grid
-    su = np.fft.rfftn(u.values)
-    sv = np.fft.rfftn(v.values)
-    z = _freq_sq_rfft(grid.d, grid.n, grid.L)
-    w = _rfft_weights(grid.d, grid.n)
-    measure = grid.cell_volume / grid.n ** grid.d
-    kinetic = measure * float(np.sum(w * symbol.evaluate(z) * (su * np.conj(sv)).real))
-    potential = 0.0
-    if V is not None:
-        Vvals = V.values if isinstance(V, Field) else getattr(V, "field").values
-        potential = grid.cell_volume * float(np.sum(Vvals * u.values * v.values))
-    return FormValue(kinetic=kinetic, potential=potential)
+    return SpectralOperator(symbol, u.grid).form(u, v, V)
 
 
 # ---------------------------------------------------------------------------

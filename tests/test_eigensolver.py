@@ -204,3 +204,64 @@ class TestFourierResidual:
         # at this fixed tau the splitting error dominates, so compare against
         # the tau^2 scale instead of asserting the raw bound.
         assert well_result.residual < 0.1
+
+
+class TestCountedWork:
+    """Work per solve, counted through the numpy.fft and symbol entry points."""
+
+    @staticmethod
+    def _counted_solve(monkeypatch, symbol, max_iters):
+        counts = {"rfftn": 0, "irfftn": 0, "evaluate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as mp:
+            for name in ("rfftn", "irfftn"):
+                mp.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+            mp.setattr(BernsteinSymbol, "evaluate",
+                       counting("evaluate", BernsteinSymbol.evaluate))
+            cfg = SolverConfig(tau=0.02, tol=1e-300, max_iters=max_iters, seed=3)
+            res = ground_state(symbol, sharp_well(WellSpec(a=1.0, v=4.0), GRID),
+                               cfg)
+        assert res.iters == max_iters
+        return counts
+
+    def test_three_transforms_per_iteration(self, monkeypatch, s01):
+        short = self._counted_solve(monkeypatch, s01, 10)
+        long = self._counted_solve(monkeypatch, s01, 50)
+        transforms = lambda c: c["rfftn"] + c["irfftn"]
+        assert transforms(long) - transforms(short) == 3 * 40
+        assert long["rfftn"] - short["rfftn"] == 2 * 40
+        # Seed smoothing and the final residual: O(1) transforms per solve.
+        assert 0 <= transforms(short) - 3 * 10 <= 6
+
+    def test_multiplier_evaluated_once_per_solve(self, monkeypatch, s01):
+        short = self._counted_solve(monkeypatch, s01, 10)
+        long = self._counted_solve(monkeypatch, s01, 50)
+        assert short["evaluate"] == long["evaluate"] == 1
+
+    def test_overflowing_step_raises(self, s01):
+        # V is finite but exp(-tau V / 2) overflows inside the well.
+        deep = sharp_well(WellSpec(a=1.0, v=1e4), GRID)
+        cfg = SolverConfig(tau=1.0, tol=1e-12, max_iters=100, seed=3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(RuntimeError, match="NaN/Inf in iterate at "
+                                                   "iteration 1; tau=1.0"):
+                ground_state(s01, deep, cfg)
+
+    def test_underflowing_step_raises(self, s01):
+        # exp(-tau V / 2) underflows to 0 everywhere: the iterate vanishes.
+        high = PotentialField(field=Field(grid=GRID,
+                                          values=np.full(GRID.shape, 1e4)),
+                              meta={"kind": "constant"})
+        cfg = SolverConfig(tau=1.0, tol=1e-12, max_iters=100, seed=3)
+        with pytest.raises(RuntimeError, match="collapsed to zero"):
+            ground_state(s01, high, cfg)
+
+    def test_missing_potential_rejected(self, s01):
+        with pytest.raises(ValueError, match="zero potential"):
+            ground_state(s01, None, CFG)

@@ -7,7 +7,8 @@ from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 massless_constant)
 from nonlocal_spectra.experiments import random_band_limited
 from nonlocal_spectra.spectral_core import (CostGuardError, Field, FormValue,
-                                            Grid, apply_multiplier,
+                                            Grid, SpectralOperator,
+                                            apply_multiplier,
                                             dirichlet_form,
                                             field_from_function,
                                             gagliardo_seminorm,
@@ -220,6 +221,71 @@ class TestDirichletForm:
     def test_formvalue_total(self):
         fv = FormValue(kinetic=2.0, potential=-0.5)
         assert fv.total == 1.5
+
+
+def _circulant_oracle(grid, phi):
+    """Dense matrix of Phi(-Delta) on the grid from an explicit DFT matrix.
+
+    E[j, k] = exp(2 pi i j k / n) per axis (Kronecker product over axes),
+    so the operator is E diag(Phi(|xi|^2)) E^* / n^d with the full,
+    signed frequency lattice; no FFT routine is involved.
+    """
+    n, d = grid.n, grid.d
+    j = np.arange(n)
+    e1 = np.exp(2j * math.pi * np.outer(j, j) / n)
+    signed = np.where(j <= n // 2, j, j - n)
+    xi1 = 2.0 * math.pi * signed / grid.L
+    E, xi_sq = e1, xi1 ** 2
+    for _ in range(d - 1):
+        E = np.kron(E, e1)
+        xi_sq = np.add.outer(xi_sq, xi1 ** 2).ravel()
+    A = (E * phi(xi_sq)[None, :]) @ E.conj().T / n ** d
+    assert np.abs(A.imag).max() < 1e-12 * np.abs(A.real).max()
+    return A.real
+
+
+# Closed forms of Phi_{m,1}(z) = sqrt(z + m^2) - m, independent of the
+# symbol class.
+_CLOSED_PHI = {0.0: np.sqrt, 1.0: lambda z: np.sqrt(z + 1.0) - 1.0}
+
+
+class TestSpectralOperatorOracle:
+    @pytest.mark.parametrize("d, n, L", [(1, 32, 8.0), (2, 16, 6.0)])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_against_dense_circulant(self, d, n, L, m):
+        grid = Grid(d=d, n=n, L=L)
+        A = _circulant_oracle(grid, _CLOSED_PHI[m])
+        op = SpectralOperator(BernsteinSymbol.relativistic(m, 1.0), grid)
+        rng = np.random.default_rng(11)
+        u = Field(grid=grid, values=rng.standard_normal(grid.shape))
+        v = Field(grid=grid, values=rng.standard_normal(grid.shape))
+        V = field_from_function(grid, lambda *x: -4.0 * np.exp(-sum(
+            xi * xi for xi in x)) + 0.5 * np.cos(x[0]))
+        uf, Vf = u.values.ravel(), V.values.ravel()
+        hd = grid.cell_volume
+
+        Au = A @ uf
+        got = op.apply(u).values.ravel()
+        assert np.abs(got - Au).max() <= 1e-12 * np.abs(Au).max()
+
+        for w in (u, v):
+            expect_kin = hd * float(uf @ A @ w.values.ravel())
+            expect_pot = hd * float(np.sum(Vf * uf * w.values.ravel()))
+            form = op.form(u, w, V)
+            assert form.kinetic == pytest.approx(expect_kin, rel=1e-12)
+            assert form.potential == pytest.approx(expect_pot, rel=1e-12)
+            assert form.total == pytest.approx(expect_kin + expect_pot,
+                                               rel=1e-12)
+
+        lam = 0.7
+        r = Au + Vf * uf - lam * uf
+        expect = math.sqrt(hd * float(r @ r))
+        assert op.residual(u, lam, V) == pytest.approx(expect, rel=1e-12)
+        mask = (grid.radius() <= L / 4.0).astype(float)
+        rm = r * mask.ravel()
+        expect_masked = math.sqrt(hd * float(rm @ rm))
+        assert op.residual(u, lam, V, mask) == pytest.approx(expect_masked,
+                                                             rel=1e-12)
 
 
 class TestPointwiseNonlocal:
