@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .special_functions import (DEFAULT_QUAD, QuadratureError, QuadratureSpec,
-                                bessel_k_grid, gamma_function)
+from .special_functions import DEFAULT_QUAD, QuadratureError, bessel_k_grid
 
 
 class AssumptionViolationError(Exception):
@@ -59,26 +58,26 @@ def _check_alpha(alpha):
 
 def sphere_surface(d):
     """Surface measure of the unit sphere S^(d-1) in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / gamma_function(d / 2.0)
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def massless_constant(d, alpha):
     """c(d, alpha) in j_{0,alpha}(r) = c(d,alpha) / r^(d+alpha)."""
     d = _check_dim(d)
     alpha = _check_alpha(alpha)
-    return (2.0 ** alpha * gamma_function((d + alpha) / 2.0)
-            / (math.pi ** (d / 2.0) * abs(gamma_function(-alpha / 2.0))))
+    return (2.0 ** alpha * math.gamma((d + alpha) / 2.0)
+            / (math.pi ** (d / 2.0) * abs(math.gamma(-alpha / 2.0))))
 
 
 def _massive_prefactor(d, alpha, m):
     xi = (d + alpha) / 2.0
     return (alpha * 2.0 ** ((alpha - d) / 2.0) * m ** (xi / alpha)
-            / (math.pi ** (d / 2.0) * gamma_function(1.0 - alpha / 2.0)))
+            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
 def _sigma_prefactor(d, alpha):
     return (alpha * 2.0 ** ((alpha - d) / 2.0)
-            / (math.pi ** (d / 2.0) * gamma_function(1.0 - alpha / 2.0)))
+            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
 def j_massless(d, alpha, r):
@@ -92,7 +91,7 @@ def j_massless(d, alpha, r):
     return float(out) if out.ndim == 0 else out
 
 
-def j_massive(d, alpha, m, r, quad=DEFAULT_QUAD):
+def j_massive(d, alpha, m, r):
     """Massive jump kernel j_{m,alpha}(r) for m > 0; r may be an array."""
     d = _check_dim(d)
     alpha = _check_alpha(alpha)
@@ -104,11 +103,11 @@ def j_massive(d, alpha, m, r, quad=DEFAULT_QUAD):
         raise ValueError("j_massive requires r > 0")
     xi = (d + alpha) / 2.0
     z = m ** (1.0 / alpha) * r
-    out = _massive_prefactor(d, alpha, m) * r ** (-xi) * bessel_k_grid(xi, z, quad)
+    out = _massive_prefactor(d, alpha, m) * r ** (-xi) * bessel_k_grid(xi, z)
     return float(out[0]) if scalar else out.reshape(r.shape)
 
 
-def j_prime_massive(d, alpha, m, r, quad=DEFAULT_QUAD):
+def j_prime_massive(d, alpha, m, r):
     """Radial derivative j'_{m,alpha}(r); strictly negative."""
     d = _check_dim(d)
     alpha = _check_alpha(alpha)
@@ -120,9 +119,9 @@ def j_prime_massive(d, alpha, m, r, quad=DEFAULT_QUAD):
         raise ValueError("j_prime_massive requires r > 0")
     xi = (d + alpha) / 2.0
     pref = (alpha * 2.0 ** ((alpha - d) / 2.0) * m ** ((d + alpha + 2.0) / (2.0 * alpha))
-            / (math.pi ** (d / 2.0) * gamma_function(1.0 - alpha / 2.0)))
+            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
     z = m ** (1.0 / alpha) * r
-    out = -pref * bessel_k_grid(xi + 1.0, z, quad) / r ** xi
+    out = -pref * bessel_k_grid(xi + 1.0, z) / r ** xi
     return float(out[0]) if scalar else out
 
 
@@ -174,7 +173,7 @@ def _sigma_integral(xi, upper, quad):
     upper = min(upper, max(60.0, 4.0 * xi))
 
     def f(w):
-        return w ** xi * bessel_k_grid(xi - 1.0, w, quad)
+        return w ** xi * bessel_k_grid(xi - 1.0, w)
 
     val, _err = tanh_sinh_quadrature(f, 0.0, upper, quad)
     return val
@@ -201,7 +200,7 @@ def sigma(d, alpha, m, r, quad=DEFAULT_QUAD):
     return float(out[0]) if scalar else out.reshape(shape)
 
 
-def sigma_difference_form(d, alpha, m, r, quad=DEFAULT_QUAD):
+def sigma_difference_form(d, alpha, m, r):
     """sigma via the equivalent difference form; cross-check oracle only.
 
     Suffers catastrophic cancellation of two nearly equal terms at small r,
@@ -213,8 +212,8 @@ def sigma_difference_form(d, alpha, m, r, quad=DEFAULT_QUAD):
     r = np.asarray(r, dtype=float)
     pref = _sigma_prefactor(d, alpha)
     z = m ** (1.0 / alpha) * r
-    term0 = 2.0 ** (xi - 1.0) * gamma_function(xi) * r ** (-(d + alpha))
-    term1 = m ** (xi / alpha) * bessel_k_grid(xi, np.atleast_1d(z), quad) \
+    term0 = 2.0 ** (xi - 1.0) * math.gamma(xi) * r ** (-(d + alpha))
+    term1 = m ** (xi / alpha) * bessel_k_grid(xi, np.atleast_1d(z)) \
         / np.atleast_1d(r) ** xi
     out = pref * (term0 - term1.reshape(np.shape(term0)))
     return float(out) if out.ndim == 0 else out
@@ -291,7 +290,7 @@ class BernsteinSymbol:
         if self.kind == "relativistic":
             if self.m == 0.0:
                 return j_massless(d, self.alpha, r)
-            return j_massive(d, self.alpha, self.m, r, quad)
+            return j_massive(d, self.alpha, self.m, r)
         if self.levy_density is None:
             raise ValueError("custom symbol has no Levy density; "
                              "kernel-level operations are disabled")
@@ -498,8 +497,7 @@ def build_kernel_table(symbol, kernel_id, d, radii, t=None, quad=DEFAULT_QUAD):
     params = {"alpha": getattr(symbol, "alpha", None),
               "m": getattr(symbol, "m", None),
               "t": t,
-              "quadrature": {"method": quad.method, "abs_tol": quad.abs_tol,
-                             "rel_tol": quad.rel_tol, "max_evals": quad.max_evals}}
+              "quadrature": {"abs_tol": quad.abs_tol, "rel_tol": quad.rel_tol}}
     if kernel_id == "j":
         values = np.atleast_1d(symbol.jump_kernel(d, radii, quad))
         errs = np.abs(values) * quad.rel_tol
@@ -507,7 +505,7 @@ def build_kernel_table(symbol, kernel_id, d, radii, t=None, quad=DEFAULT_QUAD):
         values = np.atleast_1d(sigma(d, symbol.alpha, symbol.m, radii, quad))
         errs = np.abs(values) * quad.rel_tol * 10.0
     elif kernel_id == "j_prime":
-        values = np.atleast_1d(j_prime_massive(d, symbol.alpha, symbol.m, radii, quad))
+        values = np.atleast_1d(j_prime_massive(d, symbol.alpha, symbol.m, radii))
         errs = np.abs(values) * quad.rel_tol
     elif kernel_id == "heat":
         if t is None:

@@ -10,7 +10,6 @@ repeated runs of the same configuration byte-identical.
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -224,8 +223,7 @@ def dispatch(cfg):
         well = WellSpec(a=float(pot.get("a", 1.0)), v=float(pot.get("v", 4.0)))
         schedule = cfg.extras.get("eps_schedule", [0.4, 0.2, 0.1, 0.05])
         report = stability_sweep(cfg.symbol, well, schedule, cfg.grid,
-                                 cfg.solver, threads=cfg.extras.get(
-                                     "_threads", 1))
+                                 cfg.solver)
         io_utils.write_json(out / "report.json", report.to_json_dict())
         io_utils.write_csv(out / "report.csv",
                            ["eps", "lambda", "gap", "gap_l2"],
@@ -288,24 +286,14 @@ def main(argv=None):
                         "(overrides config output_dir)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override solver seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (or env NONLOCAL_SPECTRA_THREADS)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("NONLOCAL_SPECTRA_THREADS", "1"))
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
 
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    cfg.extras["_threads"] = threads
 
     if args.output is not None:
         cfg.output_dir = args.output
@@ -318,8 +306,7 @@ def main(argv=None):
         echo["resolved"] = {"command": cfg.command,
                             "symbol": cfg.symbol.label,
                             "grid": {"d": cfg.grid.d, "n": cfg.grid.n,
-                                     "L": cfg.grid.L},
-                            "threads": threads}
+                                     "L": cfg.grid.L}}
         print(json.dumps(echo, indent=2, sort_keys=True))
 
     try:

@@ -18,7 +18,7 @@ from .eigensolver import (SolverConfig, dirichlet_ground_state, ground_state)
 from .io_utils import radial_profile
 from .potentials import (PotentialField, WellSpec, anharmonic,
                          mollified_well, sharp_well)
-from .special_functions import DEFAULT_QUAD, bessel_k, gamma_function
+from .special_functions import DEFAULT_QUAD, bessel_k
 from .spectral_core import (Field, Grid, apply_multiplier, pointwise_nonlocal,
                             seminorm_fourier)
 
@@ -94,7 +94,7 @@ def _doubled_grid(grid):
 
 
 def stability_sweep(symbol, well, eps_schedule, grid, cfg,
-                    compute_floor=True, check_minmax=True, threads=1):
+                    compute_floor=True, check_minmax=True):
     """Mollified-well eigenvalues against the sharp-well target.
 
     eps_schedule must decrease strictly to a floor of at least 2h so every
@@ -132,12 +132,7 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg,
         pot = mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
         return ground_state(symbol, pot, cfg)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, eps))
-    else:
-        results = [solve_one(e) for e in eps]
+    results = [solve_one(e) for e in eps]
 
     lams, l2s, resids, sols = [], [], [], []
     for res in results:
@@ -426,7 +421,7 @@ class AntisymmetricCheck:
 
 def antisym_constant_c1(d, alpha):
     return (alpha * 2.0 ** ((alpha - d) / 2.0)
-            / (math.pi ** (d / 2.0) * gamma_function(1.0 - alpha / 2.0)))
+            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
 def antisym_constant_c2(d, alpha, quad=DEFAULT_QUAD):
@@ -450,7 +445,7 @@ def antisym_constant_c2(d, alpha, quad=DEFAULT_QUAD):
 def antisym_constant_c3(d, alpha, m):
     return (alpha * 2.0 ** ((alpha - d) / 2.0)
             * m ** ((d + alpha + 2.0) / (2.0 * alpha))
-            / (math.pi ** (d / 2.0) * gamma_function(1.0 - alpha / 2.0)))
+            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
 def antisym_constant_c4(d, alpha, m, delta1, quad=DEFAULT_QUAD):
@@ -460,7 +455,7 @@ def antisym_constant_c4(d, alpha, m, delta1, quad=DEFAULT_QUAD):
     c = m ** (1.0 / alpha) * delta1
     if d == 1:
         val, _ = integrate.quad(
-            lambda z: bessel_k(xi, c * (1.0 + z), quad) / (1.0 + z) ** xi,
+            lambda z: bessel_k(xi, c * (1.0 + z)) / (1.0 + z) ** xi,
             0.0, np.inf, epsabs=quad.abs_tol, epsrel=1e-10, limit=400)
         return val
     surf = sphere_surface(d - 1)
@@ -468,7 +463,7 @@ def antisym_constant_c4(d, alpha, m, delta1, quad=DEFAULT_QUAD):
     def inner(z1):
         def f(rho):
             s = math.sqrt(rho * rho + (1.0 + z1) ** 2)
-            return rho ** (d - 2) * bessel_k(xi, c * s, quad) / s ** xi
+            return rho ** (d - 2) * bessel_k(xi, c * s) / s ** xi
         v, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-9)
         return surf * v
     val, _ = integrate.quad(inner, 0.0, np.inf, epsabs=1e-12, epsrel=1e-8,
@@ -529,7 +524,7 @@ def antisymmetric_minimum_check(m, alpha, d, w, mu, quad=DEFAULT_QUAD,
             # y = mu - t, reflected distance |x* - y^mu| = t + delta.
             z = t + delta
             return ((float(w(mu - t)) - w_min) * t
-                    * bessel_k(xi_ord, c * z, quad) / z ** xi_ord)
+                    * bessel_k(xi_ord, c * z) / z ** xi_ord)
 
         J, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=quad.abs_tol,
                               epsrel=1e-9, limit=400)

@@ -5,33 +5,19 @@ The central object is the modified Bessel function of the third kind,
     K_xi(z) = (1/2) (z/2)^xi * int_0^inf t^(-xi-1) exp(-t - z^2/(4t)) dt,
     z > 0, xi > -1/2,
 
-evaluated here through the exponential substitution t = (z/2) e^s, which
-turns the integral into
+the integral representation the paper uses.  Production values come from
+scipy.special.kv (D. E. Amos, "Algorithm 644", ACM TOMS 12, 1986); the
+t-integral above is evaluated by direct quadrature only in the test suite,
+as an independent oracle next to mpmath.besselk.
 
-    K_xi(z) = int_0^inf exp(-z cosh s) cosh(xi s) ds.
-
-The transformed integrand decays double-exponentially at both ends for
-every z > 0, so the trapezoid rule converges superalgebraically and the
-h -> h/2 difference is a reliable error estimate.  An adaptive-subdivision
-fallback (QUADPACK) covers the rare case where halving stalls before the
-tolerance is met.
-
-Also provided: the lower incomplete Gamma function gamma(s; x) and the
-Gamma function (including negative non-integer arguments, needed for
-kernel constants of the form |Gamma(-alpha/2)|).
+Also provided: the error-control knobs shared by the integral
+representations of the kernel layer, and the exception they raise.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-
-_LOG2 = math.log(2.0)
-
-# Relative magnitude below which the transformed Bessel integrand is
-# treated as zero when choosing the truncation point.
-_TAIL_CUT = 45.0
+from scipy import special
 
 
 class QuadratureError(Exception):
@@ -49,196 +35,48 @@ class QuadratureError(Exception):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error-control knobs shared by all integral representations.
+    """Error-control knobs shared by all integral representations."""
 
-    method is either "double-exponential" (transformed trapezoid, the
-    default) or "adaptive-subdivision" (QUADPACK).
-    """
-
-    method: str = "double-exponential"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_evals: int = 200_000
 
     def __post_init__(self):
-        if self.method not in ("double-exponential", "adaptive-subdivision"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be > 0")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-        if self.max_evals < 100:
-            raise ValueError("max_evals must be >= 100")
 
 
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def _bessel_s_max(xi, z_min):
-    # Truncation point: z cosh(s) - xi*s >= z + _TAIL_CUT makes the
-    # integrand ~ e^-_TAIL_CUT relative to its s=0 value.
-    s = 5.0
-    for _ in range(4):
-        target = (_TAIL_CUT + xi * s + z_min) / z_min
-        s = math.acosh(max(target, 1.5))
-    return s + 1.0
-
-
-def _bessel_k_engine(xi, z, quad):
-    """Trapezoid evaluation of K_xi at an array of z > 0.
-
-    Returns (values, error_estimates, n_evals).  xi is assumed >= 0
-    (K is even in its order).
-    """
-    z = np.asarray(z, dtype=float)
-    s_max = _bessel_s_max(xi, float(z.min()))
-
-    def transformed(s):
-        # exp(-z cosh s) cosh(xi s), computed in log space; log cosh(y) =
-        # y + log1p(e^(-2y)) - log 2 avoids overflow of cosh alone.
-        y = xi * s
-        log_cosh = y + np.log1p(np.exp(-2.0 * y)) - _LOG2
-        return np.exp(log_cosh - np.outer(z, np.cosh(s)))
-
-    h = 0.5
-    nodes = np.arange(0.0, s_max + h, h)
-    f = transformed(nodes)
-    f[:, 0] *= 0.5
-    total = f.sum(axis=1) * h
-    evals = f.size
-
-    err = np.full_like(total, np.inf)
-    while evals < quad.max_evals:
-        mid = np.arange(h / 2.0, s_max + h / 2.0, h)
-        f_mid = transformed(mid)
-        evals += f_mid.size
-        refined = total / 2.0 + f_mid.sum(axis=1) * (h / 2.0)
-        err = np.abs(refined - total)
-        total = refined
-        h /= 2.0
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))
-        if np.all(err <= tol):
-            return total, err, evals
-    return total, err, evals
-
-
-def _bessel_k_subdivision(xi, z, quad, s_max):
-    def f(s):
-        y = xi * s
-        return math.exp(y + math.log1p(math.exp(-2.0 * y)) - _LOG2 - z * math.cosh(s))
-
-    val, abserr = integrate.quad(f, 0.0, s_max, epsabs=quad.abs_tol,
-                                 epsrel=quad.rel_tol, limit=200)
-    return val, abserr
-
-
-def bessel_k(xi, z, quad=DEFAULT_QUAD):
+def bessel_k(xi, z):
     """Modified Bessel function of the third kind K_xi(z).
 
     Parameters
     ----------
-    xi : real order, > -1/2 (evaluated as K_|xi| since K is even in xi)
+    xi : real order, > -1/2 (K is even in xi)
     z : real argument, > 0
-    quad : QuadratureSpec
 
     Raises
     ------
-    ValueError for out-of-domain arguments, QuadratureError (carrying the
-    partial value and error estimate) if the tolerance cannot be met.
+    ValueError for out-of-domain arguments.
     """
     if not z > 0:
         raise ValueError(f"bessel_k requires z > 0, got z={z}")
     if not xi > -0.5:
         raise ValueError(f"bessel_k requires order xi > -1/2, got xi={xi}")
-    xi = abs(xi)
-
-    if quad.method == "adaptive-subdivision":
-        val, err = _bessel_k_subdivision(xi, z, quad, _bessel_s_max(xi, z))
-        if err > max(quad.abs_tol, quad.rel_tol * abs(val)):
-            raise QuadratureError("bessel_k subdivision did not converge",
-                                  value=val, error_estimate=err)
-        return float(val)
-
-    vals, errs, _ = _bessel_k_engine(xi, np.array([z]), quad)
-    val, err = float(vals[0]), float(errs[0])
-    if err <= max(quad.abs_tol, quad.rel_tol * abs(val)):
-        return val
-    # Halving stalled within the budget: fall back to subdivision.
-    val2, err2 = _bessel_k_subdivision(xi, z, quad, _bessel_s_max(xi, z))
-    if err2 <= max(quad.abs_tol, quad.rel_tol * abs(val2)):
-        return float(val2)
-    raise QuadratureError(
-        f"bessel_k(xi={xi}, z={z}) did not reach tolerance within "
-        f"{quad.max_evals} evaluations",
-        value=val, error_estimate=err)
+    return float(special.kv(xi, z))
 
 
-def bessel_k_grid(xi, z, quad=DEFAULT_QUAD):
-    """Vectorized K_|xi| over an array of z > 0; returns an ndarray.
+def bessel_k_grid(xi, z):
+    """Vectorized K_xi over an array of z > 0; returns an ndarray.
 
-    Tolerance is enforced collectively; tight inner loops in the kernel
-    layer use this path.
+    Tight inner loops in the kernel layer use this path.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    shape = z.shape
-    z = z.ravel()
     if np.any(z <= 0):
         raise ValueError("bessel_k_grid requires z > 0")
     if not xi > -0.5:
         raise ValueError(f"bessel_k_grid requires order xi > -1/2, got xi={xi}")
-    vals, errs, _ = _bessel_k_engine(abs(xi), z, quad)
-    tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(vals))
-    if np.any(errs > tol):
-        worst = int(np.argmax(errs - tol))
-        raise QuadratureError(
-            f"bessel_k_grid stalled at z={z[worst]} (err {errs[worst]:.3g})",
-            value=vals, error_estimate=errs)
-    return vals.reshape(shape)
-
-
-def lower_incomplete_gamma(s, x, quad=DEFAULT_QUAD):
-    """Lower incomplete Gamma function gamma(s; x) = int_0^x z^(s-1) e^-z dz.
-
-    The z^(s-1) endpoint singularity for s < 1 is handled by QUADPACK's
-    algebraic-weight rule; the integrable tail beyond z ~ s + 45 is dropped
-    once it is provably below tolerance.
-    """
-    if not s > 0:
-        raise ValueError(f"lower_incomplete_gamma requires s > 0, got s={s}")
-    if x < 0:
-        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-
-    # Beyond cut the integrand is below e^-_TAIL_CUT of its scale.
-    cut = _TAIL_CUT + s
-    for _ in range(3):
-        cut = _TAIL_CUT + s + max(s - 1.0, 0.0) * math.log(cut)
-    upper = min(x, cut)
-
-    limit = max(50, quad.max_evals // 21)
-    if s < 1.0:
-        val, abserr = integrate.quad(lambda t: math.exp(-t), 0.0, upper,
-                                     weight="alg", wvar=(s - 1.0, 0.0),
-                                     epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                                     limit=limit)
-    else:
-        val, abserr = integrate.quad(
-            lambda t: math.exp((s - 1.0) * math.log(t) - t) if t > 0 else 0.0,
-            0.0, upper, epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=limit)
-    if abserr > max(quad.abs_tol, quad.rel_tol * abs(val)) * 10.0:
-        raise QuadratureError("lower_incomplete_gamma did not converge",
-                              value=val, error_estimate=abserr)
-    return float(val)
-
-
-def gamma_function(s):
-    """Gamma(s) for real s that is not a non-positive integer.
-
-    Backed by the C library implementation (Lanczos-class accuracy,
-    ~1e-15 relative), which already covers negative non-integer arguments
-    through the reflection formula.
-    """
-    if s <= 0 and s == math.floor(s):
-        raise ValueError(f"gamma_function pole at non-positive integer s={s}")
-    return math.gamma(s)
+    return special.kv(xi, z)

@@ -185,14 +185,6 @@ class TestFlagsAndFormats:
         echoed = capsys.readouterr().out
         assert "resolved" in echoed and "ground-state" in echoed
 
-    def test_threads_flag_accepted_and_validated(self, tmp_path):
-        payload = dict(BASE, command="stability-sweep",
-                       eps_schedule=[0.5, 0.25],
-                       output_dir=str(tmp_path / "thr"))
-        cfg_path = write_config(tmp_path, payload)
-        assert main(["--config", str(cfg_path), "--threads", "2"]) == 0
-        assert main(["--config", str(cfg_path), "--threads", "0"]) == 1
-
     def test_potential_serialization_roundtrip(self, tmp_path):
         from nonlocal_spectra.io_utils import read_potential, write_potential
         from nonlocal_spectra.potentials import WellSpec, mollified_well
