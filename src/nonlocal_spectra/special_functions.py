@@ -49,6 +49,17 @@ class QuadratureSpec:
 
 DEFAULT_QUAD = QuadratureSpec()
 
+_TINY = np.finfo(float).tiny
+
+
+def _kv(xi, z):
+    # scipy.special.kv returns nan or inf for subnormal orders.  K is even
+    # and analytic in its order, K_xi = K_0 + O(xi^2), so an order below the
+    # smallest normal double gives K_0 to full double precision.
+    if abs(xi) < _TINY:
+        xi = 0.0
+    return special.kv(xi, z)
+
 
 def bessel_k(xi, z):
     """Modified Bessel function of the third kind K_xi(z).
@@ -66,7 +77,7 @@ def bessel_k(xi, z):
         raise ValueError(f"bessel_k requires z > 0, got z={z}")
     if not xi > -0.5:
         raise ValueError(f"bessel_k requires order xi > -1/2, got xi={xi}")
-    return float(special.kv(xi, z))
+    return float(_kv(xi, z))
 
 
 def bessel_k_grid(xi, z):
@@ -79,4 +90,4 @@ def bessel_k_grid(xi, z):
         raise ValueError("bessel_k_grid requires z > 0")
     if not xi > -0.5:
         raise ValueError(f"bessel_k_grid requires order xi > -1/2, got xi={xi}")
-    return special.kv(xi, z)
+    return _kv(xi, z)

@@ -103,6 +103,14 @@ class TestBesselK:
         rhs = bessel_k(abs(xi - 1.0), z) + 2.0 * xi / z * bessel_k(abs(xi), z)
         assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-12)
 
+    @pytest.mark.parametrize("xi", [2.225073858507e-311, -1e-310, 5e-324])
+    def test_subnormal_order_gives_k0(self, xi):
+        # scipy.special.kv is nan or inf at subnormal orders; K_xi = K_0 there.
+        zs = np.array([0.5, 1.0, 20.0])
+        k0 = bessel_k_grid(0.0, zs)
+        assert bessel_k(xi, 1.0) == k0[1]
+        assert np.array_equal(bessel_k_grid(xi, zs), k0)
+
 
 class TestQuadratureSpec:
     def test_invariants(self):
