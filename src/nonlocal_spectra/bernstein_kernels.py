@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .special_functions import DEFAULT_QUAD, QuadratureError, bessel_k_grid
+from .special_functions import ABS_TOL, REL_TOL, QuadratureError, bessel_k_grid
 
 
 class AssumptionViolationError(Exception):
@@ -69,14 +69,13 @@ def massless_constant(d, alpha):
             / (math.pi ** (d / 2.0) * abs(math.gamma(-alpha / 2.0))))
 
 
-def _massive_prefactor(d, alpha, m):
-    xi = (d + alpha) / 2.0
-    return (alpha * 2.0 ** ((alpha - d) / 2.0) * m ** (xi / alpha)
-            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
+def relativistic_prefactor(d, alpha, mass_factor):
+    """alpha 2^((alpha-d)/2) mass_factor / (pi^(d/2) Gamma(1-alpha/2)).
 
-
-def _sigma_prefactor(d, alpha):
-    return (alpha * 2.0 ** ((alpha - d) / 2.0)
+    mass_factor is 1 for C1 and sigma, m^(xi/alpha) for A(d,m,alpha) and
+    m^((d+alpha+2)/(2 alpha)) for j' and C3.
+    """
+    return (alpha * 2.0 ** ((alpha - d) / 2.0) * mass_factor
             / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
@@ -103,7 +102,8 @@ def j_massive(d, alpha, m, r):
         raise ValueError("j_massive requires r > 0")
     xi = (d + alpha) / 2.0
     z = m ** (1.0 / alpha) * r
-    out = _massive_prefactor(d, alpha, m) * r ** (-xi) * bessel_k_grid(xi, z)
+    out = (relativistic_prefactor(d, alpha, m ** (xi / alpha)) * r ** (-xi)
+           * bessel_k_grid(xi, z))
     return float(out[0]) if scalar else out.reshape(r.shape)
 
 
@@ -118,31 +118,33 @@ def j_prime_massive(d, alpha, m, r):
     if np.any(r <= 0):
         raise ValueError("j_prime_massive requires r > 0")
     xi = (d + alpha) / 2.0
-    pref = (alpha * 2.0 ** ((alpha - d) / 2.0) * m ** ((d + alpha + 2.0) / (2.0 * alpha))
-            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
+    pref = relativistic_prefactor(d, alpha, m ** ((d + alpha + 2.0) / (2.0 * alpha)))
     z = m ** (1.0 / alpha) * r
     out = -pref * bessel_k_grid(xi + 1.0, z) / r ** xi
     return float(out[0]) if scalar else out
 
 
-def tanh_sinh_quadrature(f, a, b, quad=DEFAULT_QUAD, u_max=3.6, abs_floor=0.0,
-                         levels=6):
+def tanh_sinh_quadrature(f, a, b, abs_floor=0.0, levels=6):
     """Tanh-sinh rule on [a, b] for a vectorized integrand.
 
     Node clustering at the endpoints makes the rule spectrally accurate for
     integrands with algebraic (integrable) endpoint behaviour, which is how
     the graded-mesh requirement near kernel singularities is met.  Endpoints
-    themselves are never evaluated.  u_max bounds how deep the clustering
-    goes (distance ~ (b-a) e^(-pi sinh(u_max)) from the endpoints); callers
-    whose integrands turn into roundoff noise near an endpoint lower it and
-    supply a matching abs_floor for the convergence test.
+    themselves are never evaluated.  Nodes are mid + half tanh(.), so those
+    within ~1e-16 (b-a) of an endpoint round onto it and are dropped: an
+    integrable singularity loses the mass below that distance (about 1e-8
+    relative for x^(-1/2) on [0, 1]), and integrands that turn into
+    roundoff noise near an endpoint, such as the direct seminorms', stay
+    finite.  The step halves on each of the `levels` passes until two
+    passes agree to within 10 max(ABS_TOL, REL_TOL |value|, abs_floor);
+    callers with such noisy integrands supply the abs_floor it allows.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     value = None
     h = 0.45
     for _ in range(levels):
-        u = np.arange(-u_max, u_max + h, h)
+        u = np.arange(-3.6, 3.6 + h, h)
         su = 0.5 * math.pi * np.sinh(u)
         x = mid + half * np.tanh(su)
         w = h * half * 0.5 * math.pi * np.cosh(u) / np.cosh(su) ** 2
@@ -153,8 +155,7 @@ def tanh_sinh_quadrature(f, a, b, quad=DEFAULT_QUAD, u_max=3.6, abs_floor=0.0,
         if value is not None:
             err = abs(refined - value)
             value = refined
-            if err <= max(quad.abs_tol, quad.rel_tol * abs(refined),
-                          abs_floor) * 10.0:
+            if err <= max(ABS_TOL, REL_TOL * abs(refined), abs_floor) * 10.0:
                 return refined, err
         else:
             value = refined
@@ -163,7 +164,7 @@ def tanh_sinh_quadrature(f, a, b, quad=DEFAULT_QUAD, u_max=3.6, abs_floor=0.0,
                           value=value, error_estimate=err)
 
 
-def _sigma_integral(xi, upper, quad):
+def _sigma_integral(xi, upper):
     """int_0^upper w^xi K_(xi-1)(w) dw.
 
     The integrand behaves like a*w + b*w^(2 xi - 1) at the origin (mixed
@@ -175,11 +176,11 @@ def _sigma_integral(xi, upper, quad):
     def f(w):
         return w ** xi * bessel_k_grid(xi - 1.0, w)
 
-    val, _err = tanh_sinh_quadrature(f, 0.0, upper, quad)
+    val, _err = tanh_sinh_quadrature(f, 0.0, upper)
     return val
 
 
-def sigma(d, alpha, m, r, quad=DEFAULT_QUAD):
+def sigma(d, alpha, m, r):
     """Defect kernel sigma_{m,alpha}(r) >= 0 via the finite-integral form."""
     d = _check_dim(d)
     alpha = _check_alpha(alpha)
@@ -192,11 +193,11 @@ def sigma(d, alpha, m, r, quad=DEFAULT_QUAD):
     if np.any(r <= 0):
         raise ValueError("sigma requires r > 0")
     xi = (d + alpha) / 2.0
-    pref = _sigma_prefactor(d, alpha)
+    pref = relativistic_prefactor(d, alpha, 1.0)
     out = np.empty_like(r)
     for i, ri in enumerate(r):
         upper = m ** (1.0 / alpha) * ri
-        out[i] = pref * ri ** (-(d + alpha)) * _sigma_integral(xi, upper, quad)
+        out[i] = pref * ri ** (-(d + alpha)) * _sigma_integral(xi, upper)
     return float(out[0]) if scalar else out.reshape(shape)
 
 
@@ -210,7 +211,7 @@ def sigma_difference_form(d, alpha, m, r):
     alpha = _check_alpha(alpha)
     xi = (d + alpha) / 2.0
     r = np.asarray(r, dtype=float)
-    pref = _sigma_prefactor(d, alpha)
+    pref = relativistic_prefactor(d, alpha, 1.0)
     z = m ** (1.0 / alpha) * r
     term0 = 2.0 ** (xi - 1.0) * math.gamma(xi) * r ** (-(d + alpha))
     term1 = m ** (xi / alpha) * bessel_k_grid(xi, np.atleast_1d(z)) \
@@ -285,7 +286,7 @@ class BernsteinSymbol:
     def kernel_available(self):
         return self.has_closed_kernel or self.levy_density is not None
 
-    def jump_kernel(self, d, r, quad=DEFAULT_QUAD):
+    def jump_kernel(self, d, r):
         """Radial jump kernel j_Phi(r) in dimension d; r may be an array."""
         if self.kind == "relativistic":
             if self.m == 0.0:
@@ -294,10 +295,10 @@ class BernsteinSymbol:
         if self.levy_density is None:
             raise ValueError("custom symbol has no Levy density; "
                              "kernel-level operations are disabled")
-        return _subordination_kernel(self.levy_density, d, r, quad)
+        return _subordination_kernel(self.levy_density, d, r)
 
 
-def _subordination_kernel(density, d, r, quad):
+def _subordination_kernel(density, d, r):
     """j(r) = int_0^inf (4 pi t)^(-d/2) exp(-r^2/(4t)) density(t) dt."""
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -306,9 +307,9 @@ def _subordination_kernel(density, d, r, quad):
         def f(t):
             return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(
                 -ri * ri / (4.0 * t)) * density(t)
-        val, abserr = integrate.quad(f, 0.0, np.inf, epsabs=quad.abs_tol,
-                                     epsrel=quad.rel_tol, limit=400)
-        if abserr > max(quad.abs_tol, quad.rel_tol * abs(val)) * 100.0:
+        val, abserr = integrate.quad(f, 0.0, np.inf, epsabs=ABS_TOL,
+                                     epsrel=REL_TOL, limit=400)
+        if abserr > max(ABS_TOL, REL_TOL * abs(val)) * 100.0:
             raise QuadratureError("subordination kernel quadrature failed",
                                   value=val, error_estimate=abserr)
         out[i] = val
@@ -332,7 +333,12 @@ def _frequency_cutoff(symbol, d, t):
         "the heat kernel is undefined for this symbol")
 
 
-def _radial_fourier(symbol, d, t, radii, quad=DEFAULT_QUAD):
+# Entries of one radii x nodes block in _radial_fourier (8 MB of float64),
+# so memory stays bounded however many radii a table asks for.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _radial_fourier(symbol, d, t, radii):
     """p_t at the given radii through the d-dependent radial reduction."""
     if d not in (1, 2, 3):
         raise ValueError("heat/resolvent kernels are restricted to d <= 3")
@@ -349,38 +355,42 @@ def _radial_fourier(symbol, d, t, radii, quad=DEFAULT_QUAD):
         half = 0.5 * np.diff(breaks)
         nodes = (mid[:, None] + half[:, None] * x).ravel()
         weights = (half[:, None] * w).ravel()
-        damp = np.exp(-t * symbol.evaluate(nodes * nodes))
-        rx = np.outer(radii, nodes)
-        if d == 1:
-            angular = np.cos(rx) / math.pi
-        elif d == 2:
-            angular = special.j0(rx) * nodes / (2.0 * math.pi)
-        else:
-            angular = np.sinc(rx / math.pi) * nodes ** 2 / (2.0 * math.pi ** 2)
-        results.append(angular @ (weights * damp))
+        damped = weights * np.exp(-t * symbol.evaluate(nodes * nodes))
+        rows = max(1, _BLOCK_ENTRIES // nodes.size)
+        values = np.empty(radii.size)
+        for i in range(0, radii.size, rows):
+            rx = np.outer(radii[i:i + rows], nodes)
+            if d == 1:
+                angular = np.cos(rx) / math.pi
+            elif d == 2:
+                angular = special.j0(rx) * nodes / (2.0 * math.pi)
+            else:
+                angular = np.sinc(rx / math.pi) * nodes ** 2 / (2.0 * math.pi ** 2)
+            values[i:i + rows] = angular @ damped
+        results.append(values)
     err = np.abs(results[1] - results[0])
-    if np.any(err > np.maximum(quad.abs_tol * 10.0, 1e-8 * np.abs(results[1]) + 1e-13)):
+    if np.any(err > np.maximum(ABS_TOL * 10.0, 1e-8 * np.abs(results[1]) + 1e-13)):
         raise QuadratureError("heat kernel quadrature did not converge",
                               value=results[1], error_estimate=err)
     return results[1]
 
 
-def heat_kernel(symbol, d, t, x, quad=DEFAULT_QUAD):
+def heat_kernel(symbol, d, t, x):
     """Heat kernel p_t(x) of Phi(-Delta) at a single point x (d <= 3)."""
     if not t > 0:
         raise ValueError("heat_kernel requires t > 0")
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    return float(_radial_fourier(symbol, d, t, [r], quad)[0])
+    return float(_radial_fourier(symbol, d, t, [r])[0])
 
 
-def heat_kernel_profile(symbol, d, t, radii, quad=DEFAULT_QUAD):
+def heat_kernel_profile(symbol, d, t, radii):
     """Vectorized p_t over an array of radii."""
     if not t > 0:
         raise ValueError("heat_kernel requires t > 0")
-    return _radial_fourier(symbol, d, t, radii, quad)
+    return _radial_fourier(symbol, d, t, radii)
 
 
-def resolvent_kernel(symbol, d, x, quad=DEFAULT_QUAD):
+def resolvent_kernel(symbol, d, x):
     """1-resolvent kernel G_1(x) = int_0^inf e^-t p_t(x) dt, x != 0."""
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     if r == 0.0:
@@ -394,20 +404,20 @@ def resolvent_kernel(symbol, d, x, quad=DEFAULT_QUAD):
             weight="cos", wvar=r, limit=400)
         # QAWF reports a conservative estimate for these conditionally
         # convergent Fourier integrals; accept at 1e-6 relative.
-        if abserr > 1e-6 * abs(val) + quad.abs_tol * 100.0:
+        if abserr > 1e-6 * abs(val) + ABS_TOL * 100.0:
             raise QuadratureError("resolvent oscillatory quadrature failed",
                                   value=val / math.pi, error_estimate=abserr)
         return val / math.pi
     if d in (2, 3):
         def f(t):
-            return math.exp(-t) * float(_radial_fourier(symbol, d, t, [r], quad)[0])
-        val, abserr = integrate.quad(f, 0.0, 60.0, epsabs=quad.abs_tol * 10,
+            return math.exp(-t) * float(_radial_fourier(symbol, d, t, [r])[0])
+        val, abserr = integrate.quad(f, 0.0, 60.0, epsabs=ABS_TOL * 10,
                                      epsrel=1e-8, limit=200)
         return float(val)
     raise ValueError("resolvent kernel is restricted to d <= 3")
 
 
-def second_moment_decay(symbol, d, r_list, quad=DEFAULT_QUAD):
+def second_moment_decay(symbol, d, r_list):
     """M(R) = R^-2 int_{B_R} |x|^2 j_Phi(|x|) dx for an increasing list of R.
 
     The inner singularity r^(1-alpha) (power-law blow-up of the kernel) is
@@ -425,11 +435,11 @@ def second_moment_decay(symbol, d, r_list, quad=DEFAULT_QUAD):
     if symbol.has_closed_kernel:
         alpha_eff = symbol.alpha
     else:
-        probe = symbol.jump_kernel(d, np.array([1e-4, 2e-4]), quad)
+        probe = symbol.jump_kernel(d, np.array([1e-4, 2e-4]))
         alpha_eff = max(0.1, min(1.9, math.log(probe[0] / probe[1]) / math.log(2.0) - d))
 
     def smooth_part(r):
-        return float(r ** (d + alpha_eff) * symbol.jump_kernel(d, r, quad))
+        return float(r ** (d + alpha_eff) * symbol.jump_kernel(d, r))
 
     pieces = []
     prev = 0.0
@@ -439,11 +449,11 @@ def second_moment_decay(symbol, d, r_list, quad=DEFAULT_QUAD):
             if prev == 0.0:
                 val, _ = integrate.quad(smooth_part, 0.0, R,
                                         weight="alg", wvar=(1.0 - alpha_eff, 0.0),
-                                        epsabs=quad.abs_tol, epsrel=1e-9, limit=200)
+                                        epsabs=ABS_TOL, epsrel=1e-9, limit=200)
             else:
                 val, _ = integrate.quad(
-                    lambda r: float(r ** (d + 1) * symbol.jump_kernel(d, r, quad)),
-                    prev, R, epsabs=quad.abs_tol, epsrel=1e-9, limit=200)
+                    lambda r: float(r ** (d + 1) * symbol.jump_kernel(d, r)),
+                    prev, R, epsabs=ABS_TOL, epsrel=1e-9, limit=200)
         except Exception as exc:
             raise QuadratureError(
                 f"second-moment quadrature failed on [{prev}, {R}]; the "
@@ -491,30 +501,30 @@ class KernelTable:
             raise ValueError("sigma table must be >= 0")
 
 
-def build_kernel_table(symbol, kernel_id, d, radii, t=None, quad=DEFAULT_QUAD):
+def build_kernel_table(symbol, kernel_id, d, radii, t=None):
     """Sample one radial kernel on the given radii into a KernelTable."""
     radii = np.asarray(radii, dtype=float)
     params = {"alpha": getattr(symbol, "alpha", None),
               "m": getattr(symbol, "m", None),
               "t": t,
-              "quadrature": {"abs_tol": quad.abs_tol, "rel_tol": quad.rel_tol}}
+              "quadrature": {"abs_tol": ABS_TOL, "rel_tol": REL_TOL}}
     if kernel_id == "j":
-        values = np.atleast_1d(symbol.jump_kernel(d, radii, quad))
-        errs = np.abs(values) * quad.rel_tol
+        values = np.atleast_1d(symbol.jump_kernel(d, radii))
+        errs = np.abs(values) * REL_TOL
     elif kernel_id == "sigma":
-        values = np.atleast_1d(sigma(d, symbol.alpha, symbol.m, radii, quad))
-        errs = np.abs(values) * quad.rel_tol * 10.0
+        values = np.atleast_1d(sigma(d, symbol.alpha, symbol.m, radii))
+        errs = np.abs(values) * REL_TOL * 10.0
     elif kernel_id == "j_prime":
         values = np.atleast_1d(j_prime_massive(d, symbol.alpha, symbol.m, radii))
-        errs = np.abs(values) * quad.rel_tol
+        errs = np.abs(values) * REL_TOL
     elif kernel_id == "heat":
         if t is None:
             raise ValueError("heat table requires t")
-        values = heat_kernel_profile(symbol, d, t, radii, quad)
-        errs = np.abs(values) * 1e-8 + quad.abs_tol * 10.0
+        values = heat_kernel_profile(symbol, d, t, radii)
+        errs = np.abs(values) * 1e-8 + ABS_TOL * 10.0
     elif kernel_id == "resolvent":
-        values = np.array([resolvent_kernel(symbol, d, r, quad) for r in radii])
-        errs = np.abs(values) * 1e-8 + quad.abs_tol * 100.0
+        values = np.array([resolvent_kernel(symbol, d, r) for r in radii])
+        errs = np.abs(values) * 1e-8 + ABS_TOL * 100.0
     else:
         raise ValueError(f"unknown kernel_id {kernel_id!r}")
     return KernelTable(kernel_id=kernel_id, dimension=d, radii=radii,

@@ -9,7 +9,6 @@ repeated runs of the same configuration byte-identical.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +21,8 @@ from .eigensolver import SolverConfig, dirichlet_ground_state, ground_state
 from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
                           embedding_tail_check, kernel_lower_constant,
                           monotonicity_check, random_band_limited,
-                          stability_sweep, symmetry_check)
+                          stability_sweep, symmetry_check,
+                          validate_eps_schedule)
 from .potentials import WellSpec, anharmonic, mollified_well, sharp_well
 from .spectral_core import Grid
 
@@ -135,13 +135,11 @@ def parse_config(path):
             raise ConfigError(f"unknown potential kind {kind!r}")
 
     extras = {k: raw[k] for k in _EXTRA_KEYS if k in raw}
-    eps_schedule = extras.get("eps_schedule")
-    if eps_schedule is not None:
-        if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-            raise ConfigError("eps_schedule must be strictly decreasing")
-        if eps_schedule and eps_schedule[-1] < 2.0 * grid.h:
-            raise ConfigError(f"eps_schedule floor {eps_schedule[-1]} below "
-                              f"resolvable mollification 2h = {2.0 * grid.h}")
+    if "eps_schedule" in extras:
+        try:
+            validate_eps_schedule(extras["eps_schedule"], grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     return RunConfig(command=command, symbol=symbol, grid=grid, solver=solver,
                      potential_spec=pot_raw, extras=extras,
@@ -161,7 +159,7 @@ def _build_potential(cfg):
     return anharmonic(int(pot.get("k", 1)), cfg.grid)
 
 
-def _write_eigenresult(out, result, stem="result"):
+def _write_eigenresult(out, result):
     payload = {"lambda": result.lam, "residual": result.residual,
                "iters": result.iters, "converged": result.converged,
                "config": {"tau": result.config.tau, "tol": result.config.tol,
@@ -170,7 +168,7 @@ def _write_eigenresult(out, result, stem="result"):
                           "seed": result.config.seed,
                           "projection": result.config.projection_radius},
                "history_tail": result.history[-10:]}
-    io_utils.write_json(out / f"{stem}.json", payload)
+    io_utils.write_json(out / "result.json", payload)
     io_utils.write_field(out / "phi", result.phi)
     io_utils.write_radial_profile(result.phi, out / "profile.csv")
 

@@ -13,14 +13,14 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .bernstein_kernels import (BernsteinSymbol, massless_constant,
-                                sphere_surface)
-from .eigensolver import (SolverConfig, dirichlet_ground_state, ground_state)
+                                relativistic_prefactor, sphere_surface)
+from .eigensolver import dirichlet_ground_state, ground_state
 from .io_utils import radial_profile
 from .potentials import (PotentialField, WellSpec, anharmonic,
                          mollified_well, sharp_well)
-from .special_functions import DEFAULT_QUAD, bessel_k
-from .spectral_core import (Field, Grid, apply_multiplier, pointwise_nonlocal,
-                            seminorm_fourier)
+from .special_functions import ABS_TOL, bessel_k
+from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
+                            pointwise_nonlocal, seminorm_fourier)
 
 
 def random_band_limited(grid, seed, kmax_frac=0.25):
@@ -29,11 +29,7 @@ def random_band_limited(grid, seed, kmax_frac=0.25):
     rng = np.random.default_rng(seed)
     spec_shape = (grid.n,) * (grid.d - 1) + (grid.n // 2 + 1,)
     spec = rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
-    full = 2.0 * math.pi * np.fft.fftfreq(grid.n, d=grid.h)
-    half = 2.0 * math.pi * np.fft.rfftfreq(grid.n, d=grid.h)
-    axes = [full] * (grid.d - 1) + [half]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    kk = np.sqrt(sum(m * m for m in mesh))
+    kk = np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L))
     kmax = kmax_frac * math.pi / grid.h
     spec[kk > kmax] = 0.0
     values = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
@@ -93,24 +89,36 @@ def _doubled_grid(grid):
     return Grid(d=grid.d, n=2 * grid.n, L=grid.L)
 
 
-def stability_sweep(symbol, well, eps_schedule, grid, cfg,
-                    compute_floor=True, check_minmax=True):
-    """Mollified-well eigenvalues against the sharp-well target.
+def validate_eps_schedule(eps_schedule, grid):
+    """The schedule as a list, or ValueError unless it decreases strictly
+    to a last entry >= 0 and every positive entry is at least the
+    resolvable floor 2h.
 
-    eps_schedule must decrease strictly to a floor of at least 2h so every
-    mollifier is resolvable.  The convergence verdict compares the final
-    gap against 10x solver tolerance plus a discretization allowance
-    measured from an n-doubling rerun of the target.
+    eps = 0 stands for the sharp well itself, so the floor applies to
+    actual mollifiers only.
     """
     eps = list(eps_schedule)
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_schedule must be strictly decreasing")
+    if eps and eps[-1] < 0.0:
+        raise ValueError(f"eps_schedule entries must be >= 0, got {eps[-1]}")
     positive = [e for e in eps if e > 0.0]
-    # eps = 0 entries short-circuit to the sharp target; the resolvability
-    # floor applies to actual mollifiers only.
     if positive and positive[-1] < 2.0 * grid.h:
         raise ValueError(f"smallest eps {positive[-1]} is below the "
                          f"resolvable floor 2h = {2.0 * grid.h}")
+    return eps
+
+
+def stability_sweep(symbol, well, eps_schedule, grid, cfg,
+                    compute_floor=True, check_minmax=True):
+    """Mollified-well eigenvalues against the sharp-well target.
+
+    eps_schedule must pass validate_eps_schedule; an eps = 0 entry reuses
+    the sharp target.  The convergence verdict compares the final gap
+    against 10x solver tolerance plus a discretization allowance measured
+    from an n-doubling rerun of the target.
+    """
+    eps = validate_eps_schedule(eps_schedule, grid)
 
     target = ground_state(symbol, sharp_well(WellSpec(a=well.a, v=well.v), grid), cfg)
     all_ok = target.converged
@@ -351,10 +359,10 @@ def _violation_on(radii, profile, lo, hi):
     return float(np.max(np.maximum(np.diff(profile[sel]), 0.0)))
 
 
-def monotonicity_check(result, bin_width=None):
+def monotonicity_check(result):
     """Shell-averaged radial profile of phi and its largest positive
     increment, overall and restricted to [0, a] and [a + eps, inf)."""
-    radii, profile = radial_profile(result.phi, bin_width)
+    radii, profile = radial_profile(result.phi)
     max_violation = float(np.max(np.maximum(np.diff(profile), 0.0)))
     sym = symmetry_check(result)
     meta = result.meta.get("potential", {})
@@ -420,16 +428,15 @@ class AntisymmetricCheck:
 
 
 def antisym_constant_c1(d, alpha):
-    return (alpha * 2.0 ** ((alpha - d) / 2.0)
-            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
+    return relativistic_prefactor(d, alpha, 1.0)
 
 
-def antisym_constant_c2(d, alpha, quad=DEFAULT_QUAD):
+def antisym_constant_c2(d, alpha):
     """C2 = int over the half-space of (|z'|^2 + |1+z_1|^2)^-(d+alpha)/2."""
     expo = (d + alpha) / 2.0
     if d == 1:
         val, _ = integrate.quad(lambda z: (1.0 + z) ** (-2.0 * expo), 0.0,
-                                np.inf, epsabs=quad.abs_tol, epsrel=1e-11)
+                                np.inf, epsabs=ABS_TOL, epsrel=1e-11)
         return val
     surf = sphere_surface(d - 1)
 
@@ -443,12 +450,11 @@ def antisym_constant_c2(d, alpha, quad=DEFAULT_QUAD):
 
 
 def antisym_constant_c3(d, alpha, m):
-    return (alpha * 2.0 ** ((alpha - d) / 2.0)
-            * m ** ((d + alpha + 2.0) / (2.0 * alpha))
-            / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
+    return relativistic_prefactor(d, alpha,
+                                  m ** ((d + alpha + 2.0) / (2.0 * alpha)))
 
 
-def antisym_constant_c4(d, alpha, m, delta1, quad=DEFAULT_QUAD):
+def antisym_constant_c4(d, alpha, m, delta1):
     """C4 = int over the half-space of
     K_(d+alpha)/2(m^(1/alpha) delta1 |(z',1+z_1)|) / |(z',1+z_1)|^((d+alpha)/2)."""
     xi = (d + alpha) / 2.0
@@ -456,7 +462,7 @@ def antisym_constant_c4(d, alpha, m, delta1, quad=DEFAULT_QUAD):
     if d == 1:
         val, _ = integrate.quad(
             lambda z: bessel_k(xi, c * (1.0 + z)) / (1.0 + z) ** xi,
-            0.0, np.inf, epsabs=quad.abs_tol, epsrel=1e-10, limit=400)
+            0.0, np.inf, epsabs=ABS_TOL, epsrel=1e-10, limit=400)
         return val
     surf = sphere_surface(d - 1)
 
@@ -471,8 +477,7 @@ def antisym_constant_c4(d, alpha, m, delta1, quad=DEFAULT_QUAD):
     return val
 
 
-def antisymmetric_minimum_check(m, alpha, d, w, mu, quad=DEFAULT_QUAD,
-                                search_radius=30.0):
+def antisymmetric_minimum_check(m, alpha, d, w, mu):
     """Estimate of Phi_{m,alpha}(-Delta)w at the minimum of a
     mu-antisymmetric function over the half-space {x_1 < mu} (d = 1).
 
@@ -486,14 +491,14 @@ def antisymmetric_minimum_check(m, alpha, d, w, mu, quad=DEFAULT_QUAD,
         raise ValueError("plane offset mu must be <= 0")
 
     # Antisymmetry probe: w(x^mu) = -w(x) at 100 sample points.
-    ys = mu - np.linspace(1e-3, search_radius, 100)
+    ys = mu - np.linspace(1e-3, 30.0, 100)
     defect = float(np.max(np.abs(np.asarray(w(2.0 * mu - ys))
                                  + np.asarray(w(ys)))))
     if defect > 1e-10:
         raise ValueError(f"w is not mu-antisymmetric (defect {defect:.2e})")
 
     # Locate the interior minimizer by a coarse scan plus local refinement.
-    scan = mu - np.linspace(1e-6, search_radius, 4000)
+    scan = mu - np.linspace(1e-6, 30.0, 4000)
     vals = np.asarray(w(scan))
     i = int(np.argmin(vals))
     if vals[i] >= 0.0:
@@ -509,14 +514,14 @@ def antisymmetric_minimum_check(m, alpha, d, w, mu, quad=DEFAULT_QUAD,
     delta = mu - x_star
 
     symbol = BernsteinSymbol.relativistic(m, alpha)
-    lhs = pointwise_nonlocal(symbol, w, x_star, quad=quad)
+    lhs = pointwise_nonlocal(symbol, w, x_star)
 
     constants = {"C1": antisym_constant_c1(d, alpha),
-                 "C2": antisym_constant_c2(d, alpha, quad)}
+                 "C2": antisym_constant_c2(d, alpha)}
     rhs1 = rhs2 = None
     if m > 0:
         constants["C3"] = antisym_constant_c3(d, alpha, m)
-        constants["C4"] = antisym_constant_c4(d, alpha, m, delta, quad)
+        constants["C4"] = antisym_constant_c4(d, alpha, m, delta)
         xi_ord = (d + alpha + 2.0) / 2.0
         c = m ** (1.0 / alpha)
 
@@ -526,7 +531,7 @@ def antisymmetric_minimum_check(m, alpha, d, w, mu, quad=DEFAULT_QUAD,
             return ((float(w(mu - t)) - w_min) * t
                     * bessel_k(xi_ord, c * z) / z ** xi_ord)
 
-        J, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=quad.abs_tol,
+        J, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=ABS_TOL,
                               epsrel=1e-9, limit=400)
         C = min(2.0 * constants["C1"], constants["C2"], 2.0 * constants["C3"])
         rhs1 = C * ((delta ** (-alpha) - m) * w_min - delta * J)
@@ -548,14 +553,14 @@ def antisymmetric_minimum_check(m, alpha, d, w, mu, quad=DEFAULT_QUAD,
 # Embedding tail bound
 # ---------------------------------------------------------------------------
 
-def kernel_lower_constant(symbol, d, s, quad=DEFAULT_QUAD):
+def kernel_lower_constant(symbol, d, s):
     """C_low = min over (0, 1] of r^(d+2s) j(r), sampled on a log grid."""
     r = np.geomspace(1e-3, 1.0, 60)
-    vals = r ** (d + 2.0 * s) * np.asarray(symbol.jump_kernel(d, r, quad))
+    vals = r ** (d + 2.0 * s) * np.asarray(symbol.jump_kernel(d, r))
     return float(vals.min())
 
 
-def embedding_tail_check(symbol, fields, s=None, quad=DEFAULT_QUAD):
+def embedding_tail_check(symbol, fields, s=None):
     """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2.
 
     C_low is the verified kernel lower-bound constant; the factor 2 (rather
@@ -570,7 +575,7 @@ def embedding_tail_check(symbol, fields, s=None, quad=DEFAULT_QUAD):
     if isinstance(fields, Field):
         fields = [fields]
     d = fields[0].grid.d
-    c_low = kernel_lower_constant(symbol, d, s, quad)
+    c_low = kernel_lower_constant(symbol, d, s)
     frac = BernsteinSymbol.custom(phi=lambda z: z ** s, label=f"z^{s}")
     c_gag = massless_constant(d, 2.0 * s)
     tail_coeff = 4.0 * sphere_surface(d) / (2.0 * s)

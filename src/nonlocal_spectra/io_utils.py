@@ -115,21 +115,18 @@ def write_kernel_table(table, path_base):
     return csv_path, json_path
 
 
-def radial_profile(field, bin_width=None):
-    """Shell-average a field: returns (radii, mean values) over |x| bins."""
+def radial_profile(field):
+    """Shell-average a field: returns (radii, mean values) over |x| bins
+    of width h."""
     grid = field.grid
-    axes = [grid.axis()] * grid.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(sum(m * m for m in mesh))
-    width = bin_width if bin_width is not None else grid.h
-    idx = np.floor(r.ravel() / width + 0.5).astype(int)
+    idx = np.floor(grid.radius().ravel() / grid.h + 0.5).astype(int)
     sums = np.bincount(idx, weights=field.values.ravel())
     counts = np.bincount(idx)
-    radii = np.arange(len(sums)) * width
+    radii = np.arange(len(sums)) * grid.h
     keep = counts > 0
     return radii[keep], sums[keep] / counts[keep]
 
 
-def write_radial_profile(field, path, bin_width=None):
-    radii, values = radial_profile(field, bin_width)
+def write_radial_profile(field, path):
+    radii, values = radial_profile(field)
     return write_csv(path, ["r", "phi(r)"], zip(radii, values))

@@ -10,11 +10,10 @@ scipy.special.kv (D. E. Amos, "Algorithm 644", ACM TOMS 12, 1986); the
 t-integral above is evaluated by direct quadrature only in the test suite,
 as an independent oracle next to mpmath.besselk.
 
-Also provided: the error-control knobs shared by the integral
-representations of the kernel layer, and the exception they raise.
+Also provided: the one absolute and relative tolerance at which the kernel
+layer evaluates its integrals, and the exception a quadrature raises when
+it misses them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -33,21 +32,8 @@ class QuadratureError(Exception):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error-control knobs shared by all integral representations."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be > 0")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
 
 _TINY = np.finfo(float).tiny
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .bernstein_kernels import massless_constant, tanh_sinh_quadrature
-from .special_functions import DEFAULT_QUAD, QuadratureError
+from .special_functions import ABS_TOL, QuadratureError
 
 class CostGuardError(ValueError):
     """Requested direct quadrature exceeds the cost guard; use the Fourier route."""
@@ -210,7 +210,7 @@ class SpectralOperator:
     def seminorm(self, u):
         """[u]_Phi from the Fourier side."""
         _require_same_grid(u.grid, self.grid)
-        power, measure = _spectral_weights(u)
+        _, power, measure = _spectral_weights(u)
         sq = measure * float(np.sum(self.multiplier * power))
         return math.sqrt(max(sq, 0.0))
 
@@ -232,12 +232,13 @@ def apply_multiplier(symbol, field):
 
 
 def _spectral_weights(field):
-    """(weights * |u_hat|^2, lattice measure) for seminorm-type sums."""
+    """(|u_hat|^2, weights * |u_hat|^2, lattice measure) for seminorm-type
+    sums, from one forward transform."""
     grid = field.grid
-    spec = np.fft.rfftn(field.values)
-    power = _rfft_weights(grid.d, grid.n) * np.abs(spec) ** 2
+    spec_sq = np.abs(np.fft.rfftn(field.values)) ** 2
+    power = _rfft_weights(grid.d, grid.n) * spec_sq
     measure = grid.cell_volume / grid.n ** grid.d
-    return power, measure
+    return spec_sq, power, measure
 
 
 def seminorm_fourier(symbol, field):
@@ -275,19 +276,19 @@ def _power_kernel_images(exponent, L, h):
             + special.zeta(exponent, 1.0 - t)) / L ** exponent
 
 
-def _generic_kernel_images(kernel, L, h, tol=1e-16):
+def _generic_kernel_images(kernel, L, h):
     """Direct image sum for kernels with fast decay (d=1)."""
     h = np.asarray(h, dtype=float)
     total = np.zeros_like(h)
     for m in range(1, 10000):
         term = kernel(m * L + h) + kernel(m * L - h)
         total += term
-        if np.all(term <= tol * (1.0 + np.abs(total))):
+        if np.all(term <= 1e-16 * (1.0 + np.abs(total))):
             break
     return total
 
 
-def _direct_core_1d(field, kernel, images, quad):
+def _direct_core_1d(field, kernel, images):
     """(1/2) iint_T |u(x+h)-u(x)|^2 J(h) dx dh on the torus, d = 1."""
     grid = field.grid
     spec = np.fft.rfft(field.values)
@@ -301,7 +302,7 @@ def _direct_core_1d(field, kernel, images, quad):
     def f(hs):
         return shifted_sq_sum(hs) * (kernel(hs) + images(hs))
 
-    val, _err = tanh_sinh_quadrature(f, 0.0, grid.L / 2.0, quad)
+    val, _err = tanh_sinh_quadrature(f, 0.0, grid.L / 2.0)
     return val
 
 
@@ -318,7 +319,7 @@ def _smoothstep(r, r0, r1):
     return a / (a + b)
 
 
-def _direct_core_2d(field, kernel, images_offset, tail_density, quad):
+def _direct_core_2d(field, kernel, images_offset):
     """Torus double integral in d = 2, split by a smooth radial partition.
 
     * Inner part (weight 1-w, supported in |h| < L/2): the x-integral and
@@ -333,7 +334,7 @@ def _direct_core_2d(field, kernel, images_offset, tail_density, quad):
       O(h) cell-classification error at the circle.
     """
     grid = field.grid
-    power, measure = _spectral_weights(field)
+    spec_sq, power, measure = _spectral_weights(field)
     z = _freq_sq_rfft(grid.d, grid.n, grid.L)
     mod_xi = np.sqrt(z).ravel()
     pw = (power.ravel() * measure)
@@ -349,14 +350,13 @@ def _direct_core_2d(field, kernel, images_offset, tail_density, quad):
             * (1.0 - _smoothstep(rs, r0, r1))
 
     scale = float(np.sum(pw)) + 1.0
-    inner, _ = tanh_sinh_quadrature(f, 0.0, r1, quad, levels=7,
+    inner, _ = tanh_sinh_quadrature(f, 0.0, r1, levels=7,
                                     abs_floor=1e-9 * scale)
 
     # Lattice autocorrelation gives S at every lattice shift at once; entry
     # (i, j) corresponds to the roll offset (i h, j h) wrapped into the
     # torus, so the kernel factors use the same wrapped offsets.
-    spec_full = np.fft.rfftn(field.values)
-    corr = np.fft.irfftn(np.abs(spec_full) ** 2, s=grid.shape,
+    corr = np.fft.irfftn(spec_sq, s=grid.shape,
                          axes=tuple(range(grid.d)))
     S_lattice = 2.0 * grid.cell_volume * (corr.flat[0] - corr)
 
@@ -369,14 +369,15 @@ def _direct_core_2d(field, kernel, images_offset, tail_density, quad):
     outer_vals[sel] = kernel(shift_r[sel]) * w[sel] * S_lattice[sel]
     outer_sum = 0.5 * grid.cell_volume * float(np.sum(outer_vals))
 
-    img = images_offset(hx, hy) + tail_density
-    image_sum = 0.5 * grid.cell_volume * float(np.sum(S_lattice * img))
+    image_sum = 0.5 * grid.cell_volume * float(
+        np.sum(S_lattice * images_offset(hx, hy)))
 
     return inner + outer_sum + image_sum
 
 
-def _power_images_2d(exponent, L, hx, hy, m_max=24):
+def _power_images_2d(exponent, L, hx, hy):
     """sum over m in Z^2 \\ {0} of |h + mL|^-exponent at lattice offsets."""
+    m_max = 24
     total = np.zeros_like(hx)
     for mx in range(-m_max, m_max + 1):
         for my in range(-m_max, m_max + 1):
@@ -389,19 +390,19 @@ def _power_images_2d(exponent, L, hx, hy, m_max=24):
     return total + tail
 
 
-def _radial_power_direct(field, constant, exponent, quad):
+def _radial_power_direct(field, constant, exponent):
     """Shared direct route for kernels constant * r^-exponent."""
     grid = field.grid
     if grid.d == 1:
         kernel = lambda h: constant * h ** (-exponent)
         images = lambda h: constant * _power_kernel_images(exponent, grid.L, h)
-        return _direct_core_1d(field, kernel, images, quad)
+        return _direct_core_1d(field, kernel, images)
     kernel = lambda r: constant * r ** (-exponent)
     images = lambda hx, hy: constant * _power_images_2d(exponent, grid.L, hx, hy)
-    return _direct_core_2d(field, kernel, images, 0.0, quad)
+    return _direct_core_2d(field, kernel, images)
 
 
-def seminorm_direct(symbol, field, quad=DEFAULT_QUAD):
+def seminorm_direct(symbol, field):
     """[u]_Phi from the kernel side (double quadrature on the torus)."""
     _check_cost_guard(field.grid)
     if not symbol.kernel_available:
@@ -409,28 +410,28 @@ def seminorm_direct(symbol, field, quad=DEFAULT_QUAD):
     grid = field.grid
     if symbol.has_closed_kernel and symbol.m == 0.0:
         c = massless_constant(grid.d, symbol.alpha)
-        sq = _radial_power_direct(field, c, grid.d + symbol.alpha, quad)
+        sq = _radial_power_direct(field, c, grid.d + symbol.alpha)
         return math.sqrt(max(sq, 0.0))
-    kernel = lambda r: symbol.jump_kernel(grid.d, r, quad)
+    kernel = lambda r: symbol.jump_kernel(grid.d, r)
     if grid.d == 1:
         images = lambda h: _generic_kernel_images(kernel, grid.L, h)
-        sq = _direct_core_1d(field, kernel, images, quad)
+        sq = _direct_core_1d(field, kernel, images)
     else:
         # Exponentially decaying kernels: nearest images only, no far tail.
-        def images2(hx, hy, m_max=3):
+        def images2(hx, hy):
             total = np.zeros_like(hx)
-            for mx in range(-m_max, m_max + 1):
-                for my in range(-m_max, m_max + 1):
+            for mx in range(-3, 4):
+                for my in range(-3, 4):
                     if mx == 0 and my == 0:
                         continue
                     total += kernel(np.sqrt((hx + mx * grid.L) ** 2
                                             + (hy + my * grid.L) ** 2))
             return total
-        sq = _direct_core_2d(field, kernel, images2, 0.0, quad)
+        sq = _direct_core_2d(field, kernel, images2)
     return math.sqrt(max(sq, 0.0))
 
 
-def gagliardo_seminorm(s, field, quad=DEFAULT_QUAD):
+def gagliardo_seminorm(s, field):
     """Gagliardo seminorm [[u]]_s of order s in (0,1) (direct route).
 
     Shares the integration path of seminorm_direct so that the massless
@@ -440,7 +441,7 @@ def gagliardo_seminorm(s, field, quad=DEFAULT_QUAD):
     if not 0.0 < s < 1.0:
         raise ValueError(f"gagliardo order s must lie in (0,1), got {s}")
     _check_cost_guard(field.grid)
-    sq = 2.0 * _radial_power_direct(field, 1.0, field.grid.d + 2.0 * s, quad)
+    sq = 2.0 * _radial_power_direct(field, 1.0, field.grid.d + 2.0 * s)
     return math.sqrt(max(sq, 0.0))
 
 
@@ -477,7 +478,7 @@ def _panel_integral(f, a, b):
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def _oscillatory_tail(f, a, panel, abs_tol, max_panels=600):
+def _oscillatory_tail(f, a, panel, abs_tol):
     """int_a^inf f dh for f = (bounded oscillation) x (monotone decaying kernel).
 
     Panel-by-panel summation; if plain summation has not converged once the
@@ -487,7 +488,7 @@ def _oscillatory_tail(f, a, panel, abs_tol, max_panels=600):
     sums = []
     total = 0.0
     small = 0
-    for k in range(max_panels):
+    for k in range(600):
         piece = _panel_integral(f, a + k * panel, a + (k + 1) * panel)
         total += piece
         sums.append(total)
@@ -533,37 +534,38 @@ def _far_constant(g, scale):
     return 0.0
 
 
-def _kernel_tail_mass(symbol, d, a, quad):
+def _kernel_tail_mass(symbol, d, a):
     """int_a^inf j(r) r^(d-1) dr (analytic for the massless power law)."""
     if symbol.has_closed_kernel and symbol.m == 0.0:
         c = massless_constant(d, symbol.alpha)
         return c * a ** (-symbol.alpha) / symbol.alpha
     val, _ = integrate.quad(
-        lambda r: float(symbol.jump_kernel(d, r, quad)) * r ** (d - 1),
-        a, np.inf, epsabs=quad.abs_tol, epsrel=1e-10, limit=200)
+        lambda r: float(symbol.jump_kernel(d, r)) * r ** (d - 1),
+        a, np.inf, epsabs=ABS_TOL, epsrel=1e-10, limit=200)
     return val
 
 
-def _kernel_moment(symbol, d, k, h0, quad):
+def _kernel_moment(symbol, d, k, h0):
     """int_0^h0 r^(k+d-1) j(r) dr; positive-power singular integrand."""
     if symbol.has_closed_kernel and symbol.m == 0.0:
         c = massless_constant(d, symbol.alpha)
         return c * h0 ** (k - symbol.alpha) / (k - symbol.alpha)
     val, _ = tanh_sinh_quadrature(
-        lambda r: np.asarray(symbol.jump_kernel(d, r, quad)) * r ** (k + d - 1),
-        0.0, h0, quad)
+        lambda r: np.asarray(symbol.jump_kernel(d, r)) * r ** (k + d - 1),
+        0.0, h0)
     return val
 
 
-def pointwise_nonlocal(symbol, u, x, eps_cut=1.0, quad=DEFAULT_QUAD):
+def pointwise_nonlocal(symbol, u, x):
     """Phi(-Delta)u(x) = -(1/2) int (u(x+h) - 2u(x) + u(x-h)) j(|h|) dh.
 
     u is a bounded C^2 callable on R^d (d inferred from x, d <= 3).  The
     second-difference form makes the kernel singularity integrable, so no
-    principal value is needed; the integral is split at |h| = eps_cut into
-    an inner part (tanh-sinh, graded at 0) and an outer part (panel
-    summation with series acceleration for oscillatory integrands).
+    principal value is needed; the integral is split at |h| = 1 into an
+    inner part (tanh-sinh, graded at 0) and an outer part (panel summation
+    with series acceleration for oscillatory integrands).
     """
+    eps_cut = 1.0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     d = x_arr.size
     if d > 3:
@@ -584,34 +586,33 @@ def pointwise_nonlocal(symbol, u, x, eps_cut=1.0, quad=DEFAULT_QUAD):
         # scale the singular kernel amplifies, so that piece is evaluated
         # through its Taylor form u'' h^2 + u'''' h^4/12 against analytic
         # kernel moments; quadrature covers [h0, eps_cut].
-        h0 = min(1e-2, eps_cut / 4.0)
+        h0 = 1e-2
         delta = h0 / 2.0
         st = uv(x0 + delta * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
         d2u = (-st[0] + 16.0 * st[1] - 30.0 * st[2] + 16.0 * st[3] - st[4]) \
             / (12.0 * delta ** 2)
         d4u = (st[0] - 4.0 * st[1] + 6.0 * st[2] - 4.0 * st[3] + st[4]) \
             / delta ** 4
-        taylor = d2u * _kernel_moment(symbol, 1, 2, h0, quad) \
-            + (d4u / 12.0) * _kernel_moment(symbol, 1, 4, h0, quad)
+        taylor = d2u * _kernel_moment(symbol, 1, 2, h0) \
+            + (d4u / 12.0) * _kernel_moment(symbol, 1, 4, h0)
 
         def inner(hs):
-            return second_diff(hs) * np.asarray(symbol.jump_kernel(1, hs, quad))
+            return second_diff(hs) * np.asarray(symbol.jump_kernel(1, hs))
 
-        mid_val, _ = tanh_sinh_quadrature(inner, h0, eps_cut, quad,
+        mid_val, _ = tanh_sinh_quadrature(inner, h0, eps_cut,
                                           abs_floor=1e-13 * (1.0 + abs(u_x)))
         inner_val = taylor + mid_val
 
-        tail_mass = _kernel_tail_mass(symbol, 1, eps_cut, quad)
+        tail_mass = _kernel_tail_mass(symbol, 1, eps_cut)
         pair = lambda h: float(uv(np.array([x0 + h]))[0]
                                + uv(np.array([x0 - h]))[0])
         c_far = _far_constant(pair, abs(u_x))
 
         def outer(hs):
             return (uv(x0 + hs) + uv(x0 - hs) - c_far) \
-                * np.asarray(symbol.jump_kernel(1, hs, quad))
+                * np.asarray(symbol.jump_kernel(1, hs))
 
-        outer_val, outer_err = _oscillatory_tail(outer, eps_cut, 1.0,
-                                                 quad.abs_tol)
+        outer_val, outer_err = _oscillatory_tail(outer, eps_cut, 1.0, ABS_TOL)
         if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
             raise QuadratureError(
                 "outer nonlocal integral did not converge",
@@ -644,11 +645,11 @@ def pointwise_nonlocal(symbol, u, x, eps_cut=1.0, quad=DEFAULT_QUAD):
 
     def inner_nd(rs):
         return sphere_second_diff(rs) * np.asarray(
-            symbol.jump_kernel(d, rs, quad)) * rs ** (d - 1)
+            symbol.jump_kernel(d, rs)) * rs ** (d - 1)
 
     # Taylor-corrected origin, as in d = 1: the angular average of the
     # second difference is (sigma_d/d) Lap(u) r^2 + O(r^4).
-    h0 = min(1e-2, eps_cut / 4.0)
+    h0 = 1e-2
     delta = 1e-3
     lap = 0.0
     for axis in range(d):
@@ -656,21 +657,21 @@ def pointwise_nonlocal(symbol, u, x, eps_cut=1.0, quad=DEFAULT_QUAD):
         e[axis] = delta
         lap += (float(u(x_arr + e)) - 2.0 * u_x + float(u(x_arr - e))) / delta ** 2
     surf_over_d = surf / d
-    taylor = lap * surf_over_d * _kernel_moment(symbol, d, 2, h0, quad)
-    mid_val, _ = tanh_sinh_quadrature(inner_nd, h0, eps_cut, quad,
+    taylor = lap * surf_over_d * _kernel_moment(symbol, d, 2, h0)
+    mid_val, _ = tanh_sinh_quadrature(inner_nd, h0, eps_cut,
                                       abs_floor=1e-12 * (1.0 + abs(u_x)) * surf)
     inner_val = taylor + mid_val
-    tail_mass = _kernel_tail_mass(symbol, d, eps_cut, quad)
+    tail_mass = _kernel_tail_mass(symbol, d, eps_cut)
     pair_sum = lambda r: float(sphere_second_diff(np.array([r]))[0]) \
         + 2.0 * u_x * surf
     c_far = _far_constant(pair_sum, abs(u_x) * surf)
 
     def outer_nd(rs):
         return (sphere_second_diff(rs) + 2.0 * u_x * surf - c_far) * np.asarray(
-            symbol.jump_kernel(d, rs, quad)) * rs ** (d - 1)
+            symbol.jump_kernel(d, rs)) * rs ** (d - 1)
 
     outer_val, outer_err = _oscillatory_tail(outer_nd, eps_cut, 1.0,
-                                             quad.abs_tol * surf)
+                                             ABS_TOL * surf)
     if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
         raise QuadratureError("outer nonlocal integral did not converge",
                               value=None, error_estimate=outer_err)

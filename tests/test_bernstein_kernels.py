@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,29 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 massless_constant,
                                                 resolvent_kernel,
                                                 second_moment_decay, sigma,
-                                                sigma_difference_form)
-from nonlocal_spectra.special_functions import bessel_k
+                                                sigma_difference_form,
+                                                tanh_sinh_quadrature)
+from nonlocal_spectra.special_functions import QuadratureError, bessel_k
+
+
+class TestTanhSinh:
+    def test_endpoint_singularity(self):
+        # Nodes closer than ~eps/2 to x = 0 round onto it and are dropped,
+        # so the integral misses up to int_0^(eps/2) x^(-1/2) dx = sqrt(2 eps).
+        val, _ = tanh_sinh_quadrature(lambda x: x ** -0.5, 0.0, 1.0)
+        assert val == pytest.approx(2.0, rel=0.0,
+                                    abs=math.sqrt(2.0 * np.finfo(float).eps))
+
+    def test_log_singularity(self):
+        val, _ = tanh_sinh_quadrature(np.log, 0.0, 1.0)
+        assert val == pytest.approx(-1.0, rel=1e-10)
+
+    def test_unresolved_integrand_raises_with_partial_value(self):
+        # About 1600 periods on [0, 1]; the finest level has ~500 nodes.
+        with pytest.raises(QuadratureError) as info:
+            tanh_sinh_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0)
+        assert np.isfinite(info.value.value)
+        assert info.value.error_estimate > 0.0
 
 
 class TestMasslessKernel:
@@ -118,6 +140,18 @@ class TestHeatKernel:
         prof = heat_kernel_profile(s11, 1, 0.5, np.linspace(0.0, 8.0, 40))
         assert prof.min() > 0.0
         assert np.all(np.diff(prof) <= 0.0)
+
+    def test_profile_memory_bounded(self, s01):
+        radii = np.geomspace(0.01, 12.0, 300)
+        tracemalloc.start()
+        try:
+            prof = heat_kernel_profile(s01, 1, 0.1, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        cauchy = 0.1 / (math.pi * (0.01 + radii ** 2))
+        assert prof == pytest.approx(cauchy, rel=1e-9)
 
     def test_semigroup_property(self, s11):
         t, s = 0.3, 0.2

@@ -67,6 +67,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="resolvable"):
             parse_config(write_config(tmp_path, bad))
 
+    def test_eps_schedule_trailing_zero_accepted(self, tmp_path):
+        # eps = 0 is the sharp well itself, which the library accepts.
+        payload = dict(BASE, command="stability-sweep",
+                       eps_schedule=[0.8, 0.4, 0.0],
+                       output_dir=str(tmp_path / "sweep"))
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 0
+        csv = (tmp_path / "sweep" / "report.csv").read_text().splitlines()
+        assert csv[-1].startswith("0.0,") and csv[-1].endswith(",0.0,0.0")
+
 
 class TestDispatch:
     def test_ground_state_artifacts(self, tmp_path):

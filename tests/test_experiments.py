@@ -54,6 +54,8 @@ class TestStabilitySweep:
             stability_sweep(s01, WELL, [0.1, 0.2], GRID, CFG)
         with pytest.raises(ValueError):
             stability_sweep(s01, WELL, [0.2, GRID.h], GRID, CFG)
+        with pytest.raises(ValueError, match="entries must be >= 0"):
+            stability_sweep(s01, WELL, [0.2, -0.1], GRID, CFG)
 
     def test_json_and_csv_shapes(self, sweep):
         payload = sweep.to_json_dict()

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from nonlocal_spectra.special_functions import (QuadratureSpec, bessel_k,
-                                                bessel_k_grid)
+from nonlocal_spectra.special_functions import bessel_k, bessel_k_grid
 
 
 def bessel_k_paper_form(xi, z):
@@ -110,12 +109,4 @@ class TestBesselK:
         k0 = bessel_k_grid(0.0, zs)
         assert bessel_k(xi, 1.0) == k0[1]
         assert np.array_equal(bessel_k_grid(xi, zs), k0)
-
-
-class TestQuadratureSpec:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=-1.0)
 
