@@ -56,8 +56,7 @@ class RunConfig:
     raw: dict
 
 
-_SOLVER_KEYS = ("tau", "tol", "max_iters", "splitting", "seed", "projection",
-                "min_iters")
+_SOLVER_KEYS = ("tau", "tol", "max_iters", "seed", "min_iters")
 _EXTRA_KEYS = ("kernel", "eps_schedule", "k_list", "ball_radius", "mu",
                "rotations", "num_fields", "kmax_frac", "s", "alpha_antisym",
                "m_antisym")
@@ -106,9 +105,7 @@ def parse_config(path):
             tau=float(sol_raw.get("tau", 0.01)),
             tol=float(sol_raw.get("tol", 1e-11)),
             max_iters=int(sol_raw.get("max_iters", 20000)),
-            splitting=sol_raw.get("splitting", "strang"),
             seed=int(sol_raw.get("seed", 12345)),
-            projection_radius=sol_raw.get("projection"),
             min_iters=int(sol_raw.get("min_iters", 0)))
     except ValueError as exc:
         raise ConfigError(f"solver invariant violated: {exc}") from None
@@ -162,11 +159,7 @@ def _build_potential(cfg):
 def _write_eigenresult(out, result):
     payload = {"lambda": result.lam, "residual": result.residual,
                "iters": result.iters, "converged": result.converged,
-               "config": {"tau": result.config.tau, "tol": result.config.tol,
-                          "max_iters": result.config.max_iters,
-                          "splitting": result.config.splitting,
-                          "seed": result.config.seed,
-                          "projection": result.config.projection_radius},
+               "method": result.method,
                "history_tail": result.history[-10:]}
     io_utils.write_json(out / "result.json", payload)
     io_utils.write_field(out / "phi", result.phi)
@@ -208,8 +201,7 @@ def dispatch(cfg):
 
     elif cfg.command == "dirichlet-eig":
         radius = float(cfg.extras.get("ball_radius", 1.0))
-        result = dirichlet_ground_state(cfg.symbol, radius, cfg.grid,
-                                        cfg.solver)
+        result = dirichlet_ground_state(cfg.symbol, radius, cfg.grid)
         _write_eigenresult(out, result)
         if not result.converged:
             status = 2

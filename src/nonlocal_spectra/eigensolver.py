@@ -1,34 +1,42 @@
-"""Imaginary-time ground states of H = Phi(-Delta) + V on the periodic grid.
+"""Ground states of H = Phi(-Delta) + V on the periodic grid.
 
-The semigroup e^(-tau H) is applied in split form; the kinetic factor is
-the Fourier multiplier e^(-tau Phi(|xi|^2)), the potential factor acts
-pointwise.  Renormalizing after every step drives the iterate to the
-ground state (the semigroup is positivity improving, so any nonnegative
-seed overlaps it).  The eigenvalue is extracted variationally from the
-Rayleigh quotient A(u, u), which is the min-max characterization evaluated
-at the current iterate and is second-order accurate in the eigenfunction
-error.
+Potential problems use imaginary time.  The semigroup e^(-tau H) is
+applied in Strang split form; the kinetic factor is the Fourier multiplier
+e^(-tau Phi(|xi|^2)), the potential factor acts pointwise.  Renormalizing
+after every step drives the iterate to the ground state (the semigroup is
+positivity improving, so any nonnegative seed overlaps it).  The
+eigenvalue is extracted variationally from the Rayleigh quotient A(u, u),
+which is the min-max characterization evaluated at the current iterate and
+is second-order accurate in the eigenfunction error.
 
-Dirichlet eigenvalues of balls use the same iteration with a hard support
-projection after every sub-step, which keeps the iterate exactly inside
-the discrete analogue of the constrained subspace.
+Dirichlet eigenvalues of balls need no time step.  Phi(-Delta) restricted
+to the grid points inside the ball is a dense symmetric matrix whose
+entries are the circulant's first column irfftn(Phi(|xi|^2)) at the
+wrapped index differences (Toeplitz in 1D, block Toeplitz in 2D and 3D);
+one dense eigh gives its lowest eigenpair.
 
 Work per solve: one SpectralOperator is built, so the multiplier
 Phi(|xi|^2) is evaluated once per solve, not once per iteration.  Each
-iteration does exactly three transforms: the forward and inverse transform
-of the kinetic step, and one forward transform of the normalized iterate
-for the Rayleigh quotient.  The ball projection is folded into the
-pointwise factors on either side of the kinetic step.
+splitting iteration does exactly three transforms: the forward and inverse
+transform of the kinetic step, and one forward transform of the normalized
+iterate for the Rayleigh quotient.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy import linalg
 
-from .spectral_core import Field, SpectralOperator, _require_same_grid
+from .spectral_core import CostGuardError, Field, SpectralOperator
 
 _MIN_ITERS_BEFORE_STOP = 5
+# The dense Dirichlet matrix holds 8 N^2 bytes for N points in the ball:
+# 128 MB at this cap.
+MAX_BALL_POINTS = 4096
+# A Dirichlet eigenpair is converged when its residual is at most this
+# multiple of max Phi(|xi|^2), which bounds ||Phi(-Delta)|| on the grid.
+_DENSE_RESIDUAL_FACTOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,9 +44,7 @@ class SolverConfig:
     tau: float = 0.05
     tol: float = 1e-11
     max_iters: int = 20_000
-    splitting: str = "strang"
     seed: int = 12345
-    projection_radius: float = None
     min_iters: int = 0
 
     def __post_init__(self):
@@ -46,8 +52,6 @@ class SolverConfig:
             raise ValueError("imaginary time step tau must be > 0")
         if not self.tol > 0:
             raise ValueError("stagnation tolerance tol must be > 0")
-        if self.splitting not in ("strang", "lie"):
-            raise ValueError(f"unknown splitting {self.splitting!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.min_iters < 0:
@@ -62,7 +66,7 @@ class EigenResult:
     iters: int
     history: list
     converged: bool
-    config: SolverConfig
+    method: str
     meta: dict = dataclass_field(default_factory=dict)
 
 
@@ -73,9 +77,10 @@ def initial_field(grid, symbol, cfg):
 
 
 def _seed_field(op, seed, kinetic_factor):
+    # The filter keeps the zero mode, so the smoothed seed has a positive mean.
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.5, 1.5, size=op.grid.shape)
-    return _normalized(Field(grid=op.grid, values=op.filter(values, kinetic_factor)))
+    values = op.filter(rng.uniform(0.5, 1.5, size=op.grid.shape), kinetic_factor)
+    return Field(grid=op.grid, values=_unit(values, op.cell_volume))
 
 
 def _unit(values, cell_volume):
@@ -86,70 +91,35 @@ def _unit(values, cell_volume):
     return values / n
 
 
-def _normalized(u):
-    values = _unit(u.values, u.grid.cell_volume)
-    if values is None:
-        raise RuntimeError("iterate collapsed to zero or diverged")
-    return Field(grid=u.grid, values=values)
-
-
-def _projection_mask(grid, radius):
-    return (grid.radius() <= radius).astype(float)
-
-
-def ground_state(symbol, potential, cfg, u0=None):
-    """Ground state of Phi(-Delta) + V by normalized imaginary-time splitting.
+def ground_state(symbol, potential, cfg):
+    """Ground state of Phi(-Delta) + V by normalized imaginary-time Strang
+    splitting.
 
     potential: a PotentialField; it also fixes the grid, so the free
-    operator takes an explicit zero potential.  When cfg.projection_radius
-    is set, every sub-step is followed by the hard restriction to the
-    ball, which computes the Dirichlet problem instead.
+    operator takes an explicit zero potential.
     """
     if potential is None:
         raise ValueError("ground_state needs a potential to fix the grid; "
                          "pass an explicit zero potential for the free operator")
     grid = potential.grid
     V = potential.values
-    if not np.all(V > -np.inf) or not np.all(np.isfinite(V)):
+    if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite (bounded below)")
-
-    mask = None
-    if cfg.projection_radius is not None:
-        if not cfg.projection_radius < grid.L / 2.0:
-            raise ValueError("projection radius must fit inside the box")
-        mask = _projection_mask(grid, cfg.projection_radius)
 
     op = SpectralOperator(symbol, grid)
     kinetic_factor = np.exp(-cfg.tau * op.multiplier)
     with np.errstate(over="ignore", under="ignore"):
-        if cfg.splitting == "strang":
-            pre = post = np.exp(-0.5 * cfg.tau * V)
-        else:
-            pre, post = np.exp(-cfg.tau * V), None
-    if mask is not None:
-        # mask is 0/1, so folding it into the factors changes no bit of
-        # the masked iterate.
-        pre = pre * mask
-        post = mask if post is None else post * mask
+        half_step = np.exp(-0.5 * cfg.tau * V)
 
-    if u0 is not None:
-        _require_same_grid(u0.grid, grid)
-        start = _normalized(u0)
-    else:
-        start = _seed_field(op, cfg.seed, kinetic_factor)
-    if mask is not None:
-        start = _normalized(Field(grid=grid, values=start.values * mask))
-
-    u = start.values
+    u = _seed_field(op, cfg.seed, kinetic_factor).values
     cell_volume = grid.cell_volume
     history = []
     lam_prev = np.inf
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        vals = op.filter(u * pre, kinetic_factor)
-        if post is not None:
-            vals *= post
+        vals = op.filter(u * half_step, kinetic_factor)
+        vals *= half_step
         u = _unit(vals, cell_volume)
         if u is None:
             if not np.all(np.isfinite(vals)):
@@ -165,42 +135,62 @@ def ground_state(symbol, potential, cfg, u0=None):
         lam_prev = lam
 
     phi = Field(grid=grid, values=u)
-    residual = op.residual(phi, history[-1], potential, mask)
-    meta = {"potential": getattr(potential, "meta", {}),
-            "projection_radius": cfg.projection_radius}
+    residual = op.residual(phi, history[-1], potential)
     return EigenResult(lam=history[-1], phi=phi, residual=residual, iters=iters,
-                       history=history, converged=converged, config=cfg,
-                       meta=meta)
+                       history=history, converged=converged, method="splitting",
+                       meta={"potential": getattr(potential, "meta", {})})
 
 
 def fourier_residual(symbol, potential, result):
-    """L^2 norm of Phi(|xi|^2) phi_hat - lam phi_hat - F[V phi] (Plancherel)."""
+    """L^2 norm of Phi(|xi|^2) phi_hat - lam phi_hat - F[V phi] (Plancherel),
+    inside the ball for a Dirichlet result."""
     grid = result.phi.grid
-    mask = None
-    if result.config.projection_radius is not None:
-        mask = _projection_mask(grid, result.config.projection_radius)
+    radius = result.meta.get("ball_radius")
+    mask = None if radius is None else grid.radius() <= radius
     return SpectralOperator(symbol, grid).residual(result.phi, result.lam,
                                                    potential, mask)
 
 
-def dirichlet_ground_state(symbol, radius, grid, cfg, u0=None):
-    """Principal Dirichlet eigenvalue/eigenfunction of Phi(-Delta) on B_radius."""
-    if not radius < grid.L / 2.0:
+def dirichlet_ground_state(symbol, radius, grid):
+    """Principal Dirichlet eigenvalue/eigenfunction of Phi(-Delta) on B_radius,
+    from one dense eigh of the operator restricted to the ball's points.
+
+    phi is exactly 0 outside the ball, positive in sum and of unit L^2
+    norm.  converged means the Fourier-route residual, which does not use
+    the restricted matrix, is at most 1e-10 max Phi(|xi|^2).
+    """
+    if not 0.0 < radius < grid.L / 2.0:
         raise ValueError(f"ball radius {radius} does not fit in the box")
-    zero_pot = _zero_potential(grid)
-    return ground_state(symbol, zero_pot, replace(cfg, projection_radius=radius),
-                        u0=u0)
+    inside = grid.radius() <= radius
+    points = int(np.count_nonzero(inside))
+    if points > MAX_BALL_POINTS:
+        raise CostGuardError(f"the ball holds {points} grid points; the dense "
+                             f"Dirichlet solve allows {MAX_BALL_POINTS}")
+
+    op = SpectralOperator(symbol, grid)
+    column = np.fft.irfftn(op.multiplier, s=grid.shape, axes=op.axes)
+    # Flat index of the wrapped multi-index difference, one axis at a time.
+    flat = np.zeros((points, points), dtype=np.intp)
+    for idx in np.nonzero(inside):
+        flat *= grid.n
+        flat += np.subtract.outer(idx, idx) % grid.n
+    matrix = column.ravel()[flat]
+    del flat
+    lams, vecs = linalg.eigh(matrix, subset_by_index=[0, 0], overwrite_a=True)
+
+    lam, vec = float(lams[0]), vecs[:, 0]
+    values = np.zeros(grid.shape)
+    values[inside] = vec if vec.sum() > 0 else -vec
+    phi = Field(grid=grid, values=_unit(values, grid.cell_volume))
+    residual = op.residual(phi, lam, mask=inside)
+    converged = residual <= _DENSE_RESIDUAL_FACTOR * float(np.max(op.multiplier))
+    return EigenResult(lam=lam, phi=phi, residual=residual, iters=0,
+                       history=[lam], converged=converged,
+                       method="dense-eigh", meta={"ball_radius": radius})
 
 
-def _zero_potential(grid):
-    from .potentials import PotentialField
-    return PotentialField(field=Field(grid=grid, values=np.zeros(grid.shape)),
-                          meta={"kind": "zero"})
-
-
-def existence_criterion(symbol, a, v, grid, cfg):
+def existence_criterion(symbol, a, v, grid):
     """(lambda_a, satisfied): Dirichlet eigenvalue of B_a and the test
     lambda_a - v < 0 which guarantees a bound state of the depth-v well."""
-    res = dirichlet_ground_state(symbol, a, grid, cfg)
-    lam_a = res.lam
+    lam_a = dirichlet_ground_state(symbol, a, grid).lam
     return lam_a, bool(lam_a - v < 0.0)

@@ -34,7 +34,9 @@ from .bernstein_kernels import massless_constant, tanh_sinh_quadrature
 from .special_functions import ABS_TOL, QuadratureError
 
 class CostGuardError(ValueError):
-    """Requested direct quadrature exceeds the cost guard; use the Fourier route."""
+    """A requested computation exceeds its cost guard: a direct seminorm on
+    too fine a grid (use the Fourier route), or a dense Dirichlet solve on
+    a ball of too many grid points."""
 
 
 @dataclass(frozen=True)

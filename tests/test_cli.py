@@ -27,7 +27,7 @@ class TestParseConfig:
     def test_minimal_defaults_filled(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE))
         assert cfg.command == "ground-state"
-        assert cfg.solver.splitting == "strang"
+        assert cfg.solver.min_iters == 0
         assert cfg.grid.n == 256
 
     def test_alpha_range_named_in_error(self, tmp_path):
@@ -49,6 +49,13 @@ class TestParseConfig:
             bad.update(mutation)
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("key, value", [("projection", 1.0),
+                                            ("splitting", "strang")])
+    def test_removed_solver_keys_rejected(self, tmp_path, key, value):
+        bad = dict(BASE, solver=dict(BASE["solver"], **{key: value}))
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            parse_config(write_config(tmp_path, bad))
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -106,6 +113,7 @@ class TestDispatch:
         assert main(["--config", str(write_config(tmp_path, payload))]) == 0
         result = json.loads((tmp_path / "dir" / "result.json").read_text())
         assert result["lambda"] > 0.0
+        assert result["method"] == "dense-eigh" and "config" not in result
 
     def test_kernel_table(self, tmp_path):
         payload = {"command": "kernel-table",

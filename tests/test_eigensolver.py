@@ -9,15 +9,15 @@ from nonlocal_spectra.eigensolver import (EigenResult, SolverConfig,
                                           existence_criterion,
                                           fourier_residual, ground_state,
                                           initial_field)
+from nonlocal_spectra.experiments import symmetry_check
 from nonlocal_spectra.potentials import PotentialField, WellSpec, sharp_well
-from nonlocal_spectra.spectral_core import (Field, Grid, dirichlet_form,
+from nonlocal_spectra.spectral_core import (CostGuardError, Field, Grid,
+                                            SpectralOperator, dirichlet_form,
                                             field_from_function)
 
-# Frozen before the build: Richardson extrapolation of the hard-projection
-# Dirichlet eigenvalue of B_1 (d=1, alpha=1, L=32) over n in {512,1024,2048}
-# with the tau^2 limit taken at each n (tau in {0.02, 0.01}); the fitted
-# order was p ~ 0.95.
-LAMBDA1_B1_EXTRAPOLATED = 1.15675329
+# Kwasnicki, "Eigenvalues of the fractional Laplace operator in the
+# interval", J. Funct. Anal. 262 (2012): lambda_1 of (-Delta)^(1/2) on (-1,1).
+KWASNICKI_LAMBDA1 = 1.1577738836977
 
 GRID = Grid(d=1, n=512, L=32.0)
 CFG = SolverConfig(tau=0.02, tol=1e-12, max_iters=20000, seed=3)
@@ -39,8 +39,6 @@ class TestSolverConfig:
             SolverConfig(tau=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(splitting="verlet")
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
@@ -96,12 +94,6 @@ class TestGroundState:
         assert not res.converged
         assert len(res.history) == 10
 
-    def test_lie_splitting_agrees(self, s01, well_result):
-        cfg = SolverConfig(tau=0.005, tol=1e-12, max_iters=40000, seed=3,
-                           splitting="lie")
-        res = ground_state(s01, sharp_well(WellSpec(a=1.0, v=4.0), GRID), cfg)
-        assert res.lam == pytest.approx(well_result.lam, abs=5e-3)
-
     def test_infinite_potential_rejected(self, s01):
         bad = PotentialField(
             field=Field(grid=GRID, values=np.full(GRID.shape, np.inf)),
@@ -112,64 +104,81 @@ class TestGroundState:
 
 class TestDirichlet:
     def test_support_projection_exact(self, s01):
-        res = dirichlet_ground_state(s01, 1.0, GRID, CFG)
+        res = dirichlet_ground_state(s01, 1.0, GRID)
         outside = np.abs(GRID.axis()) > 1.0
         assert np.abs(res.phi.values[outside]).max() == 0.0
         assert res.lam > 0.0
+        assert res.method == "dense-eigh"
+
+    def test_acceptance_grid_eigenpair(self, s01):
+        grid = Grid(d=1, n=2048, L=32.0)
+        res = dirichlet_ground_state(s01, 1.0, grid)
+        assert res.lam == pytest.approx(1.14353671, abs=1e-8)
+        assert res.converged
+        assert res.residual <= 1e-10 * float(np.max(
+            SpectralOperator(s01, grid).multiplier))
+        assert res.residual == fourier_residual(s01, None, res)
+        assert abs(res.phi.l2_norm() - 1.0) < 1e-12
+        assert np.all(res.phi.values[np.abs(grid.axis()) > 1.0] == 0.0)
 
     def test_profile_radially_non_increasing(self, s01):
-        cfg = SolverConfig(tau=0.02, tol=1e-13, max_iters=20000, seed=3,
-                           min_iters=1500)
-        res = dirichlet_ground_state(s01, 1.0, GRID, cfg)
+        res = dirichlet_ground_state(s01, 1.0, GRID)
         prof = res.phi.values[GRID.n // 2:]
         assert float(np.max(np.diff(prof))) <= 1e-8 * prof[0]
 
     def test_dilation_scaling(self, s01):
-        # Dilation x -> 2x maps (r, L, tau) -> (2r, 2L, 2 tau) and halves the
-        # eigenvalue exactly for the 1-homogeneous massless symbol; the two
-        # runs use different seeds so the agreement tests convergence, not
-        # bitwise isomorphism.
-        g1 = Grid(d=1, n=1024, L=32.0)
-        g2 = Grid(d=1, n=1024, L=64.0)
-        r1 = dirichlet_ground_state(
-            s01, 1.0, g1, SolverConfig(tau=0.02, tol=1e-13, max_iters=40000,
-                                       seed=3))
-        r2 = dirichlet_ground_state(
-            s01, 2.0, g2, SolverConfig(tau=0.04, tol=1e-13, max_iters=40000,
-                                       seed=77))
-        assert 2.0 * r2.lam == pytest.approx(r1.lam, rel=1e-3)
+        # Dilation x -> 2x maps (r, L) -> (2r, 2L) and halves the restricted
+        # matrix exactly for the 1-homogeneous massless symbol, so the
+        # eigenvalue halves to rounding.
+        r1 = dirichlet_ground_state(s01, 1.0, Grid(d=1, n=1024, L=32.0))
+        r2 = dirichlet_ground_state(s01, 2.0, Grid(d=1, n=1024, L=64.0))
+        assert 2.0 * r2.lam == pytest.approx(r1.lam, rel=1e-12)
 
-    def test_frozen_extrapolated_eigenvalue(self, s01):
-        # Re-run the pre-build freezing procedure and compare.
-        def lam_tau0(n):
-            g = Grid(d=1, n=n, L=32.0)
-            c1 = SolverConfig(tau=0.02, tol=1e-14, max_iters=60000, seed=7)
-            r1 = dirichlet_ground_state(s01, 1.0, g, c1)
-            c2 = SolverConfig(tau=0.01, tol=1e-14, max_iters=60000, seed=7)
-            r2 = dirichlet_ground_state(s01, 1.0, g, c2, u0=r1.phi)
-            return (4.0 * r2.lam - r1.lam) / 3.0
+    def test_converges_to_kwasnicki_from_below(self, s01):
+        # lambda_1 of (-Delta)^(1/2) on B_1 at L = 32: the discrete value
+        # rises with n toward the published one.  Measured relative errors:
+        # 1.230e-2 at n = 2048, 4.268e-3 at n = 8192.
+        lams = [dirichlet_ground_state(s01, 1.0, Grid(d=1, n=n, L=32.0)).lam
+                for n in (2048, 8192)]
+        errs = [(KWASNICKI_LAMBDA1 - lam) / KWASNICKI_LAMBDA1 for lam in lams]
+        assert lams[0] < lams[1] < KWASNICKI_LAMBDA1
+        assert errs[0] < 1.3e-2
+        assert errs[1] < 4.5e-3
 
-        v1, v2, v3 = lam_tau0(512), lam_tau0(1024), lam_tau0(2048)
-        p = math.log2((v2 - v1) / (v3 - v2))
-        extrap = v3 + (v3 - v2) / (2.0 ** p - 1.0)
-        assert extrap == pytest.approx(LAMBDA1_B1_EXTRAPOLATED, abs=1e-4)
+    @pytest.mark.parametrize("grid", [Grid(d=2, n=256, L=20.0),
+                                      Grid(d=3, n=64, L=16.0)],
+                             ids=["d2", "d3"])
+    def test_ball_in_higher_dimensions(self, s01, grid):
+        res = dirichlet_ground_state(s01, 1.0, grid)
+        assert res.converged
+        assert np.all(res.phi.values[grid.radius() > 1.0] == 0.0)
+        assert res.phi.values.min() >= 0.0
+        # Quarter turns and flips (d = 2), flips and the axis swap (d = 3).
+        assert symmetry_check(res)["exact"] <= 1e-10
+
+    def test_cost_guard(self, s01):
+        # 2 * 2048 + 1 = 4097 points of B_1 at h = 1/2048: one above the cap.
+        with pytest.raises(CostGuardError, match="4097"):
+            dirichlet_ground_state(s01, 1.0, Grid(d=1, n=65536, L=32.0))
 
     def test_radius_must_fit(self, s01):
         with pytest.raises(ValueError):
-            dirichlet_ground_state(s01, 20.0, GRID, CFG)
+            dirichlet_ground_state(s01, 20.0, GRID)
+        with pytest.raises(ValueError):
+            dirichlet_ground_state(s01, 0.0, GRID)
 
 
 class TestExistenceCriterion:
     def test_boolean_arithmetic(self, s01):
-        lam_a, sat = existence_criterion(s01, 1.0, 1.0, GRID, CFG)
+        lam_a, sat = existence_criterion(s01, 1.0, 1.0, GRID)
         assert lam_a > 0.0
-        _, sat_deep = existence_criterion(s01, 1.0, 2.0 * lam_a, GRID, CFG)
-        _, sat_shallow = existence_criterion(s01, 1.0, lam_a / 2.0, GRID, CFG)
+        _, sat_deep = existence_criterion(s01, 1.0, 2.0 * lam_a, GRID)
+        _, sat_shallow = existence_criterion(s01, 1.0, lam_a / 2.0, GRID)
         assert sat_deep is True
         assert sat_shallow is False
 
     def test_criterion_implies_bound_state(self, s01):
-        lam_a, _ = existence_criterion(s01, 1.0, 1.0, GRID, CFG)
+        lam_a, _ = existence_criterion(s01, 1.0, 1.0, GRID)
         v = 2.0 * lam_a
         res = ground_state(s01, sharp_well(WellSpec(a=1.0, v=v), GRID), CFG)
         assert res.lam < 0.0
@@ -188,7 +197,7 @@ class TestFourierResidual:
             meta={"kind": "constant"})
         fake = EigenResult(lam=float(s01.evaluate(k * k)) + c, phi=u,
                            residual=0.0, iters=0, history=[], converged=True,
-                           config=CFG, meta={})
+                           method="splitting", meta={})
         assert fourier_residual(s01, pot, fake) < 1e-10
 
     def test_residual_decreases_with_tau(self, s01):

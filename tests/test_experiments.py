@@ -71,6 +71,7 @@ class TestUniformShift:
             assert lam == pytest.approx(rep.lam_target - WELL.v / k,
                                         abs=1e-12)
         assert all(g < 1e-12 for g in rep.l2_gaps)
+        assert rep.converged
 
 
 class TestAnharmonicToDirichlet:
@@ -96,6 +97,12 @@ class TestAnharmonicToDirichlet:
         # lambda(2) for the massless d=1 symbol.
         rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, CFG)
         assert rep.lam_list[0] > rep.lam_list[1]
+
+    def test_unconverged_well_solve_flags_report(self, s01):
+        # The Dirichlet target converges; a 5-iteration well solve does not.
+        cfg = SolverConfig(tau=0.02, tol=1e-12, max_iters=5, seed=11)
+        rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg)
+        assert not rep.converged
 
     def test_k_list_must_increase(self, s01):
         with pytest.raises(ValueError):
