@@ -26,10 +26,6 @@ from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
 from .potentials import WellSpec, anharmonic, mollified_well, sharp_well
 from .spectral_core import Grid
 
-COMMANDS = ("kernel-table", "ground-state", "dirichlet-eig", "stability-sweep",
-            "anharmonic-limit", "monotonicity", "antisym-check",
-            "embedding-check")
-
 
 class ConfigError(ValueError):
     pass
@@ -50,34 +46,75 @@ class RunConfig:
     symbol: BernsteinSymbol
     grid: Grid
     solver: SolverConfig
-    potential_spec: dict
     extras: dict
     output_dir: str
     raw: dict
 
 
 _SOLVER_KEYS = ("tau", "tol", "max_iters", "seed", "min_iters")
-_EXTRA_KEYS = ("kernel", "eps_schedule", "k_list", "ball_radius", "mu",
-               "rotations", "num_fields", "kmax_frac", "s", "alpha_antisym",
-               "m_antisym")
+# The top-level keys every command reads (solver too: its seed goes into
+# the manifest), and the further keys of each command with the defaults
+# parse_config fills in.  A listed potential is required.
+_SHARED_KEYS = ("command", "symbol", "grid", "solver", "output_dir")
+_COMMAND_KEYS = {
+    "kernel-table": {"kernel": {}},
+    "ground-state": {"potential": None},
+    "dirichlet-eig": {"ball_radius": 1.0},
+    "stability-sweep": {"potential": None,
+                        "eps_schedule": [0.4, 0.2, 0.1, 0.05]},
+    "anharmonic-limit": {"k_list": [1, 2, 4, 8, 16]},
+    "monotonicity": {"potential": None, "rotations": 0},
+    "antisym-check": {"mu": 0.0},
+    "embedding-check": {"num_fields": 20, "kmax_frac": 0.25, "s": None},
+}
+COMMANDS = tuple(_COMMAND_KEYS)
+
+
+def _parse_potential(command, pot_raw, grid):
+    """The well or anharmonic potential with its defaults filled in."""
+    if not pot_raw:
+        raise ConfigError(f"command {command!r} requires a potential")
+    kind = pot_raw.get("kind")
+    keys = {"well": ("a", "v", "eps"), "anharmonic": ("k",)}.get(kind)
+    if keys is None:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    _require_keys("potential", pot_raw, ("kind",) + keys)
+    if command == "stability-sweep" and (kind != "well" or "eps" in pot_raw):
+        raise ConfigError("stability-sweep requires a well potential without "
+                          "eps; its eps values come from eps_schedule")
+    if kind == "well":
+        a = float(pot_raw.get("a", 1.0))
+        v = float(pot_raw.get("v", 4.0))
+        eps = float(pot_raw.get("eps", 0.0))
+        if not (a > 0 and v > 0 and eps >= 0):
+            raise ConfigError("well invariant violated: a > 0, v > 0, "
+                              "eps >= 0")
+        if not a + eps < grid.L / 2.0:
+            raise ConfigError(f"box too small: a + eps = {a + eps} must "
+                              f"be < L/2 = {grid.L / 2.0}")
+        return {"kind": kind, "a": a, "v": v, "eps": eps}
+    k = int(pot_raw.get("k", 1))
+    if k < 1:
+        raise ConfigError("anharmonic invariant violated: k >= 1")
+    return {"kind": kind, "k": k}
 
 
 def parse_config(path):
-    """Load, validate and resolve a run configuration file."""
+    """Load, validate and resolve a run configuration file, defaults
+    included; a key the command does not read is an error."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: "
                           f"{exc.msg}") from None
 
-    _require_keys("top level", raw,
-                  ("command", "symbol", "grid", "potential", "solver",
-                   "output_dir") + _EXTRA_KEYS,
-                  required=("command", "grid"))
-    command = raw["command"]
+    command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
                           f"{COMMANDS}")
+    _require_keys("top level", raw,
+                  _SHARED_KEYS + tuple(_COMMAND_KEYS[command]),
+                  required=("command", "grid"))
 
     sym_raw = dict(raw.get("symbol", {}))
     _require_keys("symbol", sym_raw, ("m", "alpha"))
@@ -110,28 +147,17 @@ def parse_config(path):
     except ValueError as exc:
         raise ConfigError(f"solver invariant violated: {exc}") from None
 
-    pot_raw = dict(raw.get("potential", {}))
-    if pot_raw:
-        _require_keys("potential", pot_raw, ("kind", "a", "v", "eps", "k"),
-                      required=("kind",))
-        kind = pot_raw["kind"]
-        if kind == "well":
-            a = float(pot_raw.get("a", 1.0))
-            v = float(pot_raw.get("v", 4.0))
-            eps = float(pot_raw.get("eps", 0.0))
-            if not (a > 0 and v > 0 and eps >= 0):
-                raise ConfigError("well invariant violated: a > 0, v > 0, "
-                                  "eps >= 0")
-            if not a + eps < grid.L / 2.0:
-                raise ConfigError(f"box too small: a + eps = {a + eps} must "
-                                  f"be < L/2 = {grid.L / 2.0}")
-        elif kind == "anharmonic":
-            if int(pot_raw.get("k", 1)) < 1:
-                raise ConfigError("anharmonic invariant violated: k >= 1")
-        else:
-            raise ConfigError(f"unknown potential kind {kind!r}")
-
-    extras = {k: raw[k] for k in _EXTRA_KEYS if k in raw}
+    extras = {key: raw.get(key, default)
+              for key, default in _COMMAND_KEYS[command].items()}
+    if "potential" in extras:
+        extras["potential"] = _parse_potential(
+            command, dict(extras["potential"] or {}), grid)
+    if "kernel" in extras:
+        kernel = extras["kernel"] = dict(extras["kernel"])
+        _require_keys("kernel", kernel, ("id", "radii", "t"),
+                      required=("id",))
+        kernel.setdefault("radii", {"start": 0.1, "stop": 10.0, "num": 50})
+        kernel.setdefault("t", None)
     if "eps_schedule" in extras:
         try:
             validate_eps_schedule(extras["eps_schedule"], grid)
@@ -139,21 +165,15 @@ def parse_config(path):
             raise ConfigError(str(exc)) from None
 
     return RunConfig(command=command, symbol=symbol, grid=grid, solver=solver,
-                     potential_spec=pot_raw, extras=extras,
+                     extras=extras,
                      output_dir=raw.get("output_dir", "out"), raw=raw)
 
 
-def _build_potential(cfg):
-    pot = cfg.potential_spec
-    if not pot:
-        raise ConfigError(f"command {cfg.command!r} requires a potential")
-    if pot["kind"] == "well":
-        spec = WellSpec(a=float(pot.get("a", 1.0)), v=float(pot.get("v", 4.0)),
-                        eps=float(pot.get("eps", 0.0)))
-        if spec.eps == 0.0:
-            return sharp_well(spec, cfg.grid)
-        return mollified_well(spec, cfg.grid)
-    return anharmonic(int(pot.get("k", 1)), cfg.grid)
+def _build_potential(pot, grid):
+    if pot["kind"] == "anharmonic":
+        return anharmonic(pot["k"], grid)
+    spec = WellSpec(a=pot["a"], v=pot["v"], eps=pot["eps"])
+    return (mollified_well if spec.eps > 0.0 else sharp_well)(spec, grid)
 
 
 def _write_eigenresult(out, result):
@@ -166,31 +186,39 @@ def _write_eigenresult(out, result):
     io_utils.write_radial_profile(result.phi, out / "profile.csv")
 
 
+def _write_sequence_report(out, report, param):
+    """report.json and report.csv of a StabilityReport; the exit status."""
+    io_utils.write_json(out / "report.json", report.to_json_dict())
+    io_utils.write_csv(out / "report.csv", [param, "lambda", "gap", "gap_l2"],
+                       report.csv_rows())
+    return 0 if report.converged else 2
+
+
 def dispatch(cfg):
     """Run one configured command; returns the process exit status."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    extras = cfg.extras
     status = 0
 
     if cfg.command == "kernel-table":
-        kernel_raw = dict(cfg.extras.get("kernel", {}))
-        _require_keys("kernel", kernel_raw, ("id", "radii", "t"),
-                      required=("id",))
-        radii = kernel_raw.get("radii", {"start": 0.1, "stop": 10.0, "num": 50})
+        kernel = extras["kernel"]
+        radii = kernel["radii"]
         if isinstance(radii, dict):
             radii = np.geomspace(radii["start"], radii["stop"], radii["num"])
-        table = build_kernel_table(cfg.symbol, kernel_raw["id"], cfg.grid.d,
+        table = build_kernel_table(cfg.symbol, kernel["id"], cfg.grid.d,
                                    np.asarray(radii, dtype=float),
-                                   t=kernel_raw.get("t"))
+                                   t=kernel["t"])
         io_utils.write_kernel_table(table, out / "table")
 
     elif cfg.command in ("ground-state", "monotonicity"):
-        result = ground_state(cfg.symbol, _build_potential(cfg), cfg.solver)
+        result = ground_state(cfg.symbol,
+                              _build_potential(extras["potential"], cfg.grid),
+                              cfg.solver)
         _write_eigenresult(out, result)
         if cfg.command == "monotonicity":
             report = monotonicity_check(result)
-            sym = symmetry_check(result, rotations=int(
-                cfg.extras.get("rotations", 0)))
+            sym = symmetry_check(result, rotations=int(extras["rotations"]))
             payload = report.to_json_dict()
             payload["symmetry"] = sym
             io_utils.write_json(out / "report.json", payload)
@@ -200,54 +228,36 @@ def dispatch(cfg):
             status = 2
 
     elif cfg.command == "dirichlet-eig":
-        radius = float(cfg.extras.get("ball_radius", 1.0))
-        result = dirichlet_ground_state(cfg.symbol, radius, cfg.grid)
+        result = dirichlet_ground_state(cfg.symbol,
+                                        float(extras["ball_radius"]), cfg.grid)
         _write_eigenresult(out, result)
         if not result.converged:
             status = 2
 
     elif cfg.command == "stability-sweep":
-        pot = cfg.potential_spec
-        if pot.get("kind") != "well":
-            raise ConfigError("stability-sweep requires a well potential")
-        well = WellSpec(a=float(pot.get("a", 1.0)), v=float(pot.get("v", 4.0)))
-        schedule = cfg.extras.get("eps_schedule", [0.4, 0.2, 0.1, 0.05])
-        report = stability_sweep(cfg.symbol, well, schedule, cfg.grid,
-                                 cfg.solver)
-        io_utils.write_json(out / "report.json", report.to_json_dict())
-        io_utils.write_csv(out / "report.csv",
-                           ["eps", "lambda", "gap", "gap_l2"],
-                           report.csv_rows())
-        if not report.converged:
-            status = 2
+        pot = extras["potential"]
+        report = stability_sweep(cfg.symbol, WellSpec(a=pot["a"], v=pot["v"]),
+                                 extras["eps_schedule"], cfg.grid, cfg.solver)
+        status = _write_sequence_report(out, report, "eps")
 
     elif cfg.command == "anharmonic-limit":
-        k_list = [int(k) for k in cfg.extras.get("k_list", [1, 2, 4, 8, 16])]
-        report = anharmonic_to_dirichlet(cfg.symbol, k_list, cfg.grid,
-                                         cfg.solver)
-        io_utils.write_json(out / "report.json", report.to_json_dict())
-        io_utils.write_csv(out / "report.csv",
-                           ["k", "lambda", "gap", "gap_l2"],
-                           report.csv_rows())
-        if not report.converged:
-            status = 2
+        report = anharmonic_to_dirichlet(
+            cfg.symbol, [int(k) for k in extras["k_list"]], cfg.grid,
+            cfg.solver)
+        status = _write_sequence_report(out, report, "k")
 
     elif cfg.command == "antisym-check":
-        m = float(cfg.extras.get("m_antisym", cfg.symbol.m))
-        alpha = float(cfg.extras.get("alpha_antisym", cfg.symbol.alpha))
-        mu = float(cfg.extras.get("mu", 0.0))
         check = antisymmetric_minimum_check(
-            m, alpha, 1, lambda y: y * np.exp(-y * y), mu)
+            cfg.symbol, lambda y: y * np.exp(-y * y), float(extras["mu"]))
         io_utils.write_json(out / "report.json", check.to_json_dict())
         if not (check.sign_ok and check.bounds_ok):
             status = 2
 
     elif cfg.command == "embedding-check":
-        num = int(cfg.extras.get("num_fields", 20))
-        kmax = float(cfg.extras.get("kmax_frac", 0.25))
-        s = cfg.extras.get("s")
-        fields = [random_band_limited(cfg.grid, cfg.solver.seed + i, kmax)
-                  for i in range(num)]
+        s = extras["s"]
+        fields = [random_band_limited(cfg.grid, cfg.solver.seed + i,
+                                      float(extras["kmax_frac"]))
+                  for i in range(int(extras["num_fields"]))]
         flags = embedding_tail_check(cfg.symbol, fields, s=s)
         payload = {"passes": flags, "all_pass": all(flags),
                    "c_low": kernel_lower_constant(
@@ -281,7 +291,7 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:   # ConfigError, or a wrong type
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

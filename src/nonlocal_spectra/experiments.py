@@ -52,7 +52,6 @@ class StabilityReport:
     lam_target: float
     l2_gaps: list
     converged: bool
-    monotone_gap_decay: bool
     target_residual: float
     residuals: list
     discretization_floor: float = None
@@ -65,6 +64,11 @@ class StabilityReport:
     @property
     def gaps(self):
         return [abs(lam - self.lam_target) for lam in self.lam_list]
+
+    @property
+    def monotone_gap_decay(self):
+        gaps = self.gaps
+        return all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def to_json_dict(self):
         return {"kind": self.kind, "params": list(self.params),
@@ -85,8 +89,27 @@ class StabilityReport:
             yield (p, lam, gap, l2)
 
 
-def _doubled_grid(grid):
-    return Grid(d=grid.d, n=2 * grid.n, L=grid.L)
+def _sequence_report(kind, symbol, target, params, potentials, cfg):
+    """Ground states of the potential sequence, sign-aligned to target.
+
+    A None potential reuses the target itself.  The report is converged
+    only when the target and every solve are.
+    """
+    converged = target.converged
+    lams, l2s, resids, sols = [], [], [], []
+    for pot in potentials:
+        res = target if pot is None else ground_state(symbol, pot, cfg)
+        converged = converged and res.converged
+        gap, sgn = _l2_gap_aligned(res.phi, target.phi)
+        lams.append(res.lam)
+        l2s.append(gap)
+        resids.append(res.residual)
+        sols.append(Field(grid=res.phi.grid, values=sgn * res.phi.values))
+    return StabilityReport(kind=kind, params=list(params), lam_list=lams,
+                           lam_target=target.lam, l2_gaps=l2s,
+                           converged=converged,
+                           target_residual=target.residual, residuals=resids,
+                           solutions=sols, target_solution=target.phi)
 
 
 def validate_eps_schedule(eps_schedule, grid):
@@ -109,65 +132,36 @@ def validate_eps_schedule(eps_schedule, grid):
     return eps
 
 
-def stability_sweep(symbol, well, eps_schedule, grid, cfg,
-                    compute_floor=True, check_minmax=True):
+def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     """Mollified-well eigenvalues against the sharp-well target.
 
     eps_schedule must pass validate_eps_schedule; an eps = 0 entry reuses
     the sharp target.  The convergence verdict needs every solve converged
-    and compares the final gap against 10x solver tolerance plus a
-    discretization allowance measured from an n-doubling rerun of the
-    target.
+    (the n-doubling rerun of the target and the Dirichlet ball of radius a
+    included) and compares the final gap against 10x solver tolerance plus
+    10x the discretization floor |lambda(n) - lambda(2n)| of the target.
     """
     eps = validate_eps_schedule(eps_schedule, grid)
-
-    target = ground_state(symbol, sharp_well(WellSpec(a=well.a, v=well.v), grid), cfg)
-    all_ok = target.converged
-    floor = None
-    if compute_floor:
-        tgt2 = ground_state(symbol, sharp_well(WellSpec(a=well.a, v=well.v),
-                                               _doubled_grid(grid)), cfg)
-        all_ok = all_ok and tgt2.converged
-        floor = abs(target.lam - tgt2.lam)
-
-    lam_a = None
-    margins = None
-    if check_minmax:
-        dirichlet = dirichlet_ground_state(symbol, well.a, grid)
-        all_ok = all_ok and dirichlet.converged
-        lam_a = dirichlet.lam
-        margins = []
-
-    def solve_one(e):
-        if e == 0.0:
-            return target
-        pot = mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
-        return ground_state(symbol, pot, cfg)
-
-    results = [solve_one(e) for e in eps]
-
-    lams, l2s, resids, sols = [], [], [], []
-    for res in results:
-        all_ok = all_ok and res.converged
-        gap, sgn = _l2_gap_aligned(res.phi, target.phi)
-        lams.append(res.lam)
-        l2s.append(gap)
-        resids.append(res.residual)
-        sols.append(Field(grid=grid, values=sgn * res.phi.values))
-        if margins is not None:
-            margins.append(lam_a - (res.lam + well.v))
-
-    gaps = [abs(lam - target.lam) for lam in lams]
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    allowance = 10.0 * floor if floor is not None else 0.0
-    converged = all_ok and (not gaps or gaps[-1] < 10.0 * cfg.tol + allowance)
-    return StabilityReport(kind="mollified-well", params=eps, lam_list=lams,
-                           lam_target=target.lam, l2_gaps=l2s,
-                           converged=converged, monotone_gap_decay=monotone,
-                           target_residual=target.residual, residuals=resids,
-                           discretization_floor=floor, minmax_margins=margins,
-                           lam_dirichlet=lam_a, solutions=sols,
-                           target_solution=target.phi)
+    sharp = WellSpec(a=well.a, v=well.v)
+    target = ground_state(symbol, sharp_well(sharp, grid), cfg)
+    fine = ground_state(symbol, sharp_well(
+        sharp, Grid(d=grid.d, n=2 * grid.n, L=grid.L)), cfg)
+    dirichlet = dirichlet_ground_state(symbol, well.a, grid)
+    report = _sequence_report(
+        "mollified-well", symbol, target, eps,
+        (mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
+         if e > 0.0 else None for e in eps), cfg)
+    floor = abs(target.lam - fine.lam)
+    gaps = report.gaps
+    report.converged = (report.converged and fine.converged
+                        and dirichlet.converged
+                        and (not gaps or gaps[-1] < 10.0 * cfg.tol
+                             + 10.0 * floor))
+    report.discretization_floor = floor
+    report.lam_dirichlet = dirichlet.lam
+    report.minmax_margins = [dirichlet.lam - (lam + well.v)
+                             for lam in report.lam_list]
+    return report
 
 
 def uniform_shift_sweep(symbol, well, k_list, grid, cfg):
@@ -175,26 +169,12 @@ def uniform_shift_sweep(symbol, well, k_list, grid, cfg):
     (the operator is shifted by a scalar, so lambda_k = lambda - v/k)."""
     base_pot = sharp_well(WellSpec(a=well.a, v=well.v), grid)
     target = ground_state(symbol, base_pot, cfg)
-    all_ok = target.converged
-    lams, l2s, resids = [], [], []
-    for k in k_list:
-        pot = PotentialField(
-            field=Field(grid=grid, values=base_pot.values - well.v / k),
-            meta={"kind": "shifted_well", "a": well.a, "v": well.v,
-                  "shift": well.v / k})
-        res = ground_state(symbol, pot, cfg)
-        all_ok = all_ok and res.converged
-        gap, _ = _l2_gap_aligned(res.phi, target.phi)
-        lams.append(res.lam)
-        l2s.append(gap)
-        resids.append(res.residual)
-    gaps = [abs(lam - target.lam) for lam in lams]
-    return StabilityReport(kind="constant-shift", params=list(k_list),
-                           lam_list=lams, lam_target=target.lam, l2_gaps=l2s,
-                           converged=all_ok,
-                           monotone_gap_decay=all(b < a for a, b in
-                                                  zip(gaps, gaps[1:])),
-                           target_residual=target.residual, residuals=resids)
+    shifted = (PotentialField(
+        field=Field(grid=grid, values=base_pot.values - well.v / k),
+        meta={"kind": "shifted_well", "a": well.a, "v": well.v,
+              "shift": well.v / k}) for k in k_list)
+    return _sequence_report("constant-shift", symbol, target, k_list,
+                            shifted, cfg)
 
 
 def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
@@ -203,28 +183,11 @@ def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
     if any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be increasing")
     target = dirichlet_ground_state(symbol, 1.0, grid)
-    all_ok = target.converged
-    lams, l2s, resids, sols = [], [], [], []
-    clamped = False
-    for k in k_list:
-        pot = anharmonic(k, grid)
-        clamped = clamped or pot.meta["clamped"]
-        res = ground_state(symbol, pot, cfg)
-        all_ok = all_ok and res.converged
-        gap, sgn = _l2_gap_aligned(res.phi, target.phi)
-        lams.append(res.lam)
-        l2s.append(gap)
-        resids.append(res.residual)
-        sols.append(Field(grid=grid, values=sgn * res.phi.values))
-    gaps = [abs(lam - target.lam) for lam in lams]
-    return StabilityReport(kind="anharmonic", params=k_list, lam_list=lams,
-                           lam_target=target.lam, l2_gaps=l2s,
-                           converged=all_ok,
-                           monotone_gap_decay=all(b < a for a, b in
-                                                  zip(gaps, gaps[1:])),
-                           target_residual=target.residual, residuals=resids,
-                           lam_dirichlet=target.lam, clamped=clamped,
-                           solutions=sols, target_solution=target.phi)
+    pots = [anharmonic(k, grid) for k in k_list]
+    report = _sequence_report("anharmonic", symbol, target, k_list, pots, cfg)
+    report.lam_dirichlet = target.lam
+    report.clamped = any(pot.meta["clamped"] for pot in pots)
+    return report
 
 
 @dataclass
@@ -244,19 +207,17 @@ class OperatorImageReport:
         yield from zip(self.eps_list, self.image_gaps, self.triangle_bounds)
 
 
-def operator_image_convergence(symbol, well, eps_schedule, grid, cfg,
-                               report=None):
-    """|| Phi(-Delta) phi_eps - Phi(-Delta) phi ||_2 along the schedule.
+def operator_image_convergence(symbol, well, report):
+    """|| Phi(-Delta) phi_eps - Phi(-Delta) phi ||_2 along the schedule of
+    a stability_sweep report, whose eps, grid and fields it reads.
 
     The triangle bound follows from the two eigen-equations:
     Phi(-Delta) phi_eps = lam_eps phi_eps - V_eps phi_eps + r_eps, so the
     image gap is bounded by |lam_eps| ||phi_eps - phi|| + |lam_eps - lam| +
     ||V_eps phi_eps - V phi|| plus the two computable residual norms.
     """
-    if report is None or report.solutions is None:
-        report = stability_sweep(symbol, well, eps_schedule, grid, cfg,
-                                 compute_floor=False, check_minmax=False)
     target_phi = report.target_solution
+    grid = target_phi.grid
     H_target = apply_multiplier(symbol, target_phi)
     V_target = sharp_well(WellSpec(a=well.a, v=well.v), grid)
     vol = grid.cell_volume
@@ -438,21 +399,10 @@ def antisym_constant_c1(d, alpha):
 
 
 def antisym_constant_c2(d, alpha):
-    """C2 = int over the half-space of (|z'|^2 + |1+z_1|^2)^-(d+alpha)/2."""
-    expo = (d + alpha) / 2.0
-    if d == 1:
-        val, _ = integrate.quad(lambda z: (1.0 + z) ** (-2.0 * expo), 0.0,
-                                np.inf, epsabs=ABS_TOL, epsrel=1e-11)
-        return val
-    surf = sphere_surface(d - 1)
-
-    def inner(z1):
-        f = lambda rho: rho ** (d - 2) * (rho * rho + (1.0 + z1) ** 2) ** (-expo)
-        v, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-10)
-        return surf * v
-    val, _ = integrate.quad(inner, 0.0, np.inf, epsabs=1e-12, epsrel=1e-9,
-                            limit=200)
-    return val
+    """C2 = int over the half-space of (|z'|^2 + |1+z_1|^2)^-(d+alpha)/2
+    = pi^((d-1)/2) Gamma((1+alpha)/2) / (alpha Gamma((d+alpha)/2))."""
+    return (math.pi ** ((d - 1) / 2.0) * math.gamma((1.0 + alpha) / 2.0)
+            / (alpha * math.gamma((d + alpha) / 2.0)))
 
 
 def antisym_constant_c3(d, alpha, m):
@@ -461,38 +411,35 @@ def antisym_constant_c3(d, alpha, m):
 
 
 def antisym_constant_c4(d, alpha, m, delta1):
-    """C4 = int over the half-space of
-    K_(d+alpha)/2(m^(1/alpha) delta1 |(z',1+z_1)|) / |(z',1+z_1)|^((d+alpha)/2)."""
-    xi = (d + alpha) / 2.0
+    """C4 = int over the half-space of K_xi(c |(z',1+z_1)|) /
+    |(z',1+z_1)|^xi with xi = (d+alpha)/2 and c = m^(1/alpha) delta1.
+
+    The d-1 transverse directions integrate in closed form,
+    int_{R^(d-1)} K_xi(c sqrt(|y|^2+a^2)) (|y|^2+a^2)^(-xi/2) dy
+    = (2 pi/c)^((d-1)/2) a^((d-1)/2-xi) K_(xi-(d-1)/2)(c a),
+    which leaves one integral over z_1 of order nu = xi - (d-1)/2.
+    """
+    nu = (d + alpha) / 2.0 - (d - 1) / 2.0
     c = m ** (1.0 / alpha) * delta1
-    if d == 1:
-        val, _ = integrate.quad(
-            lambda z: bessel_k(xi, c * (1.0 + z)) / (1.0 + z) ** xi,
-            0.0, np.inf, epsabs=ABS_TOL, epsrel=1e-10, limit=400)
-        return val
-    surf = sphere_surface(d - 1)
-
-    def inner(z1):
-        def f(rho):
-            s = math.sqrt(rho * rho + (1.0 + z1) ** 2)
-            return rho ** (d - 2) * bessel_k(xi, c * s) / s ** xi
-        v, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-9)
-        return surf * v
-    val, _ = integrate.quad(inner, 0.0, np.inf, epsabs=1e-12, epsrel=1e-8,
-                            limit=200)
-    return val
+    val, _ = integrate.quad(
+        lambda z: bessel_k(nu, c * (1.0 + z)) / (1.0 + z) ** nu,
+        0.0, np.inf, epsabs=ABS_TOL, epsrel=1e-10, limit=400)
+    return (2.0 * math.pi / c) ** ((d - 1) / 2.0) * val
 
 
-def antisymmetric_minimum_check(m, alpha, d, w, mu):
+def antisymmetric_minimum_check(symbol, w, mu):
     """Estimate of Phi_{m,alpha}(-Delta)w at the minimum of a
-    mu-antisymmetric function over the half-space {x_1 < mu} (d = 1).
+    mu-antisymmetric function w of one variable over the half-line
+    {x < mu}, for the relativistic symbol Phi_{m,alpha}.
 
     For m > 0 the two explicit right-hand sides are evaluated with the
     constants C1..C4; for m = 0 only the sign conclusion is checked since
     the massless comparison constant has no explicit formula.
     """
-    if d != 1:
-        raise ValueError("antisymmetric_minimum_check is implemented for d=1")
+    if not symbol.has_closed_kernel:
+        raise ValueError("antisymmetric_minimum_check needs a relativistic "
+                         "symbol")
+    m, alpha, d = symbol.m, symbol.alpha, 1
     if mu > 0:
         raise ValueError("plane offset mu must be <= 0")
 
@@ -519,7 +466,6 @@ def antisymmetric_minimum_check(m, alpha, d, w, mu):
     w_min = float(w(x_star))
     delta = mu - x_star
 
-    symbol = BernsteinSymbol.relativistic(m, alpha)
     lhs = pointwise_nonlocal(symbol, w, x_star)
 
     constants = {"C1": antisym_constant_c1(d, alpha),

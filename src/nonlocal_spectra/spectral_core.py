@@ -118,9 +118,6 @@ class Field:
         _require_same_grid(self.grid, other.grid)
         return self.grid.cell_volume * float(np.sum(self.values * other.values))
 
-    def copy(self):
-        return Field(grid=self.grid, values=self.values.copy())
-
 
 def field_from_function(grid, fn):
     """Sample a callable of the space variables onto the grid."""

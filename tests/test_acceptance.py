@@ -176,8 +176,7 @@ def test_criterion_08_spectral_stability(sweep_runs):
 
 
 def test_criterion_09_operator_image_convergence(sweep_runs):
-    rep = operator_image_convergence(S01, WELL, EPS_SCHEDULE, GRID, CFG,
-                                     report=sweep_runs)
+    rep = operator_image_convergence(S01, WELL, sweep_runs)
     ok = rep.monotone and rep.bound_ok
     assert report(9, ok, f"image gaps {['%.3e' % g for g in rep.image_gaps]} "
                          f"decreasing={rep.monotone}; identity triangle bound "
@@ -227,8 +226,8 @@ def test_criterion_11_symmetry_and_monotonicity():
 
 def test_criterion_12_antisymmetric_minimum():
     w = lambda y: y * np.exp(-y * y)
-    massless = antisymmetric_minimum_check(0.0, 1.0, 1, w, 0.0)
-    massive = antisymmetric_minimum_check(1.0, 1.0, 1, w, 0.0)
+    massless = antisymmetric_minimum_check(S01, w, 0.0)
+    massive = antisymmetric_minimum_check(S11, w, 0.0)
     consts_ok = (massive.constants["C2"] == pytest.approx(1.0, rel=1e-9)
                  and massive.constants["C1"] == pytest.approx(
                      1.0 / math.pi, rel=1e-12))

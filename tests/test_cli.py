@@ -29,6 +29,12 @@ class TestParseConfig:
         assert cfg.command == "ground-state"
         assert cfg.solver.min_iters == 0
         assert cfg.grid.n == 256
+        assert cfg.extras == {"potential": {"kind": "well", "a": 1.0,
+                                            "v": 4.0, "eps": 0.0}}
+        sweep = parse_config(write_config(tmp_path, dict(
+            BASE, command="stability-sweep",
+            grid={"d": 1, "n": 2048, "L": 32.0})))
+        assert sweep.extras["eps_schedule"] == [0.4, 0.2, 0.1, 0.05]
 
     def test_alpha_range_named_in_error(self, tmp_path):
         bad = dict(BASE, symbol={"alpha": 2.5})
@@ -56,6 +62,33 @@ class TestParseConfig:
         bad = dict(BASE, solver=dict(BASE["solver"], **{key: value}))
         with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
             parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("mutation", [
+        # ground-state solves one potential and reads no schedule.
+        {"eps_schedule": [0.4, 0.2]},
+        # monotonicity solves the configured potential, not a k_list.
+        {"command": "monotonicity", "k_list": [1, 2]},
+        # an anharmonic potential has no radius or depth.
+        {"potential": {"kind": "anharmonic", "k": 2, "a": 5.0}},
+    ], ids=["eps_schedule-on-ground-state", "k_list-on-monotonicity",
+            "well-key-on-anharmonic"])
+    def test_keys_the_command_never_reads_rejected(self, tmp_path, mutation):
+        bad = dict(BASE, **mutation)
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(write_config(tmp_path, bad))
+
+    def test_well_eps_rejected_on_stability_sweep(self, tmp_path):
+        # The sweep takes every eps from its schedule.
+        bad = dict(BASE, command="stability-sweep",
+                   potential=dict(BASE["potential"], eps=0.1))
+        with pytest.raises(ConfigError, match="eps_schedule"):
+            parse_config(write_config(tmp_path, bad))
+
+    def test_removed_antisym_keys_rejected(self, tmp_path):
+        payload = {"command": "antisym-check", "symbol": {"m": 1.0},
+                   "grid": {"d": 1, "n": 16, "L": 1.0}, "m_antisym": 0.5}
+        with pytest.raises(ConfigError, match="unknown key.*m_antisym"):
+            parse_config(write_config(tmp_path, payload))
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -192,6 +225,12 @@ class TestDispatch:
     def test_bad_config_exits_1(self, tmp_path):
         bad = dict(BASE, symbol={"alpha": -1.0})
         assert main(["--config", str(write_config(tmp_path, bad))]) == 1
+
+    def test_wrongly_typed_section_is_a_config_error(self, tmp_path, capsys):
+        for mutation in ({"potential": [1]}, {"symbol": {"m": "heavy"}}):
+            bad = dict(BASE, **mutation)
+            assert main(["--config", str(write_config(tmp_path, bad))]) == 1
+            assert "config error" in capsys.readouterr().err
 
 
 class TestFlagsAndFormats:

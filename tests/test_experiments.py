@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
 from nonlocal_spectra.eigensolver import SolverConfig, ground_state
 from nonlocal_spectra.experiments import (antisym_constant_c1,
                                           antisym_constant_c2,
+                                          antisym_constant_c4,
                                           antisymmetric_minimum_check,
                                           anharmonic_to_dirichlet,
                                           embedding_tail_check,
@@ -44,8 +46,7 @@ class TestStabilitySweep:
         assert all(m > 1e-6 for m in sweep.minmax_margins)
 
     def test_eps_zero_shortcut_gap_vanishes(self, s01):
-        rep = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG,
-                              compute_floor=False, check_minmax=False)
+        rep = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
         assert rep.gaps[-1] == 0.0
         assert rep.l2_gaps[-1] == 0.0
 
@@ -111,17 +112,14 @@ class TestAnharmonicToDirichlet:
 
 class TestOperatorImageConvergence:
     def test_gaps_decrease_and_identity_bound(self, s01, sweep):
-        rep = operator_image_convergence(s01, WELL, [0.4, 0.2, 0.1], GRID,
-                                         CFG, report=sweep)
+        rep = operator_image_convergence(s01, WELL, sweep)
         assert rep.monotone
         assert rep.bound_ok
         assert all(g > 0 for g in rep.image_gaps)
 
     def test_identical_runs_have_zero_gap(self, s01):
-        rep0 = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG,
-                               compute_floor=False, check_minmax=False)
-        rep = operator_image_convergence(s01, WELL, [0.2, 0.0], GRID, CFG,
-                                         report=rep0)
+        rep0 = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
+        rep = operator_image_convergence(s01, WELL, rep0)
         assert rep.image_gaps[-1] == 0.0
 
 
@@ -187,40 +185,76 @@ class TestAntisymmetricMinimum:
         assert antisym_constant_c1(1, 1.0) == pytest.approx(1.0 / math.pi,
                                                             rel=1e-12)
         assert antisym_constant_c2(1, 1.0) == pytest.approx(1.0, rel=1e-9)
+        assert antisym_constant_c2(2, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert antisym_constant_c2(3, 1.0) == pytest.approx(math.pi,
+                                                            rel=1e-14)
 
-    def test_massless_sign_conclusion(self):
-        check = antisymmetric_minimum_check(0.0, 1.0, 1,
-                                            lambda y: y * np.exp(-y * y), 0.0)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_c2_against_mpmath(self, d):
+        # The half-space integral in cylindrical coordinates (z_1, rho).
+        # alpha = 0.5 is avoided: the slower decay there leaves this 2D
+        # quadrature about 5e-8 (relative) off.
+        alpha = 1.5
+        expo = mpmath.mpf(d + alpha) / 2
+        surf = 2 if d == 2 else 2 * mpmath.pi   # |S^(d-2)|
+        with mpmath.workdps(20):
+            ref = mpmath.quad(lambda z, rho: surf * rho ** (d - 2)
+                              * (rho ** 2 + (1 + z) ** 2) ** -expo,
+                              [0, mpmath.inf], [0, mpmath.inf])
+        assert antisym_constant_c2(d, alpha) == pytest.approx(float(ref),
+                                                              rel=3e-11)
+
+    def test_c4_against_mpmath_d2(self):
+        # d = 2, alpha = 1: xi = 3/2, where K_(3/2) is elementary, and the
+        # transverse direction is integrated numerically, not in closed form.
+        c = mpmath.mpf("0.7")   # m^(1/alpha) delta1 with m = 1, delta1 = 0.7
+
+        def k32(x):
+            return (mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
+                    * (1 + 1 / x))
+
+        def f(z, y):
+            s2 = y * y + (1 + z) ** 2
+            return 2 * k32(c * mpmath.sqrt(s2)) / s2 ** mpmath.mpf("0.75")
+
+        with mpmath.workdps(20):
+            ref = mpmath.quad(f, [0, mpmath.inf], [0, mpmath.inf])
+        assert antisym_constant_c4(2, 1.0, 1.0, 0.7) == pytest.approx(
+            float(ref), rel=1e-12)
+
+    def test_massless_sign_conclusion(self, s01):
+        check = antisymmetric_minimum_check(s01, lambda y: y * np.exp(-y * y),
+                                            0.0)
         assert check.x_star == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-8)
         assert check.delta == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
         assert check.sign_ok and check.lhs < 0.0
         assert check.rhs1 is None and check.rhs2 is None
 
-    def test_massive_bounds(self):
-        check = antisymmetric_minimum_check(1.0, 1.0, 1,
-                                            lambda y: y * np.exp(-y * y), 0.0)
+    def test_massive_bounds(self, s11):
+        check = antisymmetric_minimum_check(s11, lambda y: y * np.exp(-y * y),
+                                            0.0)
         assert check.sign_ok and check.bounds_ok
         assert check.lhs <= check.rhs1 and check.lhs <= check.rhs2
         assert check.constants["C2"] == pytest.approx(1.0, rel=1e-9)
         assert check.antisym_defect <= 1e-10
 
-    def test_non_antisymmetric_rejected(self):
+    def test_non_antisymmetric_rejected(self, s11):
         with pytest.raises(ValueError):
-            antisymmetric_minimum_check(1.0, 1.0, 1,
+            antisymmetric_minimum_check(s11,
                                         lambda y: np.exp(-np.asarray(y) ** 2),
                                         0.0)
 
-    def test_no_negative_minimum_rejected(self):
+    def test_no_negative_minimum_rejected(self, s11):
         # Antisymmetric but positive on the half-space x < 0.
         with pytest.raises(ValueError):
-            antisymmetric_minimum_check(1.0, 1.0, 1,
+            antisymmetric_minimum_check(s11,
                                         lambda y: -np.asarray(y) * np.exp(
                                             -np.asarray(y) ** 2), 0.0)
 
-    def test_only_d1(self):
-        with pytest.raises(ValueError):
-            antisymmetric_minimum_check(1.0, 1.0, 2,
-                                        lambda y: y * np.exp(-y * y), 0.0)
+    def test_custom_symbol_rejected(self):
+        s = BernsteinSymbol.custom(phi=lambda z: np.sqrt(z))
+        with pytest.raises(ValueError, match="relativistic"):
+            antisymmetric_minimum_check(s, lambda y: y * np.exp(-y * y), 0.0)
 
 
 class TestEmbeddingTail:
@@ -245,10 +279,8 @@ class TestEmbeddingTail:
 
 class TestDeterminism:
     def test_reports_bit_identical(self, s01):
-        rep1 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG,
-                               compute_floor=False, check_minmax=False)
-        rep2 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG,
-                               compute_floor=False, check_minmax=False)
+        rep1 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG)
+        rep2 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG)
         assert rep1.lam_list == rep2.lam_list
         assert rep1.l2_gaps == rep2.l2_gaps
         assert rep1.lam_target == rep2.lam_target
