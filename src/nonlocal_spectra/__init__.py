@@ -2,7 +2,8 @@
 
 Subpackages follow the layering of the build: special functions ->
 Bernstein symbols and jump kernels -> periodic-grid spectral operators ->
-potentials -> imaginary-time eigensolver -> experiment drivers -> CLI.
+potentials -> eigensolver (LOBPCG, dense Dirichlet eigh) -> experiment
+drivers -> CLI.
 """
 
 __version__ = "0.1.0"

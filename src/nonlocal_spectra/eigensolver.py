@@ -1,61 +1,56 @@
 """Ground states of H = Phi(-Delta) + V on the periodic grid.
 
-Potential problems use imaginary time.  The semigroup e^(-tau H) is
-applied in Strang split form; the kinetic factor is the Fourier multiplier
-e^(-tau Phi(|xi|^2)), the potential factor acts pointwise.  Renormalizing
-after every step drives the iterate to the ground state (the semigroup is
-positivity improving, so any nonnegative seed overlaps it).  The
-eigenvalue is extracted variationally from the Rayleigh quotient A(u, u),
-which is the min-max characterization evaluated at the current iterate and
-is second-order accurate in the eigenfunction error.
+Potential problems take one LOBPCG solve (Knyazev 2001) of H as a
+LinearOperator on the full grid: a matvec is one rfftn/irfftn pair plus a
+pointwise V.  The preconditioner D (c + Phi(-Delta))^(-1) D, another pair,
+has c = 1 + max(0, -min V) and the Jacobi scaling
+D = sqrt((c + t0) / (c + t0 + V_+)), t0 the diagonal of Phi(-Delta), so
+its diagonal is about that of (H + c)^(-1); for wells D = 1.  The start
+vector is the seed's uniform field times e^(-(V - min V)).  lambda is the
+Rayleigh quotient of the returned phi, and converged means the Fourier-route
+residual ||(H - lambda) phi||_2 is at most max(tol, 100 eps ||H||), with
+||H|| <= max Phi + max |V|: absolute, so lambda = 0 is covered.  LOBPCG is
+asked for a tenth of that, as the recomputed residual can exceed its own.
 
-Dirichlet eigenvalues of balls need no time step.  Phi(-Delta) restricted
-to the grid points inside the ball is a dense symmetric matrix whose
-entries are the circulant's first column irfftn(Phi(|xi|^2)) at the
-wrapped index differences (Toeplitz in 1D, block Toeplitz in 2D and 3D);
-one dense eigh gives its lowest eigenpair.
+Dirichlet eigenvalues of balls take one dense eigh of Phi(-Delta)
+restricted to the ball's grid points: the circulant's first column
+irfftn(Phi(|xi|^2)) at the wrapped index differences.
 
-Work per solve: one SpectralOperator is built, so the multiplier
-Phi(|xi|^2) is evaluated once per solve, not once per iteration.  Each
-splitting iteration does exactly three transforms: the forward and inverse
-transform of the kinetic step, and one forward transform of the normalized
-iterate for the Rayleigh quotient.
+Both evaluate the multiplier once per solve and record the convergence
+threshold and the stop reason in meta.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import linalg
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .spectral_core import CostGuardError, Field, SpectralOperator
 
-_MIN_ITERS_BEFORE_STOP = 5
 # The dense Dirichlet matrix holds 8 N^2 bytes for N points in the ball:
 # 128 MB at this cap.
 MAX_BALL_POINTS = 4096
 # A Dirichlet eigenpair is converged when its residual is at most this
 # multiple of max Phi(|xi|^2), which bounds ||Phi(-Delta)|| on the grid.
 _DENSE_RESIDUAL_FACTOR = 1e-10
+# An iterative eigenpair is converged at residual max(tol, this * ||H||).
+_ROUNDOFF_FACTOR = 100.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tau: float = 0.05
     tol: float = 1e-11
     max_iters: int = 20_000
     seed: int = 12345
-    min_iters: int = 0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("imaginary time step tau must be > 0")
         if not self.tol > 0:
-            raise ValueError("stagnation tolerance tol must be > 0")
+            raise ValueError("residual tolerance tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.min_iters < 0:
-            raise ValueError("min_iters must be >= 0")
 
 
 @dataclass
@@ -70,30 +65,14 @@ class EigenResult:
     meta: dict = dataclass_field(default_factory=dict)
 
 
-def initial_field(grid, symbol, cfg):
-    """Deterministic positive random seed field with one smoothing pass."""
-    op = SpectralOperator(symbol, grid)
-    return _seed_field(op, cfg.seed, np.exp(-cfg.tau * op.multiplier))
-
-
-def _seed_field(op, seed, kinetic_factor):
-    # The filter keeps the zero mode, so the smoothed seed has a positive mean.
-    rng = np.random.default_rng(seed)
-    values = op.filter(rng.uniform(0.5, 1.5, size=op.grid.shape), kinetic_factor)
-    return Field(grid=op.grid, values=_unit(values, op.cell_volume))
-
-
 def _unit(values, cell_volume):
-    """values scaled to unit L^2 norm, or None if the norm is 0 or not finite."""
-    n = math.sqrt(cell_volume * float(np.sum(values ** 2)))
-    if n == 0.0 or not math.isfinite(n):
-        return None
-    return values / n
+    """values scaled to unit L^2 norm and a positive sum."""
+    norm = math.sqrt(cell_volume * float(np.sum(values ** 2)))
+    return values / (norm if values.sum() > 0 else -norm)
 
 
 def ground_state(symbol, potential, cfg):
-    """Ground state of Phi(-Delta) + V by normalized imaginary-time Strang
-    splitting.
+    """Ground state of Phi(-Delta) + V by one preconditioned LOBPCG solve.
 
     potential: a PotentialField; it also fixes the grid, so the free
     operator takes an explicit zero potential.
@@ -107,38 +86,56 @@ def ground_state(symbol, potential, cfg):
         raise ValueError("potential must be finite (bounded below)")
 
     op = SpectralOperator(symbol, grid)
-    kinetic_factor = np.exp(-cfg.tau * op.multiplier)
-    with np.errstate(over="ignore", under="ignore"):
-        half_step = np.exp(-0.5 * cfg.tau * V)
+    shape, size = grid.shape, V.size
+    v_min = float(np.min(V))
+    c = 1.0 + max(0.0, -v_min)
+    t0 = float(np.sum(op.weighted_multiplier)) / size
+    # None for a well (D = 1), saving a full-grid array and a copy per call.
+    jacobi = (np.sqrt((c + t0) / (c + t0 + np.maximum(V, 0.0)))
+              if np.max(V) > 0.0 else None)
+    inverse = 1.0 / (c + op.multiplier)
+    applications = 0
 
-    u = _seed_field(op, cfg.seed, kinetic_factor).values
-    cell_volume = grid.cell_volume
-    history = []
-    lam_prev = np.inf
-    converged = False
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        vals = op.filter(u * half_step, kinetic_factor)
-        vals *= half_step
-        u = _unit(vals, cell_volume)
-        if u is None:
-            if not np.all(np.isfinite(vals)):
-                raise RuntimeError(f"NaN/Inf in iterate at iteration {iters}; "
-                                   f"tau={cfg.tau} may be too large for this V")
-            raise RuntimeError("iterate collapsed to zero or diverged")
-        lam = op.kinetic_energy(u) + cell_volume * float(np.sum(V * u * u))
-        history.append(lam)
-        if iters > max(_MIN_ITERS_BEFORE_STOP, cfg.min_iters) \
-                and abs(lam - lam_prev) < cfg.tol:
-            converged = True
-            break
-        lam_prev = lam
+    def apply_H(x):
+        u = x.reshape(shape)
+        out = op.filter(u, op.multiplier)
+        out += V * u
+        return out.reshape(x.shape)
 
-    phi = Field(grid=grid, values=u)
-    residual = op.residual(phi, history[-1], potential)
-    return EigenResult(lam=history[-1], phi=phi, residual=residual, iters=iters,
-                       history=history, converged=converged, method="splitting",
-                       meta={"potential": getattr(potential, "meta", {})})
+    def precondition(x):
+        nonlocal applications
+        applications += 1
+        u = x.reshape(shape)
+        if jacobi is None:
+            return op.filter(u, inverse).reshape(x.shape)
+        return (jacobi * op.filter(jacobi * u, inverse)).reshape(x.shape)
+
+    threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
+                                                 + float(np.max(np.abs(V)))))
+    with np.errstate(under="ignore"):
+        start = (np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=shape)
+                 * np.exp(v_min - V))
+    H = LinearOperator((size, size), apply_H, dtype=float)
+    M = LinearOperator((size, size), precondition, dtype=float)
+    with warnings.catch_warnings():
+        # A miss of the tolerance is reported through converged and stop.
+        warnings.simplefilter("ignore", UserWarning)
+        _, vecs, lam_hist, res_hist = lobpcg(
+            H, start.reshape(size, 1), M=M, tol=0.1 * threshold,
+            maxiter=cfg.max_iters - 1, largest=False, retLambdaHistory=True,
+            retResidualNormsHistory=True)
+
+    phi = Field(grid=grid, values=_unit(vecs[:, 0].reshape(shape),
+                                        grid.cell_volume))
+    lam = op.form(phi, phi, potential).total
+    residual = op.residual(phi, lam, potential)
+    stop = ("residual" if min(res_hist) <= 0.1 * threshold else
+            "budget" if applications == cfg.max_iters else "breakdown")
+    return EigenResult(lam=lam, phi=phi, residual=residual, iters=applications,
+                       history=[float(h) for h in lam_hist],
+                       converged=residual <= threshold, method="lobpcg",
+                       meta={"potential": getattr(potential, "meta", {}),
+                             "stop": stop, "threshold": threshold})
 
 
 def fourier_residual(symbol, potential, result):
@@ -178,15 +175,17 @@ def dirichlet_ground_state(symbol, radius, grid):
     del flat
     lams, vecs = linalg.eigh(matrix, subset_by_index=[0, 0], overwrite_a=True)
 
-    lam, vec = float(lams[0]), vecs[:, 0]
+    lam = float(lams[0])
     values = np.zeros(grid.shape)
-    values[inside] = vec if vec.sum() > 0 else -vec
+    values[inside] = vecs[:, 0]
     phi = Field(grid=grid, values=_unit(values, grid.cell_volume))
     residual = op.residual(phi, lam, mask=inside)
-    converged = residual <= _DENSE_RESIDUAL_FACTOR * float(np.max(op.multiplier))
+    threshold = _DENSE_RESIDUAL_FACTOR * float(np.max(op.multiplier))
     return EigenResult(lam=lam, phi=phi, residual=residual, iters=0,
-                       history=[lam], converged=converged,
-                       method="dense-eigh", meta={"ball_radius": radius})
+                       history=[lam], converged=residual <= threshold,
+                       method="dense-eigh",
+                       meta={"ball_radius": radius, "stop": "direct",
+                             "threshold": threshold})
 
 
 def existence_criterion(symbol, a, v, grid):

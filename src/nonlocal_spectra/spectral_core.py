@@ -7,8 +7,8 @@ weight h^d.  Fourier-side operations use the real-to-real transform path
 
 SpectralOperator(symbol, grid) is Phi(-Delta) on one grid: it evaluates
 the multiplier Phi(|xi|^2) once and provides apply, form, seminorm and
-residual, plus the unchecked array-level filter and kinetic_energy that
-the eigensolver's inner loop uses.  The module-level apply_multiplier,
+residual, plus the unchecked array-level filter that the eigensolver's
+matvec and preconditioner use.  The module-level apply_multiplier,
 dirichlet_form and seminorm_fourier are one-shot calls into it.
 
 Two independent routes to the kinetic seminorm are provided:
@@ -156,10 +156,10 @@ def multiplier_values(symbol, grid):
 class SpectralOperator:
     """Phi(-Delta) on one grid, with the multiplier evaluated once.
 
-    The array-level methods (``filter``, ``kinetic_energy``) take plain
-    value arrays of the grid's shape and do no checks, so an iterative
-    solver can call them in its inner loop; ``apply``, ``form``,
-    ``seminorm`` and ``residual`` are the checked Field-level operations.
+    The array-level ``filter`` takes a plain value array of the grid's
+    shape and does no checks, so an iterative solver can call it in its
+    inner loop; ``apply``, ``form``, ``seminorm`` and ``residual`` are the
+    checked Field-level operations.
     """
 
     def __init__(self, symbol, grid):
@@ -176,15 +176,6 @@ class SpectralOperator:
         spec *= factor
         return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
 
-    def kinetic_energy(self, values):
-        """E_Phi(u, u) from one forward transform."""
-        spec = np.fft.rfftn(values)
-        return self._cross_energy(spec, spec)
-
-    def _cross_energy(self, su, sv):
-        return self.measure * float(
-            np.sum(self.weighted_multiplier * (su * np.conj(sv)).real))
-
     def apply(self, u):
         """Phi(-Delta) u as a Field."""
         _require_same_grid(u.grid, self.grid)
@@ -199,7 +190,8 @@ class SpectralOperator:
         _require_same_grid(v.grid, self.grid)
         su = np.fft.rfftn(u.values)
         sv = su if v is u else np.fft.rfftn(v.values)
-        kinetic = self._cross_energy(su, sv)
+        kinetic = self.measure * float(
+            np.sum(self.weighted_multiplier * (su * np.conj(sv)).real))
         potential = 0.0
         if V is not None:
             potential = self.cell_volume * float(

@@ -19,7 +19,6 @@ from scipy import integrate
 
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 heat_kernel,
-                                                heat_kernel_profile,
                                                 j_massive, j_massless,
                                                 massless_constant,
                                                 second_moment_decay, sigma)
@@ -40,9 +39,8 @@ S01 = BernsteinSymbol.relativistic(0.0, 1.0)
 S11 = BernsteinSymbol.relativistic(1.0, 1.0)
 
 GRID = Grid(d=1, n=2048, L=32.0)
-CFG = SolverConfig(tau=0.01, tol=1e-13, max_iters=60000, seed=11)
-CFG_LONG = SolverConfig(tau=0.02, tol=1e-13, max_iters=4000, seed=11,
-                        min_iters=3000)
+CFG = SolverConfig(tol=1e-13, max_iters=60000, seed=11)
+CFG_LONG = SolverConfig(tol=1e-13, max_iters=4000, seed=11)
 WELL = WellSpec(a=1.0, v=4.0)
 EPS_SCHEDULE = [0.4, 0.2, 0.1, 0.05]
 
@@ -201,8 +199,7 @@ def test_criterion_11_symmetry_and_monotonicity():
     parity = symmetry_check(sharp_res)["exact"]
 
     g2 = Grid(d=2, n=256, L=20.0)
-    cfg2 = SolverConfig(tau=0.02, tol=1e-13, max_iters=3000, seed=11,
-                        min_iters=2500)
+    cfg2 = SolverConfig(tol=1e-13, max_iters=3000, seed=11)
     res2 = ground_state(S01, sharp_well(WellSpec(a=1.0, v=4.0), g2), cfg2)
     quarter = symmetry_check(res2)["exact"]
 
@@ -258,8 +255,7 @@ def test_criterion_14_determinism(tmp_path):
                "symbol": {"m": 0.0, "alpha": 1.0},
                "grid": {"d": 1, "n": 256, "L": 32.0},
                "potential": {"kind": "well", "a": 1.0, "v": 4.0},
-               "solver": {"tau": 0.02, "tol": 1e-10, "max_iters": 4000,
-                          "seed": 11},
+               "solver": {"tol": 1e-10, "max_iters": 4000, "seed": 11},
                "eps_schedule": [0.5, 0.25]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))

@@ -1,10 +1,10 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonlocal_spectra.cli import ConfigError, dispatch, main, parse_config
+from nonlocal_spectra.cli import ConfigError, main, parse_config
+from nonlocal_spectra.eigensolver import SolverConfig
 from nonlocal_spectra.io_utils import read_field
 
 
@@ -19,7 +19,7 @@ BASE = {
     "symbol": {"m": 0.0, "alpha": 1.0},
     "grid": {"d": 1, "n": 256, "L": 32.0},
     "potential": {"kind": "well", "a": 1.0, "v": 4.0},
-    "solver": {"tau": 0.02, "tol": 1e-9, "max_iters": 4000, "seed": 5},
+    "solver": {"tol": 1e-9, "max_iters": 4000, "seed": 5},
 }
 
 
@@ -27,7 +27,7 @@ class TestParseConfig:
     def test_minimal_defaults_filled(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE))
         assert cfg.command == "ground-state"
-        assert cfg.solver.min_iters == 0
+        assert cfg.solver == SolverConfig(tol=1e-9, max_iters=4000, seed=5)
         assert cfg.grid.n == 256
         assert cfg.extras == {"potential": {"kind": "well", "a": 1.0,
                                             "v": 4.0, "eps": 0.0}}
@@ -171,6 +171,37 @@ class TestDispatch:
         assert csv[0] == "eps,lambda,gap,gap_l2"
         assert len(csv) == 3
 
+    def test_result_records_stop_reason_and_threshold(self, tmp_path):
+        runs = {"residual": dict(BASE),
+                "budget": dict(BASE, solver=dict(BASE["solver"], max_iters=5,
+                                                 tol=1e-300)),
+                "direct": {key: value for key, value in BASE.items()
+                           if key != "potential"}}
+        runs["direct"]["command"] = "dirichlet-eig"
+        for stop, payload in runs.items():
+            out = tmp_path / stop
+            main(["--config", str(write_config(tmp_path, payload)),
+                  "--output", str(out)])
+            result = json.loads((out / "result.json").read_text())
+            assert result["stop"] == stop
+            assert result["converged"] == (stop != "budget")
+            assert result["residual"] <= result["threshold"] or stop == "budget"
+
+    def test_ignored_solver_keys_change_only_the_manifest(self, tmp_path):
+        # tau and min_iters belonged to the deleted imaginary-time solver.
+        outs = []
+        for extra in ({}, {"tau": 0.5, "min_iters": 1000}):
+            out = tmp_path / f"run{len(outs)}"
+            payload = dict(BASE, solver=dict(BASE["solver"], **extra))
+            assert main(["--config", str(write_config(tmp_path, payload)),
+                         "--output", str(out)]) == 0
+            outs.append(out)
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        for name in names:
+            same = (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            assert same == (name != "manifest.json"), name
+
     def test_nonconverged_exit_2_with_artifacts(self, tmp_path):
         payload = dict(BASE, output_dir=str(tmp_path / "nc"))
         payload["solver"] = dict(BASE["solver"], max_iters=5, tol=1e-300)
@@ -201,8 +232,7 @@ class TestDispatch:
     def test_monotonicity_report(self, tmp_path):
         payload = dict(BASE, command="monotonicity",
                        output_dir=str(tmp_path / "mono"))
-        payload["solver"] = dict(BASE["solver"], min_iters=1500,
-                                 max_iters=2500, tol=1e-13)
+        payload["solver"] = dict(BASE["solver"], max_iters=2500, tol=1e-13)
         assert main(["--config", str(write_config(tmp_path, payload))]) == 0
         rep = json.loads((tmp_path / "mono" / "report.json").read_text())
         assert rep["max_violation"] <= 1e-6 * rep["chi0"]

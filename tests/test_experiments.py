@@ -24,7 +24,7 @@ from nonlocal_spectra.potentials import WellSpec, reflect_potential, sharp_well
 from nonlocal_spectra.spectral_core import Field, Grid
 
 GRID = Grid(d=1, n=1024, L=32.0)
-CFG = SolverConfig(tau=0.02, tol=1e-12, max_iters=30000, seed=11)
+CFG = SolverConfig(tol=1e-12, max_iters=30000, seed=11)
 WELL = WellSpec(a=1.0, v=4.0)
 
 
@@ -101,7 +101,7 @@ class TestAnharmonicToDirichlet:
 
     def test_unconverged_well_solve_flags_report(self, s01):
         # The Dirichlet target converges; a 5-iteration well solve does not.
-        cfg = SolverConfig(tau=0.02, tol=1e-12, max_iters=5, seed=11)
+        cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
         rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg)
         assert not rep.converged
 
@@ -125,8 +125,7 @@ class TestOperatorImageConvergence:
 
 class TestSymmetryCheck:
     def test_parity_defect_small_after_long_run(self, s01):
-        cfg = SolverConfig(tau=0.02, tol=1e-13, max_iters=4000, seed=11,
-                           min_iters=2500)
+        cfg = SolverConfig(tol=1e-13, max_iters=4000, seed=11)
         res = ground_state(s01, sharp_well(WELL, GRID), cfg)
         assert symmetry_check(res)["exact"] < 1e-10
 
@@ -137,8 +136,7 @@ class TestSymmetryCheck:
 
     def test_d2_exact_maps_and_interpolated(self, s01):
         g2 = Grid(d=2, n=64, L=16.0)
-        cfg = SolverConfig(tau=0.02, tol=1e-13, max_iters=3000, seed=11,
-                           min_iters=2000)
+        cfg = SolverConfig(tol=1e-13, max_iters=3000, seed=11)
         res = ground_state(s01, sharp_well(WellSpec(a=1.0, v=4.0), g2), cfg)
         out = symmetry_check(res, rotations=3)
         assert out["exact"] < 1e-10
@@ -148,8 +146,7 @@ class TestSymmetryCheck:
 
 class TestMonotonicityCheck:
     def test_well_ground_state_monotone(self, s01):
-        cfg = SolverConfig(tau=0.02, tol=1e-13, max_iters=4000, seed=11,
-                           min_iters=2500)
+        cfg = SolverConfig(tol=1e-13, max_iters=4000, seed=11)
         res = ground_state(s01, sharp_well(WELL, GRID), cfg)
         rep = monotonicity_check(res)
         assert rep.max_violation <= 1e-6 * rep.profile[0]
@@ -161,7 +158,7 @@ class TestMonotonicityCheck:
         x = GRID.axis()
         vals = np.abs(x) * np.exp(-x * x)
         fake = ground_state(s01, sharp_well(WELL, GRID),
-                            SolverConfig(tau=0.02, tol=1e-6, max_iters=50,
+                            SolverConfig(tol=1e-6, max_iters=50,
                                          seed=1))
         fake.phi = Field(grid=GRID, values=vals / np.sqrt(
             GRID.cell_volume * np.sum(vals ** 2)))
@@ -170,8 +167,7 @@ class TestMonotonicityCheck:
         assert rep.max_violation > 1e-2
 
     def test_moving_plane_diagnostics(self, s01):
-        cfg = SolverConfig(tau=0.02, tol=1e-13, max_iters=3000, seed=11,
-                           min_iters=1500)
+        cfg = SolverConfig(tol=1e-13, max_iters=3000, seed=11)
         res = ground_state(s01, sharp_well(WELL, GRID), cfg)
         w = moving_plane_difference(res.phi, -1.5)
         assert w.values.shape == GRID.shape
