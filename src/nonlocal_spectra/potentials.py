@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .bernstein_kernels import sphere_surface
-from .spectral_core import Field, Grid
+from .spectral_core import Field
 
 # |x|^(2k) is clamped here.  An uncapped V reaches 3.4e38 at k = 16 on a
 # box of side 32, far beyond what an eigensolver resolves next to

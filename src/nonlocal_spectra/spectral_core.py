@@ -333,8 +333,13 @@ def _direct_core_2d(field, kernel, images_offset):
     r1 = grid.L / 2.0 - grid.h
 
     def angular_average(rs):
-        bess = special.j0(np.outer(rs, mod_xi))
-        return 2.0 * math.pi * 2.0 * ((1.0 - bess) @ pw)
+        # Blocks of about 2^18 Bessel values bound the memory of a level.
+        rows = max(1, (1 << 18) // mod_xi.size)
+        out = np.empty(rs.size)
+        for i in range(0, rs.size, rows):
+            bess = special.j0(np.outer(rs[i:i + rows], mod_xi))
+            out[i:i + rows] = (1.0 - bess) @ pw
+        return 2.0 * math.pi * 2.0 * out
 
     def f(rs):
         return 0.5 * angular_average(rs) * kernel(rs) * rs \

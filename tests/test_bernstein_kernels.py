@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 BernsteinSymbol, KernelTable,
@@ -18,7 +18,8 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 second_moment_decay, sigma,
                                                 sigma_difference_form,
                                                 tanh_sinh_quadrature)
-from nonlocal_spectra.special_functions import QuadratureError, bessel_k
+from nonlocal_spectra.special_functions import (REL_TOL, QuadratureError,
+                                                bessel_k)
 
 
 class TestTanhSinh:
@@ -137,7 +138,7 @@ class TestHeatKernel:
         assert 2.0 * val == pytest.approx(1.0, abs=1e-4)
 
     def test_positive_and_radially_non_increasing(self, s11):
-        prof = heat_kernel_profile(s11, 1, 0.5, np.linspace(0.0, 8.0, 40))
+        prof, _ = heat_kernel_profile(s11, 1, 0.5, np.linspace(0.0, 8.0, 40))
         assert prof.min() > 0.0
         assert np.all(np.diff(prof) <= 0.0)
 
@@ -145,7 +146,7 @@ class TestHeatKernel:
         radii = np.geomspace(0.01, 12.0, 300)
         tracemalloc.start()
         try:
-            prof = heat_kernel_profile(s01, 1, 0.1, radii)
+            prof, _ = heat_kernel_profile(s01, 1, 0.1, radii)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,12 +158,39 @@ class TestHeatKernel:
         t, s = 0.3, 0.2
         yg = np.linspace(-30.0, 30.0, 1201)
         hstep = yg[1] - yg[0]
-        pt = heat_kernel_profile(s11, 1, t, np.abs(yg))
+        pt, _ = heat_kernel_profile(s11, 1, t, np.abs(yg))
         for x in (0.0, 0.5, 1.0, 2.0, 4.0):
-            ps = heat_kernel_profile(s11, 1, s, np.abs(x - yg))
+            ps, _ = heat_kernel_profile(s11, 1, s, np.abs(x - yg))
             conv = float(np.dot(pt, ps)) * hstep
             assert conv == pytest.approx(heat_kernel(s11, 1, t + s, x),
                                          abs=1e-4)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_massive_closed_form(self, s11, d):
+        # Phi_{1,1}: p_t(r) = 2 (m/2pi)^nu t e^(mt) K_nu(m rho) / rho^nu,
+        # nu = (d+1)/2, rho = sqrt(r^2 + t^2), m = 1.
+        t, nu = 0.5, (d + 1) / 2.0
+        radii = np.geomspace(0.05, 8.0, 60)
+        if d == 3:
+            radii = np.concatenate([[0.0], radii])
+        rho = np.sqrt(radii ** 2 + t * t)
+        exact = (2.0 * (2.0 * math.pi) ** -nu * t * math.exp(t)
+                 * special.kv(nu, rho) / rho ** nu)
+        prof, _ = heat_kernel_profile(s11, d, t, radii)
+        assert prof == pytest.approx(exact, rel=1e-9)
+        if d == 3:
+            assert heat_kernel(s11, 3, t, [0.0, 0.0, 0.0]) == pytest.approx(
+                exact[0], rel=1e-9)
+
+    def test_table_error_estimates_bound_cauchy_error(self, s01):
+        t, radii = 0.1, np.geomspace(0.01, 12.0, 1201)
+        table = build_kernel_table(s01, "heat", 1, radii, t=t)
+        cauchy = t / (math.pi * (t * t + radii ** 2))
+        # 9.7e-14 measured; a rounded panel phase r m_p or rounded panel
+        # midpoints each push it above 2e-12.
+        assert np.max(np.abs(table.values / cauchy - 1.0)) <= 1e-12
+        assert np.all(np.abs(table.values - cauchy) <= table.error_estimates)
+        assert np.all(table.error_estimates <= REL_TOL * table.values)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_higher_dimension_mass(self, s11, d):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ class TestSeminorms:
         u = field_from_function(g, lambda x, y: np.exp(-(x * x + y * y)))
         sf = seminorm_fourier(s11, u)
         sd = seminorm_direct(s11, u)
+        assert abs(sf ** 2 - sd ** 2) <= 1e-3 * (1.0 + sf ** 2)
+
+    def test_direct_d2_memory_bounded(self, s01):
+        g = Grid(d=2, n=64, L=20.0)
+        u = field_from_function(g, lambda x, y: np.exp(-(x * x + y * y)))
+        tracemalloc.start()
+        try:
+            sd = seminorm_direct(s01, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        sf = seminorm_fourier(s01, u)
         assert abs(sf ** 2 - sd ** 2) <= 1e-3 * (1.0 + sf ** 2)
 
     def test_massless_ratio_law(self, s01, gaussian128):
