@@ -17,7 +17,7 @@ from .bernstein_kernels import (BernsteinSymbol, massless_constant,
 from .eigensolver import dirichlet_ground_state, ground_state
 from .io_utils import radial_profile
 from .potentials import (PotentialField, WellSpec, anharmonic,
-                         mollified_well, sharp_well)
+                         mollified_well, reflected_values, sharp_well)
 from .special_functions import ABS_TOL, bessel_k
 from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
                             pointwise_nonlocal, seminorm_fourier)
@@ -32,16 +32,17 @@ def random_band_limited(grid, seed, kmax_frac=0.25):
     kk = np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L))
     kmax = kmax_frac * math.pi / grid.h
     spec[kk > kmax] = 0.0
-    values = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
-    values /= math.sqrt(grid.cell_volume * float(np.sum(values ** 2)))
-    return Field(grid=grid, values=values)
+    field = Field(grid=grid, values=np.fft.irfftn(spec, s=grid.shape,
+                                                  axes=tuple(range(grid.d))))
+    field.values /= field.l2_norm()
+    return field
 
 
 def _l2_gap_aligned(phi, target):
     """Sign-align phi against target, then return the L^2 distance."""
     sgn = 1.0 if float(np.sum(phi.values * target.values)) >= 0 else -1.0
     diff = sgn * phi.values - target.values
-    return math.sqrt(phi.grid.cell_volume * float(np.sum(diff ** 2))), sgn
+    return Field(grid=phi.grid, values=diff).l2_norm(), sgn
 
 
 @dataclass
@@ -220,18 +221,16 @@ def operator_image_convergence(symbol, well, report):
     grid = target_phi.grid
     H_target = apply_multiplier(symbol, target_phi)
     V_target = sharp_well(WellSpec(a=well.a, v=well.v), grid)
-    vol = grid.cell_volume
     gaps, bounds = [], []
     for e, phi_e, lam_e, res_e in zip(report.params, report.solutions,
                                       report.lam_list, report.residuals):
         H_e = apply_multiplier(symbol, phi_e)
-        gap = math.sqrt(vol * float(np.sum((H_e.values - H_target.values) ** 2)))
+        gap = Field(grid=grid, values=H_e.values - H_target.values).l2_norm()
         pot_e = mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid) \
             if e > 0 else V_target
-        dphi = math.sqrt(vol * float(np.sum((phi_e.values - target_phi.values) ** 2)))
-        vgap = math.sqrt(vol * float(np.sum(
-            (pot_e.values * phi_e.values
-             - V_target.values * target_phi.values) ** 2)))
+        dphi = Field(grid=grid, values=phi_e.values - target_phi.values).l2_norm()
+        vgap = Field(grid=grid, values=pot_e.values * phi_e.values
+                     - V_target.values * target_phi.values).l2_norm()
         bound = (abs(lam_e) * dphi + abs(lam_e - report.lam_target) + vgap
                  + res_e + report.target_residual + 1e-8)
         gaps.append(gap)
@@ -275,12 +274,10 @@ def symmetry_check(result, rotations=0):
     """
     phi = result.phi
     grid = phi.grid
-    vol = grid.cell_volume
     defect = 0.0
     for _name, mapping in _exact_symmetry_maps(grid.d, grid.n):
-        mapped = mapping(phi.values)
-        defect = max(defect, math.sqrt(
-            vol * float(np.sum((mapped - phi.values) ** 2))))
+        defect = max(defect, Field(grid=grid, values=mapping(phi.values)
+                                   - phi.values).l2_norm())
     interp = None
     if rotations > 0 and grid.d == 2:
         from scipy import ndimage
@@ -296,8 +293,8 @@ def symmetry_check(result, rotations=0):
             qy = -sa * px + ca * py + n // 2
             rot = ndimage.map_coordinates(phi.values, [qx, qy], order=1,
                                           mode="grid-wrap")
-            interp = max(interp, math.sqrt(
-                vol * float(np.sum((rot - phi.values) ** 2))))
+            interp = max(interp, Field(grid=grid,
+                                       values=rot - phi.values).l2_norm())
     return {"exact": defect, "interpolated": interp}
 
 
@@ -352,12 +349,8 @@ def moving_plane_difference(field, mu):
     """w_mu(x) = phi(x^mu) - phi(x) as a Field (diagnostic only; its sign
     on the half-space holds for the exact ground state, not asserted on
     discretizations)."""
-    grid = field.grid
-    n = grid.n
-    shift = int(round(2.0 * mu / grid.h))
-    idx = (shift + n - np.arange(n)) % n
-    reflected = field.values[idx, ...]
-    return Field(grid=grid, values=reflected - field.values)
+    return Field(grid=field.grid,
+                 values=reflected_values(field, mu) - field.values)
 
 
 def moving_plane_min(field, mu):

@@ -161,11 +161,17 @@ def anharmonic(k, grid):
     return PotentialField(field=Field(grid=grid, values=values), meta=meta)
 
 
-def reflect_potential(potential, mu):
-    """V^mu(x) = V(x^mu), x^mu = (2 mu - x_1, x'), nearest-grid-point version.
+def reflected_values(field, mu):
+    """Values of a Field or PotentialField at x^mu = (2 mu - x_1, x'),
+    nearest-grid-point version: exact whenever 2 mu is a multiple of the
+    grid spacing."""
+    n = field.grid.n
+    shift = int(round(2.0 * mu / field.grid.h))
+    return field.values[(shift + n - np.arange(n)) % n, ...]
 
-    Exact whenever 2 mu is a multiple of the grid spacing.
-    """
+
+def reflect_potential(potential, mu):
+    """V^mu(x) = V(x^mu) on the grid, through reflected_values."""
     if mu > 0:
         raise ValueError("moving-plane offset mu must be <= 0")
     grid = potential.grid
@@ -175,10 +181,7 @@ def reflect_potential(potential, mu):
         if not abs(2.0 * mu) + extent < grid.L / 2.0:
             raise BoxTooSmallError("reflected support leaves the box: "
                                    f"|2 mu| + a + eps >= L/2 (mu={mu})")
-    n = grid.n
-    shift = int(round(2.0 * mu / grid.h))
-    idx = (shift + n - np.arange(n)) % n
-    values = potential.values[idx, ...]
+    values = reflected_values(potential, mu)
     new_meta = dict(meta)
     new_meta.update({"kind": f"reflected({meta.get('kind', '?')})", "mu": mu})
     return PotentialField(field=Field(grid=grid, values=values), meta=new_meta)

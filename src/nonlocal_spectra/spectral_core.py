@@ -20,7 +20,11 @@ with the double integral taken over the torus against the periodized
 kernel J(h) = sum_m j(|h + mL|).  At lattice frequencies the periodization
 is exact for the multiplier, so the two routes must agree up to quadrature
 error; their agreement is the discrete form of the kernel <-> symbol
-correspondence and is enforced by the acceptance suite.
+correspondence and is enforced by the acceptance suite.  The direct route
+takes the x-integral from the Fourier modes, so only h is integrated.
+
+pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x): one radial
+quadrature of sphere-rule shell sums, the same path for d = 1, 2 and 3.
 """
 
 import math
@@ -280,18 +284,19 @@ def _generic_kernel_images(kernel, L, h):
 
 
 def _direct_core_1d(field, kernel, images):
-    """(1/2) iint_T |u(x+h)-u(x)|^2 J(h) dx dh on the torus, d = 1."""
-    grid = field.grid
-    spec = np.fft.rfft(field.values)
-    xi = 2.0 * math.pi * np.fft.rfftfreq(grid.n, d=grid.h)
+    """(1/2) iint_T |u(x+h)-u(x)|^2 J(h) dx dh on the torus, d = 1.
 
-    def shifted_sq_sum(hs):
-        phase = np.exp(1j * np.outer(hs, xi))
-        shifted = np.fft.irfft(phase * spec[None, :], n=grid.n, axis=1)
-        return grid.h * np.sum((shifted - field.values[None, :]) ** 2, axis=1)
+    The x-integral is done exactly in the mode representation:
+    int_T |u(x+h)-u(x)|^2 dx = 4 sum_k sin^2(xi_k h/2) |u_hat(xi_k)|^2.
+    """
+    grid = field.grid
+    _, power, measure = _spectral_weights(field)
+    xi = np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L))
+    pw = power * measure
 
     def f(hs):
-        return shifted_sq_sum(hs) * (kernel(hs) + images(hs))
+        shifted_sq = 4.0 * np.sin(0.5 * np.outer(hs, xi)) ** 2 @ pw
+        return shifted_sq * (kernel(hs) + images(hs))
 
     val, _err = tanh_sinh_quadrature(f, 0.0, grid.L / 2.0)
     return val
@@ -389,11 +394,10 @@ def _power_images_2d(exponent, L, hx, hy):
 def _radial_power_direct(field, constant, exponent):
     """Shared direct route for kernels constant * r^-exponent."""
     grid = field.grid
+    kernel = lambda r: constant * r ** (-exponent)
     if grid.d == 1:
-        kernel = lambda h: constant * h ** (-exponent)
         images = lambda h: constant * _power_kernel_images(exponent, grid.L, h)
         return _direct_core_1d(field, kernel, images)
-    kernel = lambda r: constant * r ** (-exponent)
     images = lambda hx, hy: constant * _power_images_2d(exponent, grid.L, hx, hy)
     return _direct_core_2d(field, kernel, images)
 
@@ -468,12 +472,6 @@ def _wynn_epsilon(partial_sums):
 _GL20 = np.polynomial.legendre.leggauss(20)
 
 
-def _panel_integral(f, a, b):
-    x, w = _GL20
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
 def _oscillatory_tail(f, a, panel, abs_tol):
     """int_a^inf f dh for f = (bounded oscillation) x (monotone decaying kernel).
 
@@ -481,11 +479,13 @@ def _oscillatory_tail(f, a, panel, abs_tol):
     panels stop shrinking fast, the cumulative sums are extrapolated with
     Wynn's epsilon algorithm (partition extrapolation).
     """
+    x, w = _GL20
+    half = 0.5 * panel
     sums = []
     total = 0.0
     small = 0
     for k in range(600):
-        piece = _panel_integral(f, a + k * panel, a + (k + 1) * panel)
+        piece = half * float(np.dot(w, f(a + (k + 0.5) * panel + half * x)))
         total += piece
         sums.append(total)
         if abs(piece) < abs_tol:
@@ -498,177 +498,115 @@ def _oscillatory_tail(f, a, panel, abs_tol):
     return value, err
 
 
-def _u_vectorized(u, probe):
-    try:
-        out = u(np.asarray([probe, probe]))
-        if np.shape(out) == (2,):
-            return u
-    except Exception:
-        pass
-    return np.vectorize(u, otypes=[float])
-
-
-def _range_probe(u, x, scale):
-    for R in (10.0, 100.0, 1000.0, 1e4):
-        for sgn in (-1.0, 1.0):
-            if abs(u(x + sgn * R)) > 1e6 * (1.0 + scale):
-                raise ValueError("u appears unbounded; pointwise_nonlocal "
-                                 "requires a bounded C^2 function")
-
-
-def _far_constant(g, scale):
-    """Limit of g at infinity if it visibly has one, else 0.
-
-    A non-oscillating component of the outer integrand that tends to a
-    constant would make the panel sums converge only like the kernel tail;
-    subtracting the constant (whose kernel integral is known analytically)
-    removes it.
-    """
-    samples = np.asarray([g(r) for r in (1e5, 2.3e5, 5.1e5)], dtype=float)
+def _far_constant(samples):
+    """Limit of the outer shell totals at infinity if they visibly have one:
+    left in, it would make the panel sums converge only like the kernel
+    tail, while its own kernel integral is known."""
     if np.max(np.abs(samples - samples[0])) <= 1e-9 * (1.0 + np.max(np.abs(samples))):
         return float(samples[0])
     return 0.0
 
 
-def _kernel_tail_mass(symbol, d, a):
-    """int_a^inf j(r) r^(d-1) dr (analytic for the massless power law)."""
+def _kernel_moment(symbol, d, k, a, b):
+    """int_a^b r^(k+d-1) j(r) dr, in closed form for the massless power law;
+    otherwise by tanh-sinh (singular end a = 0) or QUADPACK (b = inf)."""
     if symbol.has_closed_kernel and symbol.m == 0.0:
-        c = massless_constant(d, symbol.alpha)
-        return c * a ** (-symbol.alpha) / symbol.alpha
-    val, _ = integrate.quad(
-        lambda r: float(symbol.jump_kernel(d, r)) * r ** (d - 1),
-        a, np.inf, epsabs=ABS_TOL, epsrel=1e-10, limit=200)
-    return val
+        p = k - symbol.alpha
+        return massless_constant(d, symbol.alpha) * (b ** p - a ** p) / p
+    f = lambda r: np.asarray(symbol.jump_kernel(d, r)) * r ** (k + d - 1)
+    if b == np.inf:
+        return integrate.quad(f, a, b, epsabs=ABS_TOL, epsrel=1e-10,
+                              limit=200)[0]
+    return tanh_sinh_quadrature(f, a, b)[0]
 
 
-def _kernel_moment(symbol, d, k, h0):
-    """int_0^h0 r^(k+d-1) j(r) dr; positive-power singular integrand."""
-    if symbol.has_closed_kernel and symbol.m == 0.0:
-        c = massless_constant(d, symbol.alpha)
-        return c * h0 ** (k - symbol.alpha) / (k - symbol.alpha)
-    val, _ = tanh_sinh_quadrature(
-        lambda r: np.asarray(symbol.jump_kernel(d, r)) * r ** (k + d - 1),
-        0.0, h0)
-    return val
+def _sphere_rule(d):
+    """(directions, weights) of the angular rule on S^(d-1): S^0 = {+1, -1}
+    with weights (1, 1), 64 equispaced points on the circle, 24 Gauss-Legendre
+    latitudes x 48 longitudes on the sphere.  Each rule is symmetric under
+    omega -> -omega, and its weights sum to |S^(d-1)|."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if d == 2:
+        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return omegas, np.full(len(theta), 2.0 * math.pi / len(theta))
+    nodes, wts = np.polynomial.legendre.leggauss(24)
+    phi = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    ct, ph = np.meshgrid(nodes, phi, indexing="ij")
+    st = np.sqrt(1.0 - ct ** 2)
+    omegas = np.stack([st * np.cos(ph), st * np.sin(ph), ct],
+                      axis=-1).reshape(-1, 3)
+    return omegas, np.repeat(wts, len(phi)) * (2.0 * math.pi / len(phi))
 
 
 def pointwise_nonlocal(symbol, u, x):
     """Phi(-Delta)u(x) = -(1/2) int (u(x+h) - 2u(x) + u(x-h)) j(|h|) dh.
 
-    u is a bounded C^2 callable on R^d (d inferred from x, d <= 3).  The
-    second-difference form makes the kernel singularity integrable, so no
-    principal value is needed; the integral is split at |h| = 1 into an
-    inner part (tanh-sinh, graded at 0) and an outer part (panel summation
-    with series acceleration for oscillatory integrands).
+    u is a bounded C^2 function on R^d, d = len(x) <= 3, called like the
+    callable of field_from_function: u(*coords), one array per axis.  In
+    polar form this is -(1/2) int_0^inf S(r) j(r) r^(d-1) dr with the shell
+    sum S(r) = 2 (sum_w w u(x + r w) - |S^(d-1)| u(x)) over the symmetric
+    rule of _sphere_rule, so every d takes one path and u is called once
+    per batch of radii.  On [0, h0], h0 = 1e-2, S is cancellation noise
+    that the singular kernel would amplify, so there S(r) = a r^2 + b r^4,
+    a = (16 S(delta) - S(2 delta)) / (12 delta^2) and
+    b = (S(2 delta) - 4 S(delta)) / (12 delta^4), delta = h0/2, is
+    integrated against the kernel moments (in d = 1 this is the five-point
+    stencil for u'' and u'''').  Tanh-sinh covers [h0, 1], and panel
+    summation, accelerated for oscillatory integrands, covers [1, inf).
+    u is rejected as unbounded if |u| > 1e6 (1 + |u(x)|) at a distance
+    10 to 1e4 from x along one rule direction.
     """
     eps_cut = 1.0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x_arr.size
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.size
     if d > 3:
         raise ValueError("pointwise_nonlocal supports d <= 3")
     if not symbol.kernel_available:
         raise ValueError("pointwise_nonlocal requires a symbol with a kernel")
+    omegas, weights = _sphere_rule(d)
+    surf = float(np.sum(weights))
 
-    if d == 1:
-        x0 = float(x_arr[0])
-        uv = _u_vectorized(u, x0)
-        u_x = float(uv(np.array([x0]))[0])
-        _range_probe(lambda y: float(uv(np.array([y]))[0]), x0, abs(u_x))
+    def u_on(points):
+        return np.asarray(u(*points), dtype=float)
 
-        def second_diff(hs):
-            return uv(x0 + hs) + uv(x0 - hs) - 2.0 * u_x
+    u_x = float(u_on(x[:, None])[0])
+    far = np.array([10.0, 100.0, 1000.0, 1e4])
+    probe = u_on(x[:, None] + np.outer(omegas[0], np.concatenate([-far, far])))
+    if np.any(np.abs(probe) > 1e6 * (1.0 + abs(u_x))):
+        raise ValueError("u appears unbounded; pointwise_nonlocal "
+                         "requires a bounded C^2 function")
 
-        # On [0, h0] the second difference is pure cancellation noise at the
-        # scale the singular kernel amplifies, so that piece is evaluated
-        # through its Taylor form u'' h^2 + u'''' h^4/12 against analytic
-        # kernel moments; quadrature covers [h0, eps_cut].
-        h0 = 1e-2
-        delta = h0 / 2.0
-        st = uv(x0 + delta * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
-        d2u = (-st[0] + 16.0 * st[1] - 30.0 * st[2] + 16.0 * st[3] - st[4]) \
-            / (12.0 * delta ** 2)
-        d4u = (st[0] - 4.0 * st[1] + 6.0 * st[2] - 4.0 * st[3] + st[4]) \
-            / delta ** 4
-        taylor = d2u * _kernel_moment(symbol, 1, 2, h0) \
-            + (d4u / 12.0) * _kernel_moment(symbol, 1, 4, h0)
+    def shell_total(rs):
+        # 2 sum_w w u(x + r w) for every radius r, from one call of u.
+        points = x[:, None, None] + rs[None, :, None] * omegas.T[:, None, :]
+        return 2.0 * (u_on(points) @ weights)
 
-        def inner(hs):
-            return second_diff(hs) * np.asarray(symbol.jump_kernel(1, hs))
+    def shell_sum(rs):
+        return shell_total(rs) - 2.0 * surf * u_x
 
-        mid_val, _ = tanh_sinh_quadrature(inner, h0, eps_cut,
-                                          abs_floor=1e-13 * (1.0 + abs(u_x)))
-        inner_val = taylor + mid_val
+    def radial(values, rs):
+        return values * np.asarray(symbol.jump_kernel(d, rs)) * rs ** (d - 1)
 
-        tail_mass = _kernel_tail_mass(symbol, 1, eps_cut)
-        pair = lambda h: float(uv(np.array([x0 + h]))[0]
-                               + uv(np.array([x0 - h]))[0])
-        c_far = _far_constant(pair, abs(u_x))
-
-        def outer(hs):
-            return (uv(x0 + hs) + uv(x0 - hs) - c_far) \
-                * np.asarray(symbol.jump_kernel(1, hs))
-
-        outer_val, outer_err = _oscillatory_tail(outer, eps_cut, 1.0, ABS_TOL)
-        if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
-            raise QuadratureError(
-                "outer nonlocal integral did not converge",
-                value=None, error_estimate=outer_err)
-        return -(inner_val + outer_val + (c_far - 2.0 * u_x) * tail_mass)
-
-    # d >= 2: radial reduction with a fixed angular rule.
-    if d == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        ang_w = np.full(len(theta), 2.0 * math.pi / len(theta))
-    else:
-        nodes, wts = np.polynomial.legendre.leggauss(24)
-        phi = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-        ct, ph = np.meshgrid(nodes, phi, indexing="ij")
-        st = np.sqrt(1.0 - ct ** 2)
-        omegas = np.stack([st * np.cos(ph), st * np.sin(ph), ct],
-                          axis=-1).reshape(-1, 3)
-        ang_w = np.repeat(wts, len(phi)) * (2.0 * math.pi / len(phi))
-
-    u_x = float(u(x_arr))
-    surf = float(np.sum(ang_w))
-
-    def sphere_second_diff(r):
-        pts_p = x_arr[None, None, :] + r[:, None, None] * omegas[None, :, :]
-        pts_m = x_arr[None, None, :] - r[:, None, None] * omegas[None, :, :]
-        vals = np.array([[u(p) for p in row] for row in pts_p]) \
-            + np.array([[u(p) for p in row] for row in pts_m])
-        return (vals - 2.0 * u_x) @ ang_w
-
-    def inner_nd(rs):
-        return sphere_second_diff(rs) * np.asarray(
-            symbol.jump_kernel(d, rs)) * rs ** (d - 1)
-
-    # Taylor-corrected origin, as in d = 1: the angular average of the
-    # second difference is (sigma_d/d) Lap(u) r^2 + O(r^4).
     h0 = 1e-2
-    delta = 1e-3
-    lap = 0.0
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = delta
-        lap += (float(u(x_arr + e)) - 2.0 * u_x + float(u(x_arr - e))) / delta ** 2
-    surf_over_d = surf / d
-    taylor = lap * surf_over_d * _kernel_moment(symbol, d, 2, h0)
-    mid_val, _ = tanh_sinh_quadrature(inner_nd, h0, eps_cut,
-                                      abs_floor=1e-12 * (1.0 + abs(u_x)) * surf)
-    inner_val = taylor + mid_val
-    tail_mass = _kernel_tail_mass(symbol, d, eps_cut)
-    pair_sum = lambda r: float(sphere_second_diff(np.array([r]))[0]) \
-        + 2.0 * u_x * surf
-    c_far = _far_constant(pair_sum, abs(u_x) * surf)
+    delta = h0 / 2.0
+    s1, s2 = shell_sum(np.array([delta, 2.0 * delta]))
+    taylor = ((16.0 * s1 - s2) / (12.0 * delta ** 2)
+              * _kernel_moment(symbol, d, 2, 0.0, h0)
+              + (s2 - 4.0 * s1) / (12.0 * delta ** 4)
+              * _kernel_moment(symbol, d, 4, 0.0, h0))
+    mid_val, _ = tanh_sinh_quadrature(lambda rs: radial(shell_sum(rs), rs),
+                                      h0, eps_cut,
+                                      abs_floor=1e-13 * (1.0 + abs(u_x)) * surf)
 
-    def outer_nd(rs):
-        return (sphere_second_diff(rs) + 2.0 * u_x * surf - c_far) * np.asarray(
-            symbol.jump_kernel(d, rs)) * rs ** (d - 1)
-
-    outer_val, outer_err = _oscillatory_tail(outer_nd, eps_cut, 1.0,
-                                             ABS_TOL * surf)
+    tail_mass = _kernel_moment(symbol, d, 0, eps_cut, np.inf)
+    c_far = _far_constant(shell_total(np.array([1e5, 2.3e5, 5.1e5])))
+    outer_val, outer_err = _oscillatory_tail(
+        lambda rs: radial(shell_total(rs) - c_far, rs), eps_cut, 1.0,
+        ABS_TOL * surf)
     if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
         raise QuadratureError("outer nonlocal integral did not converge",
                               value=None, error_estimate=outer_err)
-    return -0.5 * (inner_val + outer_val + (c_far - 2.0 * u_x * surf) * tail_mass)
+    return -0.5 * (taylor + mid_val + outer_val
+                   + (c_far - 2.0 * surf * u_x) * tail_mass)

@@ -350,12 +350,26 @@ class TestPointwiseNonlocal:
         with pytest.raises(ValueError):
             pointwise_nonlocal(s11, lambda y: np.asarray(y) ** 2, 0.0)
 
+    def test_unbounded_input_rejected_d2(self, s11):
+        with pytest.raises(ValueError, match="unbounded"):
+            pointwise_nonlocal(s11, lambda x, y: x ** 2 + y ** 2,
+                               np.array([0.0, 0.0]))
+
     def test_d2_plane_wave(self, s11):
         k = 1.2
-        val = pointwise_nonlocal(s11, lambda p: math.cos(k * p[0]),
+        val = pointwise_nonlocal(s11, lambda x, y: np.cos(k * x),
                                  np.array([0.4, 0.0]))
         assert val == pytest.approx(
             s11.evaluate(k * k) * math.cos(0.4 * k), abs=1e-6)
+
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 0.5), (3, 1.0)])
+    def test_massive_plane_wave_nd(self, d, alpha):
+        # Phi(-Delta) cos(k x_1) = Phi(k^2) cos(k x_1) in every dimension.
+        s = BernsteinSymbol.relativistic(1.0, alpha)
+        k, x = 1.2, np.array([0.4] + [0.0] * (d - 1))
+        val = pointwise_nonlocal(s, lambda *coords: np.cos(k * coords[0]), x)
+        assert val == pytest.approx(s.evaluate(k * k) * math.cos(0.4 * k),
+                                    abs=1e-10)
 
     def test_kernel_required(self):
         s = BernsteinSymbol.custom(phi=lambda z: np.sqrt(z))
