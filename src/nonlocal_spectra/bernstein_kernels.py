@@ -22,16 +22,17 @@ sigma is evaluated through its finite-integral form
         C1(d,alpha) = alpha 2^((alpha-d)/2) / (pi^(d/2) Gamma(1-alpha/2)),
 
 which is free of the cancellation that the equivalent difference form
-(j0 - jm written out) suffers at small r; the difference form is kept as a
-cross-check oracle.  The C1 normalization is the one that makes the
-decomposition and the total-mass identity hold exactly; both are enforced
-by the test suite.
+(j0 - jm written out) suffers at small r; the test suite keeps the
+difference form as a cross-check oracle.  The C1 normalization is the one
+that makes the decomposition and the total-mass identity hold exactly;
+both are enforced by the test suite.
 
-Heat kernel p_t and 1-resolvent kernel G_1 are evaluated by radial Fourier
-reduction for d <= 3 on Gauss panels.  In d = 1 and 3 the phase e^(i r xi)
-factors into a per-panel and a per-node part, with the panel product r m_p
-kept exact because its rounding would not average out; d = 2 evaluates
-J_0(r xi) at every node (see _radial_fourier).
+The heat kernel p_t is evaluated by radial Fourier reduction for d <= 3 on
+Gauss panels.  In d = 1 and 3 the phase e^(i r xi) factors into a
+per-panel and a per-node part, with the panel product r m_p kept exact
+because its rounding would not average out; d = 2 evaluates J_0(r xi) at
+every node (see heat_kernel_profile).  The 1-resolvent kernel G_1 is a
+positive Stieltjes mixture of Yukawa kernels (see resolvent_kernel).
 """
 
 import math
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .special_functions import ABS_TOL, REL_TOL, QuadratureError, bessel_k_grid
+from .special_functions import (ABS_TOL, KV_REL_ERR, REL_TOL, QuadratureError,
+                                bessel_k_grid)
 
 
 class AssumptionViolationError(Exception):
@@ -167,60 +169,42 @@ def tanh_sinh_quadrature(f, a, b, abs_floor=0.0, levels=6):
                           value=value, error_estimate=err)
 
 
-def _sigma_integral(xi, upper):
-    """int_0^upper w^xi K_(xi-1)(w) dw.
+def _sigma_profile(d, alpha, m, r):
+    """sigma at the radii r > 0 (flattened) and its error estimate.
 
-    The integrand behaves like a*w + b*w^(2 xi - 1) at the origin (mixed
-    non-integer powers), so tanh-sinh is used rather than Gauss panels.
+    The integrand of int_0^(m^(1/alpha) r) w^xi K_(xi-1)(w) dw behaves like
+    a*w + b*w^(2 xi - 1) at the origin (mixed non-integer powers), so
+    tanh-sinh is used rather than Gauss panels.  The estimate is the scaled
+    tanh-sinh difference plus KV_REL_ERR |value|: the positive integrand
+    carries kv's relative error, which the difference misses.
     """
-    # Beyond w ~ 60 the integrand is below 1e-18 of its peak for xi <= 4.
-    upper = min(upper, max(60.0, 4.0 * xi))
-
-    def f(w):
-        return w ** xi * bessel_k_grid(xi - 1.0, w)
-
-    val, _err = tanh_sinh_quadrature(f, 0.0, upper)
-    return val
-
-
-def sigma(d, alpha, m, r):
-    """Defect kernel sigma_{m,alpha}(r) >= 0 via the finite-integral form."""
     d = _check_dim(d)
     alpha = _check_alpha(alpha)
     if not m > 0:
         raise ValueError("sigma requires m > 0")
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    shape = r.shape
-    r = r.ravel()
+    r = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
     if np.any(r <= 0):
         raise ValueError("sigma requires r > 0")
     xi = (d + alpha) / 2.0
     pref = relativistic_prefactor(d, alpha, 1.0)
-    out = np.empty_like(r)
+
+    def f(w):
+        return w ** xi * bessel_k_grid(xi - 1.0, w)
+
+    values, errs = np.empty_like(r), np.empty_like(r)
     for i, ri in enumerate(r):
-        upper = m ** (1.0 / alpha) * ri
-        out[i] = pref * ri ** (-(d + alpha)) * _sigma_integral(xi, upper)
-    return float(out[0]) if scalar else out.reshape(shape)
+        scale = pref * ri ** (-(d + alpha))
+        # Beyond w ~ 60 the integrand is below 1e-18 of its peak for xi <= 4.
+        upper = min(m ** (1.0 / alpha) * ri, max(60.0, 4.0 * xi))
+        val, diff = tanh_sinh_quadrature(f, 0.0, upper)
+        values[i], errs[i] = scale * val, scale * diff
+    return values, errs + KV_REL_ERR * values
 
 
-def sigma_difference_form(d, alpha, m, r):
-    """sigma via the equivalent difference form; cross-check oracle only.
-
-    Suffers catastrophic cancellation of two nearly equal terms at small r,
-    which is why the integral form above is the production path.
-    """
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha)
-    xi = (d + alpha) / 2.0
-    r = np.asarray(r, dtype=float)
-    pref = relativistic_prefactor(d, alpha, 1.0)
-    z = m ** (1.0 / alpha) * r
-    term0 = 2.0 ** (xi - 1.0) * math.gamma(xi) * r ** (-(d + alpha))
-    term1 = m ** (xi / alpha) * bessel_k_grid(xi, np.atleast_1d(z)) \
-        / np.atleast_1d(r) ** xi
-    out = pref * (term0 - term1.reshape(np.shape(term0)))
-    return float(out) if out.ndim == 0 else out
+def sigma(d, alpha, m, r):
+    """Defect kernel sigma_{m,alpha}(r) >= 0 via the finite-integral form."""
+    out = _sigma_profile(d, alpha, m, r)[0]
+    return float(out[0]) if np.isscalar(r) else out.reshape(np.shape(r))
 
 
 @dataclass
@@ -320,7 +304,7 @@ def _subordination_kernel(density, d, r):
 
 
 # ---------------------------------------------------------------------------
-# Heat and resolvent kernels (radial Fourier reduction, d <= 3)
+# Heat kernel (radial Fourier reduction, d <= 3) and resolvent kernel
 # ---------------------------------------------------------------------------
 
 def _frequency_cutoff(symbol, d, t):
@@ -336,7 +320,7 @@ def _frequency_cutoff(symbol, d, t):
         "the heat kernel is undefined for this symbol")
 
 
-# Entries of one radii x nodes block in _radial_fourier (8 MB of float64;
+# Entries of one radii x nodes block in heat_kernel_profile (8 MB of float64;
 # a complex radii x panels block takes an eighth), so memory stays bounded
 # however many radii a table asks for.
 _BLOCK_ENTRIES = 1 << 20
@@ -367,8 +351,8 @@ def _exact_phase(r, mid):
     return phase
 
 
-def _radial_fourier(symbol, d, t, radii):
-    """p_t at the given radii and a per-radius error estimate.
+def heat_kernel_profile(symbol, d, t, radii):
+    """Vectorized p_t over an array of radii: (values, error estimates).
 
     p_t(r) is a sum over Gauss nodes xi in [0, Xi] of D(xi) A_d(r, xi): D is
     the node weight times e^(-t Phi(xi^2)) times 1/pi, xi/(2 pi) or
@@ -396,8 +380,10 @@ def _radial_fourier(symbol, d, t, radii):
     difference alone falls below the actual error wherever the two rules
     agree to roundoff.
     """
+    if not t > 0:
+        raise ValueError("heat_kernel requires t > 0")
     if d not in (1, 2, 3):
-        raise ValueError("heat/resolvent kernels are restricted to d <= 3")
+        raise ValueError("the heat kernel is restricted to d <= 3")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     cut = _frequency_cutoff(symbol, d, t)
     # Panel count resolves both the decay scale and the fastest oscillation.
@@ -453,44 +439,56 @@ def _radial_fourier(symbol, d, t, radii):
 
 def heat_kernel(symbol, d, t, x):
     """Heat kernel p_t(x) of Phi(-Delta) at a single point x (d <= 3)."""
-    if not t > 0:
-        raise ValueError("heat_kernel requires t > 0")
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    return float(_radial_fourier(symbol, d, t, [r])[0][0])
+    return float(heat_kernel_profile(symbol, d, t, [r])[0][0])
 
 
-def heat_kernel_profile(symbol, d, t, radii):
-    """Vectorized p_t over an array of radii: (values, error estimates)."""
-    if not t > 0:
-        raise ValueError("heat_kernel requires t > 0")
-    return _radial_fourier(symbol, d, t, radii)
+def resolvent_kernel(symbol, d, radii):
+    """1-resolvent kernel G_1 at radii > 0 (d <= 3): (values, error estimates).
 
+    1/(1 + Phi) is a Stieltjes function for relativistic Phi (Schilling, Song
+    & Vondracek, Bernstein Functions, ch. 6-7), so G_1(r) = int sigma(ds)
+    Y_d(s, r) with the Yukawa kernels Y_d = e^(-k r)/(2k), K_0(k r)/(2 pi),
+    e^(-k r)/(4 pi r), k = sqrt(s).  For s = M + u^2, M = m^(2/alpha), sigma
+    has the density (2u/pi) Im 1/(1 - m + u^alpha e^(-i pi alpha/2)) and, if
+    m > 1, the atom (m-1)^(2/alpha-1)/(alpha/2) at s* = M - (m-1)^(2/alpha).
+    The estimate adds to quad's abserr the rounding it cannot see, in the
+    atom and in the exponent sqrt(s) r: (10 + 2 sqrt(s_min) r) eps |value|.
+    """
+    if symbol.kind != "relativistic" or d not in (1, 2, 3):
+        raise ValueError("resolvent_kernel requires a relativistic symbol, d <= 3")
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if np.any(radii <= 0):
+        raise ValueError("resolvent_kernel requires r > 0")
+    m, alpha = symbol.m, symbol.alpha
+    M, c, phase = m ** (2.0 / alpha), 1.0 - m, (-1j) ** alpha
+    # u = v^q makes the m = 1 density (2/pi) sin(pi alpha/2) u^(1-alpha)
+    # flat in v.
+    q = max(1.0, 1.0 / (2.0 - alpha))
+    yukawa = (lambda k, r: np.exp(-k * r) / (2.0 * k),
+              lambda k, r: special.k0(k * r) / (2.0 * math.pi),
+              lambda k, r: np.exp(-k * r) / (4.0 * math.pi * r))[d - 1]
 
-def resolvent_kernel(symbol, d, x):
-    """1-resolvent kernel G_1(x) = int_0^inf e^-t p_t(x) dt, x != 0."""
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    if r == 0.0:
-        raise ValueError("resolvent_kernel requires x != 0 "
-                         "(the kernel may diverge at the origin)")
-    if d == 1:
-        # Fubini on the t-integral gives the resolvent symbol directly:
-        # G_1(x) = (1/pi) int_0^inf cos(r xi) / (1 + Phi(xi^2)) dxi (QAWF).
-        val, abserr = integrate.quad(
-            lambda s: 1.0 / (1.0 + symbol.evaluate(s * s)), 0.0, np.inf,
-            weight="cos", wvar=r, limit=400)
-        # QAWF reports a conservative estimate for these conditionally
-        # convergent Fourier integrals; accept at 1e-6 relative.
-        if abserr > 1e-6 * abs(val) + ABS_TOL * 100.0:
-            raise QuadratureError("resolvent oscillatory quadrature failed",
-                                  value=val / math.pi, error_estimate=abserr)
-        return val / math.pi
-    if d in (2, 3):
-        def f(t):
-            return math.exp(-t) * float(_radial_fourier(symbol, d, t, [r])[0][0])
-        val, abserr = integrate.quad(f, 0.0, 60.0, epsabs=ABS_TOL * 10,
-                                     epsrel=1e-8, limit=200)
-        return float(val)
-    raise ValueError("resolvent kernel is restricted to d <= 3")
+    def integrand(v, r):
+        u = v ** q
+        return (2.0 * q * u * u / (math.pi * v) * (1.0 / (c + u ** alpha * phase)).imag
+                * yukawa(math.sqrt(M + u * u), r))
+
+    # epsrel sits well above QUADPACK's floor of 50 eps.
+    values, errs = np.array([integrate.quad(integrand, 0.0, np.inf, args=(r,),
+                                            epsabs=0.0, epsrel=1e-13, limit=200)
+                             for r in radii]).T
+    s_min = M  # the smallest s that sigma charges
+    if m > 1.0:
+        gap = (m - 1.0) ** (2.0 / alpha)
+        s_min = M - gap
+        values += gap / (m - 1.0) / (0.5 * alpha) * yukawa(math.sqrt(s_min), radii)
+    # Rounding sqrt(s) r moves e^(-sqrt(s) r) by up to sqrt(s) r eps relative.
+    errs += (10.0 + 2.0 * math.sqrt(s_min) * radii) * np.finfo(float).eps * values
+    if np.any(errs > REL_TOL * values):
+        raise QuadratureError("resolvent quadrature did not converge",
+                              value=values, error_estimate=errs)
+    return values, errs
 
 
 def second_moment_decay(symbol, d, r_list):
@@ -586,20 +584,18 @@ def build_kernel_table(symbol, kernel_id, d, radii, t=None):
               "quadrature": {"abs_tol": ABS_TOL, "rel_tol": REL_TOL}}
     if kernel_id == "j":
         values = np.atleast_1d(symbol.jump_kernel(d, radii))
-        errs = np.abs(values) * REL_TOL
+        errs = np.abs(values) * KV_REL_ERR
     elif kernel_id == "sigma":
-        values = np.atleast_1d(sigma(d, symbol.alpha, symbol.m, radii))
-        errs = np.abs(values) * REL_TOL * 10.0
+        values, errs = _sigma_profile(d, symbol.alpha, symbol.m, radii)
     elif kernel_id == "j_prime":
         values = np.atleast_1d(j_prime_massive(d, symbol.alpha, symbol.m, radii))
-        errs = np.abs(values) * REL_TOL
+        errs = np.abs(values) * KV_REL_ERR
     elif kernel_id == "heat":
         if t is None:
             raise ValueError("heat table requires t")
         values, errs = heat_kernel_profile(symbol, d, t, radii)
     elif kernel_id == "resolvent":
-        values = np.array([resolvent_kernel(symbol, d, r) for r in radii])
-        errs = np.abs(values) * 1e-8 + ABS_TOL * 100.0
+        values, errs = resolvent_kernel(symbol, d, radii)
     else:
         raise ValueError(f"unknown kernel_id {kernel_id!r}")
     return KernelTable(kernel_id=kernel_id, dimension=d, radii=radii,

@@ -2,11 +2,12 @@
 pass/fail line (visible with pytest -s or in failure reports).
 
 Criterion 10 is implemented exactly as stated and is expected to fail for
-physics reasons documented in the decisions ledger: the anharmonic
-eigenvalue dips between k=1 and k=2 (the x^4 well is softer than x^2
-inside the unit ball, for any kinetic symbol), and the k -> infinity
-approach to the Dirichlet value decays like ~k^(-1/2), which at k = 16
-leaves a gap of about 8 percent.  Both facts were cross-validated with a
+physics reasons documented in the decisions ledger (DECISIONS.md): the
+anharmonic eigenvalue dips between k=1 and k=2 (the x^4 well is softer
+than x^2 inside the unit ball, for any kinetic symbol), and the
+k -> infinity approach to the Dirichlet value decays like ~1/k (gap
+ratios 1.69 and 1.95 per doubling from k = 16 to 64), which at k = 16
+leaves a gap of about 7 percent.  Both facts were cross-validated with a
 dense-matrix eigensolver; no grid, time step, or mass choice repairs the
 stated clauses.
 """

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,9 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 j_massive, j_massless,
                                                 j_prime_massive,
                                                 massless_constant,
+                                                relativistic_prefactor,
                                                 resolvent_kernel,
                                                 second_moment_decay, sigma,
-                                                sigma_difference_form,
                                                 tanh_sinh_quadrature)
 from nonlocal_spectra.special_functions import (REL_TOL, QuadratureError,
                                                 bessel_k)
@@ -84,6 +85,15 @@ class TestMassiveKernel:
         assert np.all(np.diff(jm) < 0)
         assert np.all(jm < j_massless(1, 1.0, r))
         assert np.all(jm > 0)
+
+
+def sigma_difference_form(d, alpha, m, r):
+    """sigma = j_0 - j_m written out at one radius.  It cancels badly at
+    small r, so it serves only as a cross-check of the integral form."""
+    xi = (d + alpha) / 2.0
+    return relativistic_prefactor(d, alpha, 1.0) * (
+        2.0 ** (xi - 1.0) * math.gamma(xi) * r ** (-(d + alpha))
+        - m ** (xi / alpha) * bessel_k(xi, m ** (1.0 / alpha) * r) / r ** xi)
 
 
 class TestSigma:
@@ -211,26 +221,92 @@ class TestHeatKernel:
             heat_kernel(s01, 1, 0.0, 0.0)
 
 
+# G_1 in d = 1 for (m, alpha) at r = 0.3, 1, 4: mpmath sums the integral
+# (1/pi) int_0^inf cos(r xi) / (1 + Phi(xi^2)) dxi piecewise between
+# consecutive zeros of cos(r xi), as an alternating series (quadosc is off
+# by 2e-8 for Phi_{0,0.5}):
+#     mp.mp.dps = 30
+#     m, alpha, r = mp.mpf(m), mp.mpf(alpha), mp.mpf(r)
+#     f = lambda x: mp.cos(r * x) / (1 + (x * x + m ** (2 / alpha))
+#                                    ** (alpha / 2) - m)
+#     h = mp.pi / r
+#     term = lambda k: mp.quad(f, [0, h / 2] if k == 0
+#                              else [(k - 0.5) * h, (k + 0.5) * h])
+#     mp.nsum(term, [0, mp.inf], method="alternating") / mp.pi
+# Phi_{0,1} also matches (Ci(r) cos r + (Si(r) - pi/2) sin r) / -pi to 25
+# digits.
+RESOLVENT_D1_ORACLE = {
+    (1.0, 0.5): [0.362078320069285788379413, 0.07971067078293045921173591,
+                 0.001470584654804892128842228],
+    (0.0, 1.0): [0.3170896990365550998803199, 0.1093005998610483375339673,
+                 0.01581304805283752416138785],
+    (0.0, 0.5): [0.1936973110305488218790886, 0.05932189298547370072644389,
+                 0.01241219627610300592264282],
+    (2.0, 1.0): [0.4968619680770640667846711, 0.1185814080634354854107846,
+                 0.0005770532073249631121532909],
+}
+
+
 class TestResolventKernel:
     def test_value_against_time_integral_oracle(self, s01):
         # G_1(1) = int_0^inf e^-t t/(pi (t^2+1)) dt via the Cauchy density.
         oracle, _ = integrate.quad(
             lambda t: math.exp(-t) * t / (math.pi * (t * t + 1.0)),
             0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
-        assert resolvent_kernel(s01, 1, 1.0) == pytest.approx(oracle, abs=1e-8)
+        values, _ = resolvent_kernel(s01, 1, [1.0])
+        assert values[0] == pytest.approx(oracle, rel=1e-12)
 
-    def test_symmetry_and_monotonicity(self, s01):
-        assert resolvent_kernel(s01, 1, 1.5) == resolvent_kernel(s01, 1, -1.5)
-        assert resolvent_kernel(s01, 1, 1.0) > resolvent_kernel(s01, 1, 2.0)
+    def test_monotonicity(self, s01):
+        values, _ = resolvent_kernel(s01, 1, [1.0, 2.0])
+        assert values[0] > values[1]
 
     def test_origin_rejected(self, s01):
         with pytest.raises(ValueError):
-            resolvent_kernel(s01, 1, 0.0)
+            resolvent_kernel(s01, 1, [0.0, 1.0])
 
-    def test_d2_against_time_integral(self, s11):
-        val = resolvent_kernel(s11, 2, [1.0, 0.0])
-        assert val > 0.0
-        assert val > resolvent_kernel(s11, 2, [2.0, 0.0])
+    def test_custom_symbol_rejected(self):
+        with pytest.raises(ValueError):
+            resolvent_kernel(BernsteinSymbol.custom(phi=np.sqrt), 1, [1.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_phi11_closed_form(self, s11, d):
+        # 1 + Phi_{1,1}(|xi|^2) = sqrt(1 + |xi|^2): a Bessel potential.
+        radii = np.geomspace(0.1, 10.0, 50)
+        closed = (lambda r: mpmath.besselk(0, r) / mpmath.pi,
+                  lambda r: mpmath.exp(-r) / (2 * mpmath.pi * r),
+                  lambda r: mpmath.besselk(1, r) / (2 * mpmath.pi ** 2 * r))[d - 1]
+        exact = np.array([float(closed(mpmath.mpf(r))) for r in radii])
+        values, errs = resolvent_kernel(s11, d, radii)
+        assert values == pytest.approx(exact, rel=1e-12)
+        assert np.all(np.abs(values - exact) <= errs)
+        assert np.all(errs <= REL_TOL * values)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_bessel_potential_closed_form(self, alpha, d):
+        # 1 + Phi_{1,alpha} = (1 + |xi|^2)^(alpha/2), whose kernel is the Bessel
+        # potential; its sigma density (2/pi) sin(pi alpha/2) u^(1-alpha) is
+        # singular at u = 0.
+        radii = np.geomspace(0.01, 20.0, 12)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            exact = np.array([float(
+                2 ** (1 - (d + a) / 2) / (mpmath.pi ** (mpmath.mpf(d) / 2)
+                                          * mpmath.gamma(a / 2))
+                * r ** ((a - d) / 2) * mpmath.besselk((d - a) / 2, r))
+                for r in map(mpmath.mpf, radii)])
+        values, errs = resolvent_kernel(BernsteinSymbol.relativistic(1.0, alpha),
+                                        d, radii)
+        assert values == pytest.approx(exact, rel=1e-12)
+        assert np.all(np.abs(values - exact) <= errs)
+
+    @pytest.mark.parametrize("m,alpha", sorted(RESOLVENT_D1_ORACLE))
+    def test_d1_against_alternating_series_oracle(self, m, alpha):
+        oracle = np.array(RESOLVENT_D1_ORACLE[m, alpha])
+        values, errs = resolvent_kernel(BernsteinSymbol.relativistic(m, alpha),
+                                        1, [0.3, 1.0, 4.0])
+        assert values == pytest.approx(oracle, rel=1e-12)
+        assert np.all(np.abs(values - oracle) <= errs)
 
 
 class TestSecondMoment:
@@ -323,6 +399,33 @@ class TestKernelTable:
     def test_sigma_table(self, s11):
         table = build_kernel_table(s11, "sigma", 1, np.geomspace(0.2, 5.0, 8))
         assert np.all(table.values >= 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m,alpha", [(1.0, 1.0), (1.0, 0.5)])
+    def test_error_estimates_bound_mpmath_error(self, m, alpha, d):
+        # The fractional orders of Phi_{1,0.5} carry kv's largest errors,
+        # 2.8e-14 near z = 2; sigma's tanh-sinh difference is 0 at some radii.
+        radii = np.geomspace(0.05, 20.0, 400)[::8]
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        with mpmath.workdps(30):
+            mm, aa = mpmath.mpf(m), mpmath.mpf(alpha)
+            xi, c = (d + aa) / 2, mm ** (1 / aa)
+            pref = (aa * 2 ** ((aa - d) / 2) * mm ** (xi / aa)
+                    / (mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma(1 - aa / 2)))
+            c0 = (2 ** aa * mpmath.gamma(xi)
+                  / (mpmath.pi ** (mpmath.mpf(d) / 2) * abs(mpmath.gamma(-aa / 2))))
+            exact = {"j": [], "j_prime": [], "sigma": []}
+            for r in map(mpmath.mpf, radii):
+                j = pref * r ** -xi * mpmath.besselk(xi, c * r)
+                exact["j"].append(float(j))
+                exact["j_prime"].append(float(
+                    -pref * c * r ** -xi * mpmath.besselk(xi + 1, c * r)))
+                exact["sigma"].append(float(c0 * r ** -(d + aa) - j))
+        for kernel_id, ref in exact.items():
+            table = build_kernel_table(symbol, kernel_id, d, radii)
+            assert np.all(np.abs(table.values - ref) <= table.error_estimates)
+            assert np.all(table.error_estimates
+                          <= 10.0 * REL_TOL * np.abs(table.values))
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
