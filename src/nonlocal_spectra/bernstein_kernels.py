@@ -1,6 +1,6 @@
-"""Bernstein symbols and their radial jump kernels.
+"""The relativistic Bernstein symbols and their radial jump kernels.
 
-The relativistic family is
+The one symbol family, BernsteinSymbol, is
 
     Phi_{m,alpha}(z) = (z + m^(2/alpha))^(alpha/2) - m,   alpha in (0,2), m >= 0,
 
@@ -36,7 +36,9 @@ positive Stieltjes mixture of Yukawa kernels (see resolvent_kernel).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate, special
@@ -129,42 +131,49 @@ def j_prime_massive(d, alpha, m, r):
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=None)
+def _unit_tanh_sinh(level):
+    """Tanh-sinh rule of step 0.45 / 2^level on [0, 1]: (upper, gap, weight).
+
+    gap is a node's distance 1/(1 + e^(2|s|)) from the nearer end,
+    s = (pi/2) sinh(u), computed without the cancellation of
+    (1 - tanh |s|) / 2; upper marks the nodes nearer 1.
+    """
+    h = 0.45 / 2 ** level
+    u = np.arange(-3.6, 3.6 + h, h)
+    su = 0.5 * math.pi * np.sinh(u)
+    gap = 1.0 / (1.0 + np.exp(2.0 * np.abs(su)))
+    weight = h * 0.25 * math.pi * np.cosh(u) / np.cosh(su) ** 2
+    return u > 0.0, gap, weight
+
+
 def tanh_sinh_quadrature(f, a, b, abs_floor=0.0, levels=6):
     """Tanh-sinh rule on [a, b] for a vectorized integrand.
 
     Node clustering at the endpoints makes the rule spectrally accurate for
     integrands with algebraic (integrable) endpoint behaviour, which is how
-    the graded-mesh requirement near kernel singularities is met.  Endpoints
-    themselves are never evaluated.  Nodes are mid + half tanh(.), so those
-    within ~1e-16 (b-a) of an endpoint round onto it and are dropped: an
-    integrable singularity loses the mass below that distance (about 1e-8
-    relative for x^(-1/2) on [0, 1]), and integrands that turn into
-    roundoff noise near an endpoint, such as the direct seminorms', stay
-    finite.  The step halves on each of the `levels` passes until two
-    passes agree to within 10 max(ABS_TOL, REL_TOL |value|, abs_floor);
-    callers with such noisy integrands supply the abs_floor it allows.
+    the graded-mesh requirement near kernel singularities is met.  Nodes are
+    placed by their distance from the nearer end (_unit_tanh_sinh), so from
+    a = 0 they reach ~1e-25 b and x^(-1/2) on [0, 1] is integrated to
+    roundoff; every caller's singular end is a = 0.  A node that rounds onto
+    a nonzero end is skipped (weight below 1e-24 (b - a)): endpoints are
+    never evaluated.  The step halves on each of the `levels` passes until
+    two passes agree to within 10 max(ABS_TOL, REL_TOL |value|, abs_floor);
+    callers whose integrands turn into roundoff noise near an endpoint, such
+    as the direct seminorms', supply the abs_floor it allows.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    width = b - a
     value = None
-    h = 0.45
-    for _ in range(levels):
-        u = np.arange(-3.6, 3.6 + h, h)
-        su = 0.5 * math.pi * np.sinh(u)
-        x = mid + half * np.tanh(su)
-        w = h * half * 0.5 * math.pi * np.cosh(u) / np.cosh(su) ** 2
-        # tanh saturates to +-1 in float64 at the extreme nodes; their
-        # weights are ~1e-24, so dropping them is below roundoff.
+    for level in range(levels):
+        upper, gap, weight = _unit_tanh_sinh(level)
+        x = np.where(upper, b - width * gap, a + width * gap)
         keep = (x > a) & (x < b)
-        refined = float(np.dot(w[keep], f(x[keep])))
+        refined = float(np.dot(width * weight[keep], f(x[keep])))
         if value is not None:
             err = abs(refined - value)
-            value = refined
             if err <= max(ABS_TOL, REL_TOL * abs(refined), abs_floor) * 10.0:
                 return refined, err
-        else:
-            value = refined
-        h /= 2.0
+        value = refined
     raise QuadratureError("tanh-sinh quadrature did not converge",
                           value=value, error_estimate=err)
 
@@ -207,100 +216,47 @@ def sigma(d, alpha, m, r):
     return float(out[0]) if np.isscalar(r) else out.reshape(np.shape(r))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BernsteinSymbol:
-    """A Bernstein function z -> Phi(z) acting as the kinetic symbol.
+    """The relativistic symbol Phi_{m,alpha}(z) = (z + m^(2/alpha))^(alpha/2) - m,
+    m >= 0, alpha in (0, 2), the kinetic symbol of every operator here.
 
-    kind is "relativistic" (parameters m >= 0, alpha in (0,2), closed-form
-    kernel) or "custom" (user callable; kernel-level operations require a
-    user-supplied Levy density and are disabled otherwise, since recovering
-    the density from Phi alone is an inverse problem out of scope here).
+    m = 0 is the fractional Laplacian (-Delta)^(alpha/2); its jump kernel is
+    the power law j_massless, and for m > 0 the Bessel-K kernel j_massive.
     """
 
-    kind: str
     m: float = 0.0
     alpha: float = 1.0
-    phi: object = None
-    levy_density: object = None
-    label: str = field(default="", compare=False)
+    kind: ClassVar[str] = "relativistic"
 
     def __post_init__(self):
-        if self.kind == "relativistic":
-            _check_alpha(self.alpha)
-            if self.m < 0:
-                raise ValueError("mass m must be >= 0")
-        elif self.kind == "custom":
-            if self.phi is None:
-                raise ValueError("custom symbol requires a callable phi")
-            probe = np.asarray(self.phi(np.geomspace(1e-6, 1e6, 25)))
-            if np.any(probe < 0.0) or np.any(np.diff(probe) < 0.0):
-                raise ValueError("custom phi must be nonnegative and "
-                                 "non-decreasing on (0, inf)")
-        else:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if not self.label:
-            if self.kind == "relativistic":
-                self.label = f"relativistic(m={self.m:g}, alpha={self.alpha:g})"
-            else:
-                self.label = "custom"
+        _check_alpha(self.alpha)
+        if self.m < 0:
+            raise ValueError("mass m must be >= 0")
 
     @classmethod
     def relativistic(cls, m, alpha):
-        return cls(kind="relativistic", m=float(m), alpha=float(alpha))
+        return cls(m=float(m), alpha=float(alpha))
 
-    @classmethod
-    def custom(cls, phi, levy_density=None, label="custom"):
-        return cls(kind="custom", phi=phi, levy_density=levy_density, label=label)
+    @property
+    def label(self):
+        return f"relativistic(m={self.m:g}, alpha={self.alpha:g})"
 
     def evaluate(self, z):
-        """Phi(z) for z >= 0 (vectorized); Phi(0) = 0 for this class."""
+        """Phi(z) for z >= 0 (vectorized); Phi(0) = 0."""
         z = np.asarray(z, dtype=float)
-        if self.kind == "relativistic":
-            out = (z + self.m ** (2.0 / self.alpha)) ** (self.alpha / 2.0) - self.m
-            # Guard the z=0 roundoff of m^(2/alpha)^(alpha/2) - m.
-            out = np.where(z == 0.0, 0.0, out)
-        else:
-            out = np.where(z == 0.0, 0.0, self.phi(z))
+        out = (z + self.m ** (2.0 / self.alpha)) ** (self.alpha / 2.0) - self.m
+        # Guard the z=0 roundoff of m^(2/alpha)^(alpha/2) - m.
+        out = np.where(z == 0.0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
     __call__ = evaluate
 
-    @property
-    def has_closed_kernel(self):
-        return self.kind == "relativistic"
-
-    @property
-    def kernel_available(self):
-        return self.has_closed_kernel or self.levy_density is not None
-
     def jump_kernel(self, d, r):
         """Radial jump kernel j_Phi(r) in dimension d; r may be an array."""
-        if self.kind == "relativistic":
-            if self.m == 0.0:
-                return j_massless(d, self.alpha, r)
-            return j_massive(d, self.alpha, self.m, r)
-        if self.levy_density is None:
-            raise ValueError("custom symbol has no Levy density; "
-                             "kernel-level operations are disabled")
-        return _subordination_kernel(self.levy_density, d, r)
-
-
-def _subordination_kernel(density, d, r):
-    """j(r) = int_0^inf (4 pi t)^(-d/2) exp(-r^2/(4t)) density(t) dt."""
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        def f(t):
-            return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(
-                -ri * ri / (4.0 * t)) * density(t)
-        val, abserr = integrate.quad(f, 0.0, np.inf, epsabs=ABS_TOL,
-                                     epsrel=REL_TOL, limit=400)
-        if abserr > max(ABS_TOL, REL_TOL * abs(val)) * 100.0:
-            raise QuadratureError("subordination kernel quadrature failed",
-                                  value=val, error_estimate=abserr)
-        out[i] = val
-    return float(out[0]) if scalar else out
+        if self.m == 0.0:
+            return j_massless(d, self.alpha, r)
+        return j_massive(d, self.alpha, self.m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +264,13 @@ def _subordination_kernel(density, d, r):
 # ---------------------------------------------------------------------------
 
 def _frequency_cutoff(symbol, d, t):
-    """Xi with exp(-t Phi(Xi^2)) Xi^(d-1) below 1e-18; checks integrability."""
+    """Xi = 2^k with exp(-t Phi(Xi^2)) Xi^(d-1) below 1e-18.
+
+    e^(-t Phi) is integrable for every relativistic symbol, since Phi grows
+    like |xi|^alpha, but when t and alpha are both small (Phi_{0,0.1} at
+    t = 0.1) the cutoff lies beyond 2^63, the last Xi tried, and
+    AssumptionViolationError is raised.
+    """
     xi = 1.0
     for _ in range(64):
         decay = -t * symbol.evaluate(xi * xi) + (d - 1) * math.log(xi)
@@ -316,8 +278,8 @@ def _frequency_cutoff(symbol, d, t):
             return xi
         xi *= 2.0
     raise AssumptionViolationError(
-        "exp(-t Phi(|xi|^2)) does not appear to be integrable; "
-        "the heat kernel is undefined for this symbol")
+        "exp(-t Phi(|xi|^2)) |xi|^(d-1) is still above 1e-18 at |xi| = 2^63: "
+        "t Phi grows too slowly for a frequency cutoff in double range")
 
 
 # Entries of one radii x nodes block in heat_kernel_profile (8 MB of float64;
@@ -455,8 +417,8 @@ def resolvent_kernel(symbol, d, radii):
     The estimate adds to quad's abserr the rounding it cannot see, in the
     atom and in the exponent sqrt(s) r: (10 + 2 sqrt(s_min) r) eps |value|.
     """
-    if symbol.kind != "relativistic" or d not in (1, 2, 3):
-        raise ValueError("resolvent_kernel requires a relativistic symbol, d <= 3")
+    if d not in (1, 2, 3):
+        raise ValueError("resolvent_kernel requires d <= 3")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise ValueError("resolvent_kernel requires r > 0")
@@ -500,20 +462,11 @@ def second_moment_decay(symbol, d, r_list):
     r_list = list(r_list)
     if len(r_list) < 2 or any(b <= a for a, b in zip(r_list, r_list[1:])):
         raise ValueError("r_list must be increasing with at least 2 entries")
-    if not getattr(symbol, "kernel_available", False):
-        raise ValueError("second_moment_decay requires a symbol with a kernel")
     surf = sphere_surface(d)
-
-    # Exponent of the kernel blow-up at 0; relativistic symbols pin it at
-    # d + alpha, custom densities are probed numerically.
-    if symbol.has_closed_kernel:
-        alpha_eff = symbol.alpha
-    else:
-        probe = symbol.jump_kernel(d, np.array([1e-4, 2e-4]))
-        alpha_eff = max(0.1, min(1.9, math.log(probe[0] / probe[1]) / math.log(2.0) - d))
+    alpha = symbol.alpha
 
     def smooth_part(r):
-        return float(r ** (d + alpha_eff) * symbol.jump_kernel(d, r))
+        return float(r ** (d + alpha) * symbol.jump_kernel(d, r))
 
     pieces = []
     prev = 0.0
@@ -522,7 +475,7 @@ def second_moment_decay(symbol, d, r_list):
         try:
             if prev == 0.0:
                 val, _ = integrate.quad(smooth_part, 0.0, R,
-                                        weight="alg", wvar=(1.0 - alpha_eff, 0.0),
+                                        weight="alg", wvar=(1.0 - alpha, 0.0),
                                         epsabs=ABS_TOL, epsrel=1e-9, limit=200)
             else:
                 val, _ = integrate.quad(
@@ -578,8 +531,8 @@ class KernelTable:
 def build_kernel_table(symbol, kernel_id, d, radii, t=None):
     """Sample one radial kernel on the given radii into a KernelTable."""
     radii = np.asarray(radii, dtype=float)
-    params = {"alpha": getattr(symbol, "alpha", None),
-              "m": getattr(symbol, "m", None),
+    params = {"alpha": symbol.alpha,
+              "m": symbol.m,
               "t": t,
               "quadrature": {"abs_tol": ABS_TOL, "rel_tol": REL_TOL}}
     if kernel_id == "j":

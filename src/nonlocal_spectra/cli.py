@@ -19,9 +19,8 @@ from . import io_utils
 from .bernstein_kernels import BernsteinSymbol, build_kernel_table
 from .eigensolver import SolverConfig, dirichlet_ground_state, ground_state
 from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
-                          embedding_tail_check, kernel_lower_constant,
-                          monotonicity_check, random_band_limited,
-                          stability_sweep, symmetry_check,
+                          embedding_tail_check, monotonicity_check,
+                          random_band_limited, stability_sweep, symmetry_check,
                           validate_eps_schedule)
 from .potentials import WellSpec, anharmonic, mollified_well, sharp_well
 from .spectral_core import Grid
@@ -255,15 +254,11 @@ def dispatch(cfg):
             status = 2
 
     elif cfg.command == "embedding-check":
-        s = extras["s"]
         fields = [random_band_limited(cfg.grid, cfg.solver.seed + i,
                                       float(extras["kmax_frac"]))
                   for i in range(int(extras["num_fields"]))]
-        flags = embedding_tail_check(cfg.symbol, fields, s=s)
-        payload = {"passes": flags, "all_pass": all(flags),
-                   "c_low": kernel_lower_constant(
-                       cfg.symbol, cfg.grid.d,
-                       s if s is not None else cfg.symbol.alpha / 2.0)}
+        flags, c_low = embedding_tail_check(cfg.symbol, fields, s=extras["s"])
+        payload = {"passes": flags, "all_pass": all(flags), "c_low": c_low}
         io_utils.write_json(out / "report.json", payload)
         if not all(flags):
             status = 2

@@ -429,9 +429,6 @@ def antisymmetric_minimum_check(symbol, w, mu):
     constants C1..C4; for m = 0 only the sign conclusion is checked since
     the massless comparison constant has no explicit formula.
     """
-    if not symbol.has_closed_kernel:
-        raise ValueError("antisymmetric_minimum_check needs a relativistic "
-                         "symbol")
     m, alpha, d = symbol.m, symbol.alpha, 1
     if mu > 0:
         raise ValueError("plane offset mu must be <= 0")
@@ -506,22 +503,22 @@ def kernel_lower_constant(symbol, d, s):
 
 
 def embedding_tail_check(symbol, fields, s=None):
-    """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2.
+    """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2
+    for each field; returns (one flag per field, C_low).
 
-    C_low is the verified kernel lower-bound constant; the factor 2 (rather
-    than 1) accounts for the 1/2 in the definition of [u]_Phi^2.  The
-    Gagliardo side is computed spectrally through the exact massless
-    proportionality [[u]]_s^2 = (2/c(d,2s)) [u]_{z^s}^2.
+    s defaults to alpha/2.  C_low is the verified kernel lower-bound
+    constant; the factor 2 (rather than 1) accounts for the 1/2 in the
+    definition of [u]_Phi^2.  The Gagliardo side is computed spectrally
+    through the exact massless proportionality
+    [[u]]_s^2 = (2/c(d,2s)) [u]_{Phi_{0,2s}}^2, with Phi_{0,2s}(z) = z^s.
     """
     if s is None:
-        if not getattr(symbol, "has_closed_kernel", False):
-            raise ValueError("supply the comparison order s for custom symbols")
         s = symbol.alpha / 2.0
     if isinstance(fields, Field):
         fields = [fields]
     d = fields[0].grid.d
     c_low = kernel_lower_constant(symbol, d, s)
-    frac = BernsteinSymbol.custom(phi=lambda z: z ** s, label=f"z^{s}")
+    frac = BernsteinSymbol.relativistic(0.0, 2.0 * s)
     c_gag = massless_constant(d, 2.0 * s)
     tail_coeff = 4.0 * sphere_surface(d) / (2.0 * s)
     results = []
@@ -530,4 +527,4 @@ def embedding_tail_check(symbol, fields, s=None):
         phi_sq = seminorm_fourier(symbol, u) ** 2
         bound = (2.0 / c_low) * phi_sq + tail_coeff * u.l2_norm() ** 2
         results.append(bool(gag_sq <= bound * (1.0 + 1e-12)))
-    return results
+    return results, c_low

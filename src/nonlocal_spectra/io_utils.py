@@ -84,25 +84,6 @@ def read_field(path_base):
     return Field(grid=grid, values=values)
 
 
-def write_potential(path_base, potential):
-    """PotentialField -> Field binary + provenance JSON (kind, a, v, eps, ...)."""
-    base = Path(path_base)
-    paths = write_field(base, potential.field)
-    header = json.loads(base.with_suffix(".json").read_text())
-    header["provenance"] = {k: v for k, v in potential.meta.items()}
-    write_json(base.with_suffix(".json"), header)
-    return paths
-
-
-def read_potential(path_base):
-    from .potentials import PotentialField
-
-    base = Path(path_base)
-    field = read_field(base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    return PotentialField(field=field, meta=header.get("provenance", {}))
-
-
 def write_kernel_table(table, path_base):
     """KernelTable -> CSV `r,value,error_estimate` + JSON sidecar."""
     base = Path(path_base)

@@ -405,10 +405,8 @@ def _radial_power_direct(field, constant, exponent):
 def seminorm_direct(symbol, field):
     """[u]_Phi from the kernel side (double quadrature on the torus)."""
     _check_cost_guard(field.grid)
-    if not symbol.kernel_available:
-        raise ValueError("seminorm_direct requires a symbol with a kernel")
     grid = field.grid
-    if symbol.has_closed_kernel and symbol.m == 0.0:
+    if symbol.m == 0.0:
         c = massless_constant(grid.d, symbol.alpha)
         sq = _radial_power_direct(field, c, grid.d + symbol.alpha)
         return math.sqrt(max(sq, 0.0))
@@ -510,7 +508,7 @@ def _far_constant(samples):
 def _kernel_moment(symbol, d, k, a, b):
     """int_a^b r^(k+d-1) j(r) dr, in closed form for the massless power law;
     otherwise by tanh-sinh (singular end a = 0) or QUADPACK (b = inf)."""
-    if symbol.has_closed_kernel and symbol.m == 0.0:
+    if symbol.m == 0.0:
         p = k - symbol.alpha
         return massless_constant(d, symbol.alpha) * (b ** p - a ** p) / p
     f = lambda r: np.asarray(symbol.jump_kernel(d, r)) * r ** (k + d - 1)
@@ -563,8 +561,6 @@ def pointwise_nonlocal(symbol, u, x):
     d = x.size
     if d > 3:
         raise ValueError("pointwise_nonlocal supports d <= 3")
-    if not symbol.kernel_available:
-        raise ValueError("pointwise_nonlocal requires a symbol with a kernel")
     omegas, weights = _sphere_rule(d)
     surf = float(np.sum(weights))
 

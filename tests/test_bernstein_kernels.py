@@ -25,11 +25,10 @@ from nonlocal_spectra.special_functions import (REL_TOL, QuadratureError,
 
 class TestTanhSinh:
     def test_endpoint_singularity(self):
-        # Nodes closer than ~eps/2 to x = 0 round onto it and are dropped,
-        # so the integral misses up to int_0^(eps/2) x^(-1/2) dx = sqrt(2 eps).
+        # Node distances from x = 0 are kept exact down to ~1e-25, so the
+        # singular end loses nothing to rounding (the error is 7.8e-14).
         val, _ = tanh_sinh_quadrature(lambda x: x ** -0.5, 0.0, 1.0)
-        assert val == pytest.approx(2.0, rel=0.0,
-                                    abs=math.sqrt(2.0 * np.finfo(float).eps))
+        assert val == pytest.approx(2.0, rel=0.0, abs=1e-12)
 
     def test_log_singularity(self):
         val, _ = tanh_sinh_quadrature(np.log, 0.0, 1.0)
@@ -212,9 +211,10 @@ class TestHeatKernel:
         assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_assumption_violation_for_bounded_symbol(self):
-        bounded = BernsteinSymbol.custom(phi=lambda z: z / (1.0 + z))
+        # t |xi|^0.1 at |xi| = 2^63 is about 7.9, far short of ln(1e18).
+        slow = BernsteinSymbol.relativistic(0.0, 0.1)
         with pytest.raises(AssumptionViolationError):
-            heat_kernel(bounded, 1, 1.0, 0.0)
+            heat_kernel(slow, 1, 0.1, 0.0)
 
     def test_domain_error(self, s01):
         with pytest.raises(ValueError):
@@ -263,10 +263,6 @@ class TestResolventKernel:
     def test_origin_rejected(self, s01):
         with pytest.raises(ValueError):
             resolvent_kernel(s01, 1, [0.0, 1.0])
-
-    def test_custom_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            resolvent_kernel(BernsteinSymbol.custom(phi=np.sqrt), 1, [1.0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_phi11_closed_form(self, s11, d):
@@ -356,7 +352,6 @@ class TestBernsteinSymbol:
         s = BernsteinSymbol.relativistic(1.0, 1.0)
         assert s.evaluate(0.0) == 0.0
         assert s.evaluate(3.0) == pytest.approx(1.0)
-        assert s.has_closed_kernel and s.kernel_available
 
     def test_monotone_and_concave_on_log_grid(self):
         z = np.geomspace(1e-3, 1e3, 60)
@@ -371,21 +366,6 @@ class TestBernsteinSymbol:
             BernsteinSymbol.relativistic(1.0, 2.0)
         with pytest.raises(ValueError):
             BernsteinSymbol.relativistic(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            BernsteinSymbol(kind="custom")
-
-    def test_custom_without_density_has_no_kernel(self):
-        s = BernsteinSymbol.custom(phi=lambda z: np.sqrt(z))
-        assert not s.kernel_available
-        with pytest.raises(ValueError):
-            s.jump_kernel(1, 1.0)
-
-    def test_custom_with_density_reproduces_massless(self):
-        # Levy density of sqrt(z) fed through the subordination formula.
-        dens = lambda t: 0.5 / math.gamma(0.5) * t ** (-1.5)
-        s = BernsteinSymbol.custom(phi=lambda z: np.sqrt(z), levy_density=dens)
-        assert float(s.jump_kernel(1, 2.0)) == pytest.approx(
-            j_massless(1, 1.0, 2.0), rel=1e-8)
 
 
 class TestKernelTable:

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from nonlocal_spectra.cli import ConfigError, main, parse_config
@@ -270,18 +269,6 @@ class TestFlagsAndFormats:
         assert main(["--config", str(cfg_path), "--verbose"]) == 0
         echoed = capsys.readouterr().out
         assert "resolved" in echoed and "ground-state" in echoed
-
-    def test_potential_serialization_roundtrip(self, tmp_path):
-        from nonlocal_spectra.io_utils import read_potential, write_potential
-        from nonlocal_spectra.potentials import WellSpec, mollified_well
-        from nonlocal_spectra.spectral_core import Grid
-        g = Grid(d=1, n=64, L=16.0)
-        pot = mollified_well(WellSpec(a=1.0, v=2.0, eps=0.5), g)
-        write_potential(tmp_path / "V", pot)
-        back = read_potential(tmp_path / "V")
-        assert np.array_equal(back.values, pot.values)
-        assert back.meta["kind"] == "mollified_well"
-        assert back.meta["eps"] == 0.5
 
 
 class TestDeterminism:
