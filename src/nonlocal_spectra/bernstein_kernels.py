@@ -23,9 +23,11 @@ sigma is evaluated through its finite-integral form
 
 which is free of the cancellation that the equivalent difference form
 (j0 - jm written out) suffers at small r; the test suite keeps the
-difference form as a cross-check oracle.  The C1 normalization is the one
-that makes the decomposition and the total-mass identity hold exactly;
-both are enforced by the test suite.
+difference form as a cross-check oracle.  A trapezoid rule of gammainc in
+t (_sigma_rule) gives it at all radii at once, and the sigma moments of
+kernel_moment, the one integral of j through r = 0, in closed form.  The
+C1 normalization makes the decomposition and the total-mass identity hold
+exactly; both are enforced by the test suite.
 
 The heat kernel p_t is evaluated by radial Fourier reduction for d <= 3 on
 Gauss panels.  In d = 1 and 3 the phase e^(i r xi) factors into a
@@ -35,6 +37,7 @@ every node (see heat_kernel_profile).  The 1-resolvent kernel G_1 is a
 positive Stieltjes mixture of Yukawa kernels (see resolvent_kernel).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,8 +46,8 @@ from typing import ClassVar
 import numpy as np
 from scipy import integrate, special
 
-from .special_functions import (ABS_TOL, KV_REL_ERR, REL_TOL, QuadratureError,
-                                bessel_k_grid)
+from .special_functions import (ABS_TOL, GAMMAINC_REL_ERR, KV_REL_ERR, REL_TOL,
+                                QuadratureError, bessel_k_grid)
 
 
 class AssumptionViolationError(Exception):
@@ -61,6 +64,16 @@ def _check_alpha(alpha):
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     return float(alpha)
+
+
+def _check_massive(name, d, alpha, m, r):
+    """(d, alpha, r as a float array) for a massive kernel at radii r > 0."""
+    if not m > 0:
+        raise ValueError(f"{name} requires m > 0")
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r <= 0):
+        raise ValueError(f"{name} requires r > 0")
+    return _check_dim(d), _check_alpha(alpha), r
 
 
 def sphere_surface(d):
@@ -99,14 +112,8 @@ def j_massless(d, alpha, r):
 
 def j_massive(d, alpha, m, r):
     """Massive jump kernel j_{m,alpha}(r) for m > 0; r may be an array."""
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha)
-    if not m > 0:
-        raise ValueError("j_massive requires m > 0")
     scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r <= 0):
-        raise ValueError("j_massive requires r > 0")
+    d, alpha, r = _check_massive("j_massive", d, alpha, m, r)
     xi = (d + alpha) / 2.0
     z = m ** (1.0 / alpha) * r
     out = (relativistic_prefactor(d, alpha, m ** (xi / alpha)) * r ** (-xi)
@@ -116,14 +123,8 @@ def j_massive(d, alpha, m, r):
 
 def j_prime_massive(d, alpha, m, r):
     """Radial derivative j'_{m,alpha}(r); strictly negative."""
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha)
-    if not m > 0:
-        raise ValueError("j_prime_massive requires m > 0")
     scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r <= 0):
-        raise ValueError("j_prime_massive requires r > 0")
+    d, alpha, r = _check_massive("j_prime_massive", d, alpha, m, r)
     xi = (d + alpha) / 2.0
     pref = relativistic_prefactor(d, alpha, m ** ((d + alpha + 2.0) / (2.0 * alpha)))
     z = m ** (1.0 / alpha) * r
@@ -147,24 +148,23 @@ def _unit_tanh_sinh(level):
     return u > 0.0, gap, weight
 
 
-def tanh_sinh_quadrature(f, a, b, abs_floor=0.0, levels=6):
+def tanh_sinh_quadrature(f, a, b, abs_floor=0.0):
     """Tanh-sinh rule on [a, b] for a vectorized integrand.
 
     Node clustering at the endpoints makes the rule spectrally accurate for
-    integrands with algebraic (integrable) endpoint behaviour, which is how
-    the graded-mesh requirement near kernel singularities is met.  Nodes are
+    integrands with algebraic (integrable) endpoint behaviour.  Nodes are
     placed by their distance from the nearer end (_unit_tanh_sinh), so from
     a = 0 they reach ~1e-25 b and x^(-1/2) on [0, 1] is integrated to
-    roundoff; every caller's singular end is a = 0.  A node that rounds onto
-    a nonzero end is skipped (weight below 1e-24 (b - a)): endpoints are
-    never evaluated.  The step halves on each of the `levels` passes until
-    two passes agree to within 10 max(ABS_TOL, REL_TOL |value|, abs_floor);
-    callers whose integrands turn into roundoff noise near an endpoint, such
-    as the direct seminorms', supply the abs_floor it allows.
+    roundoff; the kernel's singular origin is kernel_moment's, not this
+    rule's.  A node that rounds onto a nonzero end is skipped (weight below
+    1e-24 (b - a)): endpoints are never evaluated.  The step halves on each
+    of 7 passes until two passes agree to within
+    10 max(ABS_TOL, REL_TOL |value|, abs_floor); callers whose integrands
+    turn into roundoff noise supply the abs_floor it allows.
     """
     width = b - a
     value = None
-    for level in range(levels):
+    for level in range(7):
         upper, gap, weight = _unit_tanh_sinh(level)
         x = np.where(upper, b - width * gap, a + width * gap)
         keep = (x > a) & (x < b)
@@ -178,42 +178,81 @@ def tanh_sinh_quadrature(f, a, b, abs_floor=0.0, levels=6):
                           value=value, error_estimate=err)
 
 
-def _sigma_profile(d, alpha, m, r):
-    """sigma at the radii r > 0 (flattened) and its error estimate.
+def _sigma_rule(xi, x_min):
+    """(cosh t, weights) with I(x) = sum weights P(xi+1, x cosh t) for
+    I(x) = int_0^x w^xi K_(xi-1)(w) dw, x >= x_min, P = gammainc.
 
-    The integrand of int_0^(m^(1/alpha) r) w^xi K_(xi-1)(w) dw behaves like
-    a*w + b*w^(2 xi - 1) at the origin (mixed non-integer powers), so
-    tanh-sinh is used rather than Gauss panels.  The estimate is the scaled
-    tanh-sinh difference plus KV_REL_ERR |value|: the positive integrand
-    carries kv's relative error, which the difference misses.
+    K_nu(w) = int_0^inf e^(-w cosh t) cosh(nu t) dt (DLMF 10.32.9) gives
+    I(x) = Gamma(xi+1) int_0^inf cosh((xi-1) t) cosh(t)^(-xi-1) P(xi+1, x cosh t) dt,
+    a positive integrand, even in t and analytic in |Im t| < pi/2: the
+    rule of step 0.1 errs by ~e^(-pi^2/0.1), below rounding even at twice
+    the step.  Past x cosh t = xi + 1 it decays like e^(-2 min(xi,1) t), so
+    T = log+(2 (xi+1) / x_min) + 20 / min(xi, 1) cuts a tail below e^-40.
     """
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha)
-    if not m > 0:
-        raise ValueError("sigma requires m > 0")
-    r = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
-    if np.any(r <= 0):
-        raise ValueError("sigma requires r > 0")
-    xi = (d + alpha) / 2.0
-    pref = relativistic_prefactor(d, alpha, 1.0)
-
-    def f(w):
-        return w ** xi * bessel_k_grid(xi - 1.0, w)
-
-    values, errs = np.empty_like(r), np.empty_like(r)
-    for i, ri in enumerate(r):
-        scale = pref * ri ** (-(d + alpha))
-        # Beyond w ~ 60 the integrand is below 1e-18 of its peak for xi <= 4.
-        upper = min(m ** (1.0 / alpha) * ri, max(60.0, 4.0 * xi))
-        val, diff = tanh_sinh_quadrature(f, 0.0, upper)
-        values[i], errs[i] = scale * val, scale * diff
-    return values, errs + KV_REL_ERR * values
+    T = math.log(max(2.0 * (xi + 1.0) / x_min, 1.0)) + 20.0 / min(xi, 1.0)
+    t = 0.1 * np.arange(int(T / 0.1) + 1)
+    cosh_t = np.cosh(t)
+    w = 0.1 * math.gamma(xi + 1.0) * np.cosh((xi - 1.0) * t) / cosh_t ** (xi + 1.0)
+    w[0] *= 0.5
+    return cosh_t, w
 
 
 def sigma(d, alpha, m, r):
-    """Defect kernel sigma_{m,alpha}(r) >= 0 via the finite-integral form."""
-    out = _sigma_profile(d, alpha, m, r)[0]
-    return float(out[0]) if np.isscalar(r) else out.reshape(np.shape(r))
+    """Defect kernel sigma_{m,alpha} >= 0 at radii r > 0 (flattened):
+    (values, error estimates).
+
+    The estimate is the difference to _sigma_rule at twice the step, which
+    can be exactly 0, plus GAMMAINC_REL_ERR |value|: every term of the
+    positive sum carries gammainc's relative error.
+    """
+    d, alpha, r = _check_massive("sigma", d, alpha, m, r)
+    r = r.ravel()
+    xi = (d + alpha) / 2.0
+    x = m ** (1.0 / alpha) * r
+    cosh_t, w = _sigma_rule(xi, float(x.min()))
+    fine, coarse = np.empty(r.size), np.empty(r.size)
+    # Blocks of 2^16 gammainc values (512 KB) bound the memory.
+    rows = max(1, (1 << 16) // w.size)
+    for i in range(0, r.size, rows):
+        P = special.gammainc(xi + 1.0, np.outer(x[i:i + rows], cosh_t))
+        fine[i:i + rows], coarse[i:i + rows] = P @ w, 2.0 * P[:, ::2] @ w[::2]
+    scale = relativistic_prefactor(d, alpha, 1.0) * r ** (-(d + alpha))
+    values = scale * fine
+    return values, scale * np.abs(fine - coarse) + GAMMAINC_REL_ERR * values
+
+
+def kernel_moment(symbol, d, k, a, b):
+    """int_a^b r^(k+d-1) j(r) dr for 0 <= a < b <= inf (k > alpha if a = 0).
+
+    Massless moments are closed-form.  From a = 0 a massive moment is that
+    closed form minus the sigma moment (j_m = j_0 - sigma) on [0, c],
+    c = min(b, m^(-1/alpha)), summed over _sigma_rule in the closed form
+    int_0^c r^(p-1) P(xi+1, z r / c) dr
+        = (c^p / p) [P(xi+1, z) - z^-p Gamma(q) / Gamma(xi+1) P(q, z)],
+    p = k - alpha, q = p + xi + 1, z = m^(1/alpha) c cosh t.  Beyond c,
+    where j_0 - sigma would cancel, and for a > 0, QUADPACK takes j.
+    """
+    alpha, m = symbol.alpha, symbol.m
+    p = k - alpha
+    c0 = massless_constant(d, alpha)
+    if m == 0.0:
+        return c0 * (b ** p - a ** p) / p
+    total = 0.0
+    if a == 0.0:
+        mu, xi = m ** (1.0 / alpha), (d + alpha) / 2.0
+        a = min(b, 1.0 / mu)
+        cosh_t, w = _sigma_rule(xi, mu * a)
+        z = mu * a * cosh_t
+        q = p + xi + 1.0
+        inner = (special.gammainc(xi + 1.0, z) - z ** -p * special.gammainc(q, z)
+                 * math.exp(math.lgamma(q) - math.lgamma(xi + 1.0)))
+        total = a ** p / p * (c0 - relativistic_prefactor(d, alpha, 1.0)
+                              * float(w @ inner))
+    if b > a:
+        total += integrate.quad(
+            lambda r: r ** (k + d - 1) * symbol.jump_kernel(d, r), a, b,
+            epsabs=ABS_TOL, epsrel=1e-10, limit=200)[0]
+    return total
 
 
 @dataclass(frozen=True)
@@ -454,42 +493,14 @@ def resolvent_kernel(symbol, d, radii):
 
 
 def second_moment_decay(symbol, d, r_list):
-    """M(R) = R^-2 int_{B_R} |x|^2 j_Phi(|x|) dx for an increasing list of R.
-
-    The inner singularity r^(1-alpha) (power-law blow-up of the kernel) is
-    handled by QUADPACK's algebraic endpoint weight.
-    """
+    """M(R) = R^-2 int_{B_R} |x|^2 j_Phi(|x|) dx for an increasing list of R,
+    from cumulative kernel moments."""
     r_list = list(r_list)
     if len(r_list) < 2 or any(b <= a for a, b in zip(r_list, r_list[1:])):
         raise ValueError("r_list must be increasing with at least 2 entries")
-    surf = sphere_surface(d)
-    alpha = symbol.alpha
-
-    def smooth_part(r):
-        return float(r ** (d + alpha) * symbol.jump_kernel(d, r))
-
-    pieces = []
-    prev = 0.0
-    total = 0.0
-    for R in r_list:
-        try:
-            if prev == 0.0:
-                val, _ = integrate.quad(smooth_part, 0.0, R,
-                                        weight="alg", wvar=(1.0 - alpha, 0.0),
-                                        epsabs=ABS_TOL, epsrel=1e-9, limit=200)
-            else:
-                val, _ = integrate.quad(
-                    lambda r: float(r ** (d + 1) * symbol.jump_kernel(d, r)),
-                    prev, R, epsabs=ABS_TOL, epsrel=1e-9, limit=200)
-        except Exception as exc:
-            raise QuadratureError(
-                f"second-moment quadrature failed on [{prev}, {R}]; the "
-                f"singularity at 0 is integrable (r^(d+1) j ~ r^(1-alpha)) "
-                f"but the kernel evaluation did not converge") from exc
-        total += val
-        pieces.append(surf * total / R ** 2)
-        prev = R
-    return pieces
+    totals = itertools.accumulate(kernel_moment(symbol, d, 2, a, b)
+                                  for a, b in zip([0.0] + r_list, r_list))
+    return [sphere_surface(d) * t / b ** 2 for t, b in zip(totals, r_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +550,7 @@ def build_kernel_table(symbol, kernel_id, d, radii, t=None):
         values = np.atleast_1d(symbol.jump_kernel(d, radii))
         errs = np.abs(values) * KV_REL_ERR
     elif kernel_id == "sigma":
-        values, errs = _sigma_profile(d, symbol.alpha, symbol.m, radii)
+        values, errs = sigma(d, symbol.alpha, symbol.m, radii)
     elif kernel_id == "j_prime":
         values = np.atleast_1d(j_prime_massive(d, symbol.alpha, symbol.m, radii))
         errs = np.abs(values) * KV_REL_ERR

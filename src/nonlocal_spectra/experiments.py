@@ -6,6 +6,7 @@ Every driver is deterministic given (config, seed): rerunning produces
 bit-identical reports.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -246,24 +247,15 @@ def operator_image_convergence(symbol, well, report):
 # ---------------------------------------------------------------------------
 
 def _exact_symmetry_maps(d, n):
-    """Index maps of grid-exact orthogonal transforms fixing the origin."""
+    """Index maps of the 2^d d! - 1 grid-exact orthogonal transforms fixing
+    the origin, other than the identity: axis permutations times axis flips."""
     idx = np.arange(n)
     flip = (n - idx) % n
-    if d == 1:
-        yield "parity", lambda v: v[flip]
-        return
-    if d == 2:
-        I, J = np.meshgrid(idx, idx, indexing="ij")
-        yield "flip-x", lambda v: v[flip, :]
-        yield "flip-y", lambda v: v[:, flip]
-        yield "quarter-turn", lambda v: v[(n - J) % n, I]
-        yield "half-turn", lambda v: v[flip][:, flip]
-        yield "transpose", lambda v: v.T
-        return
-    yield "flip-x", lambda v: v[flip, :, :]
-    yield "flip-y", lambda v: v[:, flip, :]
-    yield "flip-z", lambda v: v[:, :, flip]
-    yield "swap-xy", lambda v: np.swapaxes(v, 0, 1)
+    for perm in itertools.permutations(range(d)):
+        for flips in itertools.product((False, True), repeat=d):
+            if perm != tuple(range(d)) or any(flips):
+                rows = np.ix_(*(flip if f else idx for f in flips))
+                yield lambda v, perm=perm, rows=rows: np.transpose(v, perm)[rows]
 
 
 def symmetry_check(result, rotations=0):
@@ -275,7 +267,7 @@ def symmetry_check(result, rotations=0):
     phi = result.phi
     grid = phi.grid
     defect = 0.0
-    for _name, mapping in _exact_symmetry_maps(grid.d, grid.n):
+    for mapping in _exact_symmetry_maps(grid.d, grid.n):
         defect = max(defect, Field(grid=grid, values=mapping(phi.values)
                                    - phi.values).l2_norm())
     interp = None

@@ -38,6 +38,9 @@ REL_TOL = 1e-10
 # Relative error bound of kv and of kernels built from it; against mpmath,
 # kv is off by up to 2.8e-14 (orders 0.75-3, z in [0.05, 20], worst near 2).
 KV_REL_ERR = 1e-13
+# The same for gammainc P(a, z) at sigma's orders a in (1.5, 3.5): 2.4e-14
+# against mpmath (z in [1e-12, 1e4], worst at the smallest z).
+GAMMAINC_REL_ERR = 5e-14
 
 _TINY = np.finfo(float).tiny
 

@@ -21,7 +21,8 @@ kernel J(h) = sum_m j(|h + mL|).  At lattice frequencies the periodization
 is exact for the multiplier, so the two routes must agree up to quadrature
 error; their agreement is the discrete form of the kernel <-> symbol
 correspondence and is enforced by the acceptance suite.  The direct route
-takes the x-integral from the Fourier modes, so only h is integrated.
+takes the x-integral from the Fourier modes, so only h is integrated: on
+[0, h0] as a Taylor series against kernel_moment, beyond by tanh-sinh.
 
 pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x): one radial
 quadrature of sphere-rule shell sums, the same path for d = 1, 2 and 3.
@@ -32,9 +33,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .bernstein_kernels import massless_constant, tanh_sinh_quadrature
+from .bernstein_kernels import (BernsteinSymbol, kernel_moment,
+                                massless_constant, sphere_surface,
+                                tanh_sinh_quadrature)
 from .special_functions import ABS_TOL, QuadratureError
 
 class CostGuardError(ValueError):
@@ -264,16 +267,8 @@ def _check_cost_guard(grid):
             f"d = {grid.d}; use the Fourier route")
 
 
-def _power_kernel_images(exponent, L, h):
-    """sum_{m != 0} |h + mL|^-exponent for scalar/array h in [0, L/2] (d=1)."""
-    t = np.asarray(h, dtype=float) / L
-    return (special.zeta(exponent, 1.0 + t)
-            + special.zeta(exponent, 1.0 - t)) / L ** exponent
-
-
 def _generic_kernel_images(kernel, L, h):
     """Direct image sum for kernels with fast decay (d=1)."""
-    h = np.asarray(h, dtype=float)
     total = np.zeros_like(h)
     for m in range(1, 10000):
         term = kernel(m * L + h) + kernel(m * L - h)
@@ -283,23 +278,48 @@ def _generic_kernel_images(kernel, L, h):
     return total
 
 
-def _direct_core_1d(field, kernel, images):
+def _series_moment(symbol, d, coefs, h0):
+    """int_0^h0 (sum_n coefs[n-1] r^(2n)) j(r) r^(d-1) dr, term by term."""
+    return sum(c * kernel_moment(symbol, d, 2 * n, 0.0, h0)
+               for n, c in enumerate(coefs, start=1))
+
+
+def _origin_piece(symbol, d, q, pw):
+    """(h0, int_0^h0 |S^(d-1)| sum pw (1 - A_d(q r)) j(r) r^(d-1) dr).
+
+    1 - A_d(q r) is the mean of 1 - cos(xi . h) over |h| = r, |xi| = q
+    (A_1 = cos, A_2 = J_0); its Taylor coefficients are
+    (-1)^(n+1) Gamma(d/2) / (4^n n! Gamma(n + d/2)) q^(2n).  With
+    h0 = min(1e-2, 1 / (4 max q)) the eighth term is below rounding.
+    """
+    h0 = min(1e-2, 0.25 / float(q.max()))
+    coefs = [(-1.0) ** (n + 1) * math.gamma(d / 2.0) * float(pw @ q ** (2 * n))
+             / (4.0 ** n * math.factorial(n) * math.gamma(n + d / 2.0))
+             for n in range(1, 9)]
+    return h0, sphere_surface(d) * _series_moment(symbol, d, coefs, h0)
+
+
+def _direct_core_1d(field, symbol, images):
     """(1/2) iint_T |u(x+h)-u(x)|^2 J(h) dx dh on the torus, d = 1.
 
     The x-integral is done exactly in the mode representation:
     int_T |u(x+h)-u(x)|^2 dx = 4 sum_k sin^2(xi_k h/2) |u_hat(xi_k)|^2.
+    On [0, h0] only the smooth images are left to tanh-sinh.
     """
     grid = field.grid
     _, power, measure = _spectral_weights(field)
     xi = np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L))
     pw = power * measure
 
-    def f(hs):
-        shifted_sq = 4.0 * np.sin(0.5 * np.outer(hs, xi)) ** 2 @ pw
-        return shifted_sq * (kernel(hs) + images(hs))
+    def shifted_sq(hs):
+        return 4.0 * np.sin(0.5 * np.outer(hs, xi)) ** 2 @ pw
 
-    val, _err = tanh_sinh_quadrature(f, 0.0, grid.L / 2.0)
-    return val
+    h0, origin = _origin_piece(symbol, 1, xi, pw)
+    near, _ = tanh_sinh_quadrature(lambda hs: shifted_sq(hs) * images(hs), 0.0, h0)
+    far, _ = tanh_sinh_quadrature(
+        lambda hs: shifted_sq(hs) * (symbol.jump_kernel(1, hs) + images(hs)),
+        h0, grid.L / 2.0)
+    return origin + near + far
 
 
 def _smoothstep(r, r0, r1):
@@ -315,14 +335,14 @@ def _smoothstep(r, r0, r1):
     return a / (a + b)
 
 
-def _direct_core_2d(field, kernel, images_offset):
+def _direct_core_2d(field, symbol, images_offset):
     """Torus double integral in d = 2, split by a smooth radial partition.
 
     * Inner part (weight 1-w, supported in |h| < L/2): the x-integral and
       the angular h-integral are done exactly in the mode representation
       (the angular average of 1 - cos(xi . h) over the circle is
-      1 - J_0(|xi| r)), leaving a radial quadrature against the singular
-      kernel.
+      1 - J_0(|xi| r)), leaving a radial integral against the singular
+      kernel: _origin_piece on [0, h0], tanh-sinh beyond.
     * Outer part (weight w) and the periodization images: cell sums over
       the lattice of roll offsets.  The smooth partition makes every
       summand a smooth periodic function of the offset, so the midpoint
@@ -347,12 +367,12 @@ def _direct_core_2d(field, kernel, images_offset):
         return 2.0 * math.pi * 2.0 * out
 
     def f(rs):
-        return 0.5 * angular_average(rs) * kernel(rs) * rs \
+        return 0.5 * angular_average(rs) * symbol.jump_kernel(2, rs) * rs \
             * (1.0 - _smoothstep(rs, r0, r1))
 
     scale = float(np.sum(pw)) + 1.0
-    inner, _ = tanh_sinh_quadrature(f, 0.0, r1, levels=7,
-                                    abs_floor=1e-9 * scale)
+    h0, origin = _origin_piece(symbol, 2, mod_xi, pw)
+    inner, _ = tanh_sinh_quadrature(f, h0, r1, abs_floor=1e-9 * scale)
 
     # Lattice autocorrelation gives S at every lattice shift at once; entry
     # (i, j) corresponds to the roll offset (i h, j h) wrapped into the
@@ -367,80 +387,69 @@ def _direct_core_2d(field, kernel, images_offset):
     w = _smoothstep(shift_r, r0, r1)
     outer_vals = np.zeros_like(shift_r)
     sel = w > 0.0
-    outer_vals[sel] = kernel(shift_r[sel]) * w[sel] * S_lattice[sel]
+    outer_vals[sel] = symbol.jump_kernel(2, shift_r[sel]) * w[sel] * S_lattice[sel]
     outer_sum = 0.5 * grid.cell_volume * float(np.sum(outer_vals))
 
     image_sum = 0.5 * grid.cell_volume * float(
         np.sum(S_lattice * images_offset(hx, hy)))
 
-    return inner + outer_sum + image_sum
+    return origin + inner + outer_sum + image_sum
 
 
-def _power_images_2d(exponent, L, hx, hy):
-    """sum over m in Z^2 \\ {0} of |h + mL|^-exponent at lattice offsets."""
-    m_max = 24
+def _disk_images(f, L, hx, hy, m_max):
+    """(sum of f(|h + mL|^2) over m in Z^2 \\ {0} with |m| <= m_max at
+    lattice offsets h, number of lattice points in that disk)."""
+    m = np.arange(-m_max, m_max + 1)
+    mx, my = np.meshgrid(m, m, indexing="ij")
+    disk = mx * mx + my * my <= m_max * m_max
     total = np.zeros_like(hx)
-    for mx in range(-m_max, m_max + 1):
-        for my in range(-m_max, m_max + 1):
-            if mx == 0 and my == 0:
-                continue
-            total += ((hx + mx * L) ** 2 + (hy + my * L) ** 2) ** (-exponent / 2.0)
-    # Far lattice ~ cell-averaged integral beyond radius (m_max - 1/2) L.
-    R = (m_max - 0.5) * L
-    tail = 2.0 * math.pi * R ** (2.0 - exponent) / ((exponent - 2.0) * L ** 2)
-    return total + tail
-
-
-def _radial_power_direct(field, constant, exponent):
-    """Shared direct route for kernels constant * r^-exponent."""
-    grid = field.grid
-    kernel = lambda r: constant * r ** (-exponent)
-    if grid.d == 1:
-        images = lambda h: constant * _power_kernel_images(exponent, grid.L, h)
-        return _direct_core_1d(field, kernel, images)
-    images = lambda hx, hy: constant * _power_images_2d(exponent, grid.L, hx, hy)
-    return _direct_core_2d(field, kernel, images)
+    for ax, ay in zip(mx[disk], my[disk]):
+        if ax or ay:
+            total += f((hx + ax * L) ** 2 + (hy + ay * L) ** 2)
+    return total, np.count_nonzero(disk)
 
 
 def seminorm_direct(symbol, field):
     """[u]_Phi from the kernel side (double quadrature on the torus)."""
-    _check_cost_guard(field.grid)
     grid = field.grid
-    if symbol.m == 0.0:
-        c = massless_constant(grid.d, symbol.alpha)
-        sq = _radial_power_direct(field, c, grid.d + symbol.alpha)
-        return math.sqrt(max(sq, 0.0))
-    kernel = lambda r: symbol.jump_kernel(grid.d, r)
-    if grid.d == 1:
-        images = lambda h: _generic_kernel_images(kernel, grid.L, h)
-        sq = _direct_core_1d(field, kernel, images)
-    else:
+    _check_cost_guard(grid)
+    L, d = grid.L, grid.d
+    kernel = lambda r: symbol.jump_kernel(d, r)
+    c, exponent = massless_constant(d, symbol.alpha), d + symbol.alpha
+    if d == 1 and symbol.m:
+        images = lambda h: _generic_kernel_images(kernel, L, h)
+    elif d == 1:
+        # sum_{m != 0} |h + mL|^-exponent as two Hurwitz zeta functions.
+        images = lambda h: c * (special.zeta(exponent, 1.0 + h / L)
+                                + special.zeta(exponent, 1.0 - h / L)) / L ** exponent
+    elif symbol.m:
         # Exponentially decaying kernels: nearest images only, no far tail.
-        def images2(hx, hy):
-            total = np.zeros_like(hx)
-            for mx in range(-3, 4):
-                for my in range(-3, 4):
-                    if mx == 0 and my == 0:
-                        continue
-                    total += kernel(np.sqrt((hx + mx * grid.L) ** 2
-                                            + (hy + my * grid.L) ** 2))
-            return total
-        sq = _direct_core_2d(field, kernel, images2)
-    return math.sqrt(max(sq, 0.0))
+        images = lambda hx, hy: _disk_images(
+            lambda r2: kernel(np.sqrt(r2)), L, hx, hy, 3)[0]
+    else:
+        def images(hx, hy):
+            # Beyond the N summed cells the cell-averaged integral starts at
+            # the radius R of the disk with their area, N L^2 = pi R^2.
+            total, N = _disk_images(lambda r2: r2 ** (-exponent / 2.0),
+                                    L, hx, hy, 24)
+            R = math.sqrt(N / math.pi) * L
+            return c * (total + 2.0 * math.pi * R ** (2.0 - exponent)
+                        / ((exponent - 2.0) * L ** 2))
+    core = _direct_core_1d if d == 1 else _direct_core_2d
+    return math.sqrt(max(core(field, symbol, images), 0.0))
 
 
 def gagliardo_seminorm(s, field):
     """Gagliardo seminorm [[u]]_s of order s in (0,1) (direct route).
 
-    Shares the integration path of seminorm_direct so that the massless
-    ratio [u]_{Phi_{0,alpha}} / [[u]]_{alpha/2} = sqrt(c(d,alpha)/2) is
-    reproduced exactly.
+    [[u]]_s = sqrt(2 / c(d, 2s)) [u]_{Phi_{0,2s}}, through seminorm_direct,
+    so the massless ratio [u]_{Phi_{0,alpha}} / [[u]]_{alpha/2} =
+    sqrt(c(d,alpha)/2) is reproduced exactly.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"gagliardo order s must lie in (0,1), got {s}")
-    _check_cost_guard(field.grid)
-    sq = 2.0 * _radial_power_direct(field, 1.0, field.grid.d + 2.0 * s)
-    return math.sqrt(max(sq, 0.0))
+    return math.sqrt(2.0 / massless_constant(field.grid.d, 2.0 * s)) \
+        * seminorm_direct(BernsteinSymbol.relativistic(0.0, 2.0 * s), field)
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +512,6 @@ def _far_constant(samples):
     if np.max(np.abs(samples - samples[0])) <= 1e-9 * (1.0 + np.max(np.abs(samples))):
         return float(samples[0])
     return 0.0
-
-
-def _kernel_moment(symbol, d, k, a, b):
-    """int_a^b r^(k+d-1) j(r) dr, in closed form for the massless power law;
-    otherwise by tanh-sinh (singular end a = 0) or QUADPACK (b = inf)."""
-    if symbol.m == 0.0:
-        p = k - symbol.alpha
-        return massless_constant(d, symbol.alpha) * (b ** p - a ** p) / p
-    f = lambda r: np.asarray(symbol.jump_kernel(d, r)) * r ** (k + d - 1)
-    if b == np.inf:
-        return integrate.quad(f, a, b, epsabs=ABS_TOL, epsrel=1e-10,
-                              limit=200)[0]
-    return tanh_sinh_quadrature(f, a, b)[0]
 
 
 def _sphere_rule(d):
@@ -588,15 +584,13 @@ def pointwise_nonlocal(symbol, u, x):
     h0 = 1e-2
     delta = h0 / 2.0
     s1, s2 = shell_sum(np.array([delta, 2.0 * delta]))
-    taylor = ((16.0 * s1 - s2) / (12.0 * delta ** 2)
-              * _kernel_moment(symbol, d, 2, 0.0, h0)
-              + (s2 - 4.0 * s1) / (12.0 * delta ** 4)
-              * _kernel_moment(symbol, d, 4, 0.0, h0))
+    taylor = _series_moment(symbol, d, [(16.0 * s1 - s2) / (12.0 * delta ** 2),
+                                        (s2 - 4.0 * s1) / (12.0 * delta ** 4)], h0)
     mid_val, _ = tanh_sinh_quadrature(lambda rs: radial(shell_sum(rs), rs),
                                       h0, eps_cut,
                                       abs_floor=1e-13 * (1.0 + abs(u_x)) * surf)
 
-    tail_mass = _kernel_moment(symbol, d, 0, eps_cut, np.inf)
+    tail_mass = kernel_moment(symbol, d, 0, eps_cut, np.inf)
     c_far = _far_constant(shell_total(np.array([1e5, 2.3e5, 5.1e5])))
     outer_val, outer_err = _oscillatory_tail(
         lambda rs: radial(shell_total(rs) - c_far, rs), eps_cut, 1.0,

@@ -70,7 +70,7 @@ def test_criterion_01_kernel_decomposition():
             for m in (0.5, 1.0, 2.0):
                 j0 = j_massless(d, alpha, radii)
                 jm = j_massive(d, alpha, m, radii)
-                sg = sigma(d, alpha, m, radii)
+                sg = sigma(d, alpha, m, radii)[0]
                 worst = max(worst, float(np.max(np.abs(j0 - jm - sg) / j0)))
     ok = worst <= 1e-8
     assert report(1, ok, f"decomposition j0 = jm + sigma, worst relative "
@@ -80,8 +80,8 @@ def test_criterion_01_kernel_decomposition():
 def test_criterion_02_sigma_total_mass():
     devs = []
     for m in (0.5, 2.0):
-        val, _ = integrate.quad(lambda r: sigma(1, 1.0, m, r), 0.0, np.inf,
-                                limit=300)
+        val, _ = integrate.quad(lambda r: sigma(1, 1.0, m, r)[0][0], 0.0,
+                                np.inf, limit=300)
         devs.append(abs(2.0 * val - m) / m)
     ok = max(devs) <= 1e-4
     assert report(2, ok, f"sigma total mass equals m, relative deviations "

@@ -56,3 +56,20 @@ def test_install_traces_and_uninstall_restores(tracer):
     assert spectral_core.multiplier_values is original
     assert BernsteinSymbol.__dict__["evaluate"] is evaluate
     assert BernsteinSymbol.__dict__["__call__"] is evaluate
+
+
+def test_traced_kernel_table_counts_sigma_radii(tracer):
+    for mod, _ in tracer.TARGETS:
+        importlib.import_module(f"{tracer.PKG}.{mod}")
+    from nonlocal_spectra import bernstein_kernels
+    t = tracer.Tracer()
+    t.install()
+    try:
+        bernstein_kernels.build_kernel_table(
+            BernsteinSymbol.relativistic(1.0, 1.0), "sigma", 1,
+            np.geomspace(0.1, 2.0, 5))
+    finally:
+        t.uninstall()
+    assert t.counts["sigma.radii"] == 5
+    names = {t.names[i] for i in t.name}
+    assert "bernstein_kernels.sigma" in names

@@ -14,6 +14,7 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 heat_kernel_profile,
                                                 j_massive, j_massless,
                                                 j_prime_massive,
+                                                kernel_moment,
                                                 massless_constant,
                                                 relativistic_prefactor,
                                                 resolvent_kernel,
@@ -35,7 +36,7 @@ class TestTanhSinh:
         assert val == pytest.approx(-1.0, rel=1e-10)
 
     def test_unresolved_integrand_raises_with_partial_value(self):
-        # About 1600 periods on [0, 1]; the finest level has ~500 nodes.
+        # About 1600 periods on [0, 1]; the finest level has ~1000 nodes.
         with pytest.raises(QuadratureError) as info:
             tanh_sinh_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0)
         assert np.isfinite(info.value.value)
@@ -97,7 +98,7 @@ def sigma_difference_form(d, alpha, m, r):
 
 class TestSigma:
     def test_integral_vs_difference_form(self):
-        si = sigma(1, 1.0, 1.0, 1.0)
+        si = sigma(1, 1.0, 1.0, 1.0)[0][0]
         sd = sigma_difference_form(1, 1.0, 1.0, 1.0)
         assert abs(si - sd) / j_massless(1, 1.0, 1.0) < 1e-8
 
@@ -106,16 +107,63 @@ class TestSigma:
     def test_decomposition_spot(self, d, alpha, m):
         r = np.geomspace(0.05, 20.0, 12)
         rel = np.abs(j_massless(d, alpha, r) - j_massive(d, alpha, m, r)
-                     - sigma(d, alpha, m, r)) / j_massless(d, alpha, r)
+                     - sigma(d, alpha, m, r)[0]) / j_massless(d, alpha, r)
         assert rel.max() < 1e-8
 
     def test_nonnegative(self):
         r = np.geomspace(0.05, 30.0, 25)
-        assert np.all(sigma(1, 1.0, 1.0, r) >= 0.0)
+        assert np.all(sigma(1, 1.0, 1.0, r)[0] >= 0.0)
 
     def test_ratio_to_massless_at_large_radius(self):
         # j_massive decays exponentially faster, so sigma/j0 -> 1.
-        assert sigma(1, 1.0, 1.0, 50.0) / j_massless(1, 1.0, 50.0) >= 0.99
+        assert sigma(1, 1.0, 1.0, 50.0)[0][0] / j_massless(1, 1.0, 50.0) >= 0.99
+
+    @pytest.mark.parametrize("xi", [0.5001, 0.8, 1.0, 1.7, 2.4999])
+    def test_estimates_bound_mpmath_error(self, xi):
+        # I(x) = 2^(xi-1) Gamma(xi) - x^xi K_xi(x) at 50 digits, and
+        # sigma(r) = C1 r^-(d+alpha) I(r) for m = 1.
+        alpha = 2.0 * xi - 1.0 if xi < 1.5 else 2.0 * xi - 3.0
+        d = 1 if xi < 1.5 else 3
+        r = np.geomspace(1e-10, 1e5, 31)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(xi)
+            exact = np.array([float(2 ** (x - 1) * mpmath.gamma(x) - mpmath.mpf(ri) ** x
+                                    * mpmath.besselk(x, ri)) for ri in r])
+        values, errs = sigma(d, alpha, 1.0, r)
+        scale = relativistic_prefactor(d, alpha, 1.0) * r ** (-(d + alpha))
+        assert np.all(np.abs(values - scale * exact) <= errs)
+        assert np.all(errs <= 1e-12 * values)
+
+
+def kernel_moment_oracle(d, alpha, m, k, b):
+    """int_0^b r^(k+d-1) j_{m,alpha}(r) dr at 30 digits; r = s^20 flattens
+    the r^(k-1-alpha) singularity, which a plain quad on [0, b] misses."""
+    with mpmath.workdps(30):
+        d, a, m = mpmath.mpf(d), mpmath.mpf(alpha), mpmath.mpf(m)
+        xi = (d + a) / 2
+        pref = (a * 2 ** ((a - d) / 2) * m ** (xi / a)
+                / (mpmath.pi ** (d / 2) * mpmath.gamma(1 - a / 2)))
+        j = lambda r: pref * r ** -xi * mpmath.besselk(xi, m ** (1 / a) * r)
+        return float(mpmath.quad(lambda s: 20 * s ** 19 * s ** (20 * (k + d - 1))
+                                 * j(s ** 20), [0, mpmath.mpf(b) ** 0.05]))
+
+
+class TestKernelMoment:
+    @pytest.mark.parametrize("b", [1e-2, 1.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("alpha", [0.5, 1.9])
+    def test_massive_against_substituted_oracle(self, alpha, k, d, b):
+        symbol = BernsteinSymbol.relativistic(1.0, alpha)
+        assert kernel_moment(symbol, d, k, 0.0, b) == pytest.approx(
+            kernel_moment_oracle(d, alpha, 1.0, k, b), rel=1e-12)
+
+    def test_massless_closed_form(self, s01):
+        # j_{0,1} = 1/(pi r^2) in d = 1.
+        assert kernel_moment(s01, 1, 2, 0.0, 0.5) == pytest.approx(
+            0.5 / math.pi, rel=1e-15)
+        assert kernel_moment(s01, 1, 0, 1.0, np.inf) == pytest.approx(
+            1.0 / math.pi, rel=1e-15)
 
 
 class TestJPrime:
@@ -377,14 +425,19 @@ class TestKernelTable:
         assert table.params["alpha"] == 1.0
 
     def test_sigma_table(self, s11):
-        table = build_kernel_table(s11, "sigma", 1, np.geomspace(0.2, 5.0, 8))
+        radii = np.geomspace(0.2, 5.0, 8)
+        table = build_kernel_table(s11, "sigma", 1, radii)
         assert np.all(table.values >= 0)
+        values, errs = sigma(1, 1.0, 1.0, radii)
+        assert np.array_equal(table.values, values)
+        assert np.array_equal(table.error_estimates, errs)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m,alpha", [(1.0, 1.0), (1.0, 0.5)])
     def test_error_estimates_bound_mpmath_error(self, m, alpha, d):
         # The fractional orders of Phi_{1,0.5} carry kv's largest errors,
-        # 2.8e-14 near z = 2; sigma's tanh-sinh difference is 0 at some radii.
+        # 2.8e-14 near z = 2; sigma's step-halving difference is 0 at some
+        # radii, so its estimate rests on GAMMAINC_REL_ERR there.
         radii = np.geomspace(0.05, 20.0, 400)[::8]
         symbol = BernsteinSymbol.relativistic(m, alpha)
         with mpmath.workdps(30):
@@ -404,8 +457,7 @@ class TestKernelTable:
         for kernel_id, ref in exact.items():
             table = build_kernel_table(symbol, kernel_id, d, radii)
             assert np.all(np.abs(table.values - ref) <= table.error_estimates)
-            assert np.all(table.error_estimates
-                          <= 10.0 * REL_TOL * np.abs(table.values))
+            assert np.all(table.error_estimates <= 1e-12 * np.abs(table.values))
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from nonlocal_spectra.experiments import (antisym_constant_c1,
                                           stability_sweep, symmetry_check,
                                           uniform_shift_sweep)
 from nonlocal_spectra.potentials import WellSpec, reflect_potential, sharp_well
-from nonlocal_spectra.spectral_core import Field, Grid
+from nonlocal_spectra.spectral_core import Field, Grid, field_from_function
 
 GRID = Grid(d=1, n=1024, L=32.0)
 CFG = SolverConfig(tol=1e-12, max_iters=30000, seed=11)
@@ -141,6 +142,17 @@ class TestSymmetryCheck:
         assert out["exact"] < 1e-10
         # bilinear interpolation allowance, far looser than grid-exact maps
         assert out["interpolated"] < 5e-2
+
+    def test_d3_checks_the_full_cubic_group(self):
+        # Flips and swap-xy alone (a group of order 16) leave this field
+        # invariant; swap-yz, one of the 48 cubic maps, does not.
+        g3 = Grid(d=3, n=16, L=8.0)
+        ellipsoid = field_from_function(
+            g3, lambda x, y, z: np.exp(-(x * x + y * y) - 2.0 * z * z))
+        radial = field_from_function(
+            g3, lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
+        assert symmetry_check(SimpleNamespace(phi=ellipsoid))["exact"] > 1e-2
+        assert symmetry_check(SimpleNamespace(phi=radial))["exact"] <= 1e-12
 
 
 class TestMonotonicityCheck:

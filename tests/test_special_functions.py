@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
-from nonlocal_spectra.special_functions import bessel_k, bessel_k_grid
+from nonlocal_spectra.special_functions import (GAMMAINC_REL_ERR, bessel_k,
+                                                bessel_k_grid)
 
 
 def bessel_k_paper_form(xi, z):
@@ -94,6 +95,16 @@ class TestBesselK:
                 ref = np.array([float(mpmath.besselk(abs(order), z))
                                 for z in zs])
             assert np.max(np.abs(bessel_k_grid(order, zs) / ref - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("a", [1.5001, 2.0, 2.75, 3.4999])
+    def test_gammainc_within_stated_bound(self, a):
+        # sigma's orders a = xi + 1, xi = (d + alpha)/2 in (0.5, 2.5).
+        zs = np.geomspace(1e-12, 1e4, 60)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.gammainc(a, 0, z, regularized=True))
+                            for z in zs])
+        assert np.max(np.abs(special.gammainc(a, zs) / ref - 1.0)) \
+            <= GAMMAINC_REL_ERR
 
     @settings(max_examples=20, deadline=None)
     @given(xi=st.floats(-0.45, 3.0), z=st.floats(0.1, 20.0))

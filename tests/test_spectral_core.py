@@ -118,16 +118,26 @@ class TestSeminorms:
             sd = seminorm_direct(s01, u)
             assert abs(sf ** 2 - sd ** 2) <= 1e-3 * (1.0 + sf ** 2)
 
-    @pytest.mark.parametrize("alpha", [1.25, 1.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.75, 1.9])
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_routes_agree_to_roundoff(self, m, alpha):
-        # The direct integrand grows like h^(1-alpha) at h = 0; tanh-sinh
-        # nodes placed exactly near 0 resolve it.  alpha >= 1.75 still
-        # needs a Taylor piece for the small-h part.
+        # The kernel's singular origin is a Taylor series in h against
+        # closed-form kernel moments; tanh-sinh starts at h0.
         u = random_band_limited(Grid(d=1, n=256, L=40.0), 1)
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
             seminorm_fourier(symbol, u), rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.75, 1.9])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_routes_agree_d2(self, m, alpha):
+        # Massless accuracy is set by the continuum tail of the image sum
+        # (1.8e-6 at alpha = 0.5), massive mostly by the lattice sum over
+        # the outer partition's 5-cell ramp (1.0e-9 at alpha = 0.5).
+        u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        assert seminorm_direct(symbol, u) == pytest.approx(
+            seminorm_fourier(symbol, u), rel=1e-8 if m else 1e-5)
 
     def test_plancherel_d2(self, s11):
         g = Grid(d=2, n=64, L=20.0)
@@ -328,6 +338,7 @@ class TestPointwiseNonlocal:
         assert val == pytest.approx(s11.evaluate(k * k) * math.cos(k * x),
                                     abs=1e-8)
 
+
     def test_odd_bump_negative_at_minimum(self, s01, s11):
         w = lambda y: y * np.exp(-y * y)
         x_star = -1.0 / math.sqrt(2.0)
@@ -368,9 +379,12 @@ class TestPointwiseNonlocal:
         assert val == pytest.approx(
             s11.evaluate(k * k) * math.cos(0.4 * k), abs=1e-6)
 
-    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 0.5), (3, 1.0)])
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 0.5), (3, 1.0),
+                                          (1, 1.75), (1, 1.9), (2, 1.9),
+                                          (3, 1.75)])
     def test_massive_plane_wave_nd(self, d, alpha):
-        # Phi(-Delta) cos(k x_1) = Phi(k^2) cos(k x_1) in every dimension.
+        # Phi(-Delta) cos(k x_1) = Phi(k^2) cos(k x_1) in every dimension;
+        # at alpha >= 1.75 the kernel moments near r = 0 must be closed-form.
         s = BernsteinSymbol.relativistic(1.0, alpha)
         k, x = 1.2, np.array([0.4] + [0.0] * (d - 1))
         val = pointwise_nonlocal(s, lambda *coords: np.cos(k * coords[0]), x)
