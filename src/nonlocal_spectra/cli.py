@@ -220,6 +220,7 @@ def dispatch(cfg):
             report = monotonicity_check(result)
             sym = symmetry_check(result, rotations=int(extras["rotations"]))
             payload = report.to_json_dict()
+            payload["symmetry_defect"] = sym["exact"]
             payload["symmetry"] = sym
             io_utils.write_json(out / "report.json", payload)
             io_utils.write_csv(out / "report.csv", ["r", "chi(r)"],

@@ -295,12 +295,10 @@ class MonotonicityReport:
     radii: np.ndarray
     profile: np.ndarray
     max_violation: float
-    symmetry_defect: float
     region_flags: dict
 
     def to_json_dict(self):
         return {"max_violation": self.max_violation,
-                "symmetry_defect": self.symmetry_defect,
                 "region_flags": self.region_flags,
                 "chi0": float(self.profile[0])}
 
@@ -320,7 +318,6 @@ def monotonicity_check(result):
     increment, overall and restricted to [0, a] and [a + eps, inf)."""
     radii, profile = radial_profile(result.phi)
     max_violation = float(np.max(np.maximum(np.diff(profile), 0.0)))
-    sym = symmetry_check(result)
     meta = result.meta.get("potential", {})
     a = meta.get("a")
     eps = meta.get("eps", 0.0)
@@ -333,7 +330,6 @@ def monotonicity_check(result):
             radii, profile, a + eps, float(radii[-1])) <= tol
     return MonotonicityReport(radii=radii, profile=profile,
                               max_violation=max_violation,
-                              symmetry_defect=sym["exact"],
                               region_flags=flags)
 
 

@@ -11,14 +11,10 @@ B_{a+eps}, and is radially non-increasing, so V_eps is a C_c^infinity
 approximation of the sharp well V = -v 1_{B_a} from the outside.
 """
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
-from .bernstein_kernels import sphere_surface
 from .spectral_core import Field
 
 # |x|^(2k) is clamped here.  An uncapped V reaches 3.4e38 at k = 16 on a
@@ -75,15 +71,6 @@ def _bump(r):
     return out
 
 
-@lru_cache(maxsize=8)
-def mollifier_normalization(d):
-    """C_rho with int_{B_1} rho = 1, computed once per dimension."""
-    val, _ = integrate.quad(
-        lambda r: r ** (d - 1) * math.exp(-1.0 / (1.0 - r * r)),
-        0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return 1.0 / (sphere_surface(d) * val)
-
-
 def sharp_well(spec, grid):
     """V = -v 1_{B_a} sampled at grid points (|x| <= a decides membership)."""
     if spec.eps != 0.0:
@@ -128,24 +115,6 @@ def mollified_well(spec, grid):
     eta[r > spec.a + spec.eps] = 0.0
     meta = {"kind": "mollified_well", "a": spec.a, "v": spec.v, "eps": spec.eps}
     return PotentialField(field=Field(grid=grid, values=-spec.v * eta), meta=meta)
-
-
-def eta_direct(spec, x, d=1):
-    """Direct-quadrature evaluation of eta_eps at a point (d = 1 spot check)."""
-    if d != 1:
-        raise ValueError("direct mollifier check implemented for d = 1")
-    C = mollifier_normalization(1)
-    half = spec.eps / 2.0
-    b = spec.a + half
-    lo = max(-b, x - half)
-    hi = min(b, x + half)
-    if hi <= lo:
-        return 0.0
-    scale = 2.0 / spec.eps
-    val, _ = integrate.quad(
-        lambda y: C * scale * _bump(np.array([scale * abs(x - y)]))[0],
-        lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
 
 
 def anharmonic(k, grid):

@@ -23,6 +23,9 @@ error; their agreement is the discrete form of the kernel <-> symbol
 correspondence and is enforced by the acceptance suite.  The direct route
 takes the x-integral from the Fourier modes, so only h is integrated: on
 [0, h0] as a Taylor series against kernel_moment, beyond by tanh-sinh.
+The images m != 0 of J are two Hurwitz zeta functions for the massless
+kernel in d = 1; every other kernel sums them over a lattice disk sized by
+its decay and capped at about 2000 points, plus the continuum beyond.
 
 pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x): one radial
 quadrature of sphere-rule shell sums, the same path for d = 1, 2 and 3.
@@ -149,11 +152,6 @@ class FormValue:
         return self.kinetic + self.potential
 
 
-def _potential_values(V):
-    """Values of a Field or of a PotentialField."""
-    return V.values if isinstance(V, Field) else V.field.values
-
-
 def multiplier_values(symbol, grid):
     """Phi(|xi|^2) on the rfftn layout with the zero mode pinned to 0."""
     z = _freq_sq_rfft(grid.d, grid.n, grid.L)
@@ -202,7 +200,7 @@ class SpectralOperator:
         potential = 0.0
         if V is not None:
             potential = self.cell_volume * float(
-                np.sum(_potential_values(V) * u.values * v.values))
+                np.sum(V.values * u.values * v.values))
         return FormValue(kinetic=kinetic, potential=potential)
 
     def seminorm(self, u):
@@ -216,7 +214,7 @@ class SpectralOperator:
         """||(Phi(-Delta) + V - lam) u||_2, restricted to mask if given."""
         Hu = self.apply(u).values
         if V is not None:
-            Hu = Hu + _potential_values(V) * u.values
+            Hu = Hu + V.values * u.values
         vals = Hu - lam * u.values
         if mask is not None:
             # The Dirichlet eigen-equation holds inside the ball only.
@@ -254,6 +252,9 @@ def dirichlet_form(symbol, u, v, V=None):
 # ---------------------------------------------------------------------------
 
 _COST_GUARD = {1: 256, 2: 64}
+# Lattice points of the image disk, the same in every d (M = 1000 in d = 1,
+# 25 in d = 2).
+_IMAGE_BUDGET = 2000
 
 
 def _check_cost_guard(grid):
@@ -265,17 +266,6 @@ def _check_cost_guard(grid):
         raise CostGuardError(
             f"direct seminorm cost guard: n = {grid.n} exceeds {limit} for "
             f"d = {grid.d}; use the Fourier route")
-
-
-def _generic_kernel_images(kernel, L, h):
-    """Direct image sum for kernels with fast decay (d=1)."""
-    total = np.zeros_like(h)
-    for m in range(1, 10000):
-        term = kernel(m * L + h) + kernel(m * L - h)
-        total += term
-        if np.all(term <= 1e-16 * (1.0 + np.abs(total))):
-            break
-    return total
 
 
 def _series_moment(symbol, d, coefs, h0):
@@ -347,14 +337,16 @@ def _direct_core_2d(field, symbol, images_offset):
       the lattice of roll offsets.  The smooth partition makes every
       summand a smooth periodic function of the offset, so the midpoint
       sum is spectrally accurate; a hard disk/corner split would leave an
-      O(h) cell-classification error at the circle.
+      O(h) cell-classification error at the circle.  The ramp spans
+      [L/8, L/2 - h], so the lattice resolves it with the box, not with a
+      fixed number of cells.
     """
     grid = field.grid
     spec_sq, power, measure = _spectral_weights(field)
     z = _freq_sq_rfft(grid.d, grid.n, grid.L)
     mod_xi = np.sqrt(z).ravel()
     pw = (power.ravel() * measure)
-    r0 = grid.L / 2.0 - 6.0 * grid.h
+    r0 = grid.L / 8.0
     r1 = grid.L / 2.0 - grid.h
 
     def angular_average(rs):
@@ -370,9 +362,8 @@ def _direct_core_2d(field, symbol, images_offset):
         return 0.5 * angular_average(rs) * symbol.jump_kernel(2, rs) * rs \
             * (1.0 - _smoothstep(rs, r0, r1))
 
-    scale = float(np.sum(pw)) + 1.0
     h0, origin = _origin_piece(symbol, 2, mod_xi, pw)
-    inner, _ = tanh_sinh_quadrature(f, h0, r1, abs_floor=1e-9 * scale)
+    inner, _ = tanh_sinh_quadrature(f, h0, r1)
 
     # Lattice autocorrelation gives S at every lattice shift at once; entry
     # (i, j) corresponds to the roll offset (i h, j h) wrapped into the
@@ -396,17 +387,39 @@ def _direct_core_2d(field, symbol, images_offset):
     return origin + inner + outer_sum + image_sum
 
 
-def _disk_images(f, L, hx, hy, m_max):
-    """(sum of f(|h + mL|^2) over m in Z^2 \\ {0} with |m| <= m_max at
-    lattice offsets h, number of lattice points in that disk)."""
-    m = np.arange(-m_max, m_max + 1)
-    mx, my = np.meshgrid(m, m, indexing="ij")
-    disk = mx * mx + my * my <= m_max * m_max
-    total = np.zeros_like(hx)
-    for ax, ay in zip(mx[disk], my[disk]):
-        if ax or ay:
-            total += f((hx + ax * L) ** 2 + (hy + ay * L) ** 2)
-    return total, np.count_nonzero(disk)
+def _lattice_images(symbol, L, d):
+    """images(*offsets): sum_{m in Z^d, 0 < |m| <= M} j(|h + m L|) at the
+    offsets h (one array per axis), plus the continuum beyond the disk.
+
+    A massive kernel decays like e^(-m^(1/alpha) r), so 40 decay lengths
+    need M = 1 + ceil(40 / (m^(1/alpha) L)); M is capped so that the disk
+    holds about _IMAGE_BUDGET points in every d, and massless kernels take
+    the cap.  Beyond the N summed cells the cell-averaged sum is the
+    integral of j over |x| > R, R the radius of the ball of volume N L^d.
+    """
+    ball = sphere_surface(d) / d
+    M = int((_IMAGE_BUDGET / ball) ** (1.0 / d))
+    if symbol.m:
+        M = min(M, 1 + math.ceil(40.0 / (symbol.m ** (1.0 / symbol.alpha) * L)))
+    axis = np.arange(-M, M + 1)
+    m = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    m = m[np.sum(m * m, axis=1) <= M * M]
+    R = (len(m) / ball) ** (1.0 / d) * L
+    tail = sphere_surface(d) * kernel_moment(symbol, d, 0, R, np.inf) / L ** d
+    shifts = L * m[np.any(m != 0, axis=1)]
+
+    def images(*offsets):
+        h = [np.ravel(o) for o in offsets]
+        total = np.full(h[0].size, tail)
+        # Blocks of about 2^18 kernel values bound the memory.
+        rows = max(1, (1 << 18) // h[0].size)
+        for i in range(0, len(shifts), rows):
+            block = shifts[i:i + rows].T
+            r_sq = sum((s[:, None] + hk) ** 2 for s, hk in zip(block, h))
+            total += np.sum(symbol.jump_kernel(d, np.sqrt(r_sq)), axis=0)
+        return total.reshape(np.shape(offsets[0]))
+
+    return images
 
 
 def seminorm_direct(symbol, field):
@@ -414,27 +427,13 @@ def seminorm_direct(symbol, field):
     grid = field.grid
     _check_cost_guard(grid)
     L, d = grid.L, grid.d
-    kernel = lambda r: symbol.jump_kernel(d, r)
-    c, exponent = massless_constant(d, symbol.alpha), d + symbol.alpha
-    if d == 1 and symbol.m:
-        images = lambda h: _generic_kernel_images(kernel, L, h)
-    elif d == 1:
+    if d == 1 and not symbol.m:
         # sum_{m != 0} |h + mL|^-exponent as two Hurwitz zeta functions.
+        c, exponent = massless_constant(d, symbol.alpha), d + symbol.alpha
         images = lambda h: c * (special.zeta(exponent, 1.0 + h / L)
                                 + special.zeta(exponent, 1.0 - h / L)) / L ** exponent
-    elif symbol.m:
-        # Exponentially decaying kernels: nearest images only, no far tail.
-        images = lambda hx, hy: _disk_images(
-            lambda r2: kernel(np.sqrt(r2)), L, hx, hy, 3)[0]
     else:
-        def images(hx, hy):
-            # Beyond the N summed cells the cell-averaged integral starts at
-            # the radius R of the disk with their area, N L^2 = pi R^2.
-            total, N = _disk_images(lambda r2: r2 ** (-exponent / 2.0),
-                                    L, hx, hy, 24)
-            R = math.sqrt(N / math.pi) * L
-            return c * (total + 2.0 * math.pi * R ** (2.0 - exponent)
-                        / ((exponent - 2.0) * L ** 2))
+        images = _lattice_images(symbol, L, d)
     core = _direct_core_1d if d == 1 else _direct_core_2d
     return math.sqrt(max(core(field, symbol, images), 0.0))
 

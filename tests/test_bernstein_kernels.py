@@ -352,6 +352,18 @@ class TestResolventKernel:
         assert values == pytest.approx(oracle, rel=1e-12)
         assert np.all(np.abs(values - oracle) <= errs)
 
+    @pytest.mark.parametrize("m,alpha", [(0.5, 1.5), (2.0, 1.0)])
+    def test_d3_from_d1_radial_identity(self, m, alpha):
+        # For a radial symbol, G_3(r) = -(1/(2 pi r)) dG_1/dr; dG_1/dr from a
+        # 5-point stencil of step 1e-3 r.  Phi_{2,1} has sigma's atom.
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        for r in (0.3, 1.0, 4.0):
+            step = 1e-3 * r
+            g1, _ = resolvent_kernel(symbol, 1, r + step * np.array([-2, -1, 1, 2]))
+            slope = (g1[0] - 8.0 * g1[1] + 8.0 * g1[2] - g1[3]) / (12.0 * step)
+            g3, _ = resolvent_kernel(symbol, 3, [r])
+            assert g3[0] == pytest.approx(-slope / (2.0 * math.pi * r), rel=1e-9)
+
 
 class TestSecondMoment:
     def test_massless_closed_form(self, s01):

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
 from nonlocal_spectra.eigensolver import SolverConfig, ground_state
 from nonlocal_spectra.experiments import (antisym_constant_c1,
                                           antisym_constant_c2,
@@ -159,6 +160,20 @@ class TestMonotonicityCheck:
     def test_well_ground_state_monotone(self, s01):
         cfg = SolverConfig(tol=1e-13, max_iters=4000, seed=11)
         res = ground_state(s01, sharp_well(WELL, GRID), cfg)
+        rep = monotonicity_check(res)
+        assert rep.max_violation <= 1e-6 * rep.profile[0]
+        assert rep.region_flags["core [0,a]"]
+        assert rep.region_flags["tail [a+eps,inf)"]
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_d3_well_ground_state_monotone(self, m):
+        # At 32^3 the Phi_{1,1} tail rises by 1.0e-6: discretisation, not a
+        # violation of the theorem, so the grid is 64^3.
+        grid = Grid(d=3, n=64, L=16.0)
+        res = ground_state(BernsteinSymbol.relativistic(m, 1.0),
+                           sharp_well(WELL, grid), SolverConfig())
+        assert res.converged
+        assert symmetry_check(res)["exact"] <= 1e-10
         rep = monotonicity_check(res)
         assert rep.max_violation <= 1e-6 * rep.profile[0]
         assert rep.region_flags["core [0,a]"]

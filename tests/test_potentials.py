@@ -1,14 +1,43 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from nonlocal_spectra.bernstein_kernels import sphere_surface
 from nonlocal_spectra.potentials import (BoxTooSmallError, WellSpec,
-                                         anharmonic, eta_direct,
-                                         mollified_well,
-                                         mollifier_normalization,
+                                         anharmonic, mollified_well,
                                          reflect_potential, sharp_well)
 from nonlocal_spectra.spectral_core import Grid
+
+
+@lru_cache(maxsize=8)
+def mollifier_normalization(d):
+    """C_rho with int_{B_1} rho = 1, computed once per dimension."""
+    val, _ = integrate.quad(
+        lambda r: r ** (d - 1) * math.exp(-1.0 / (1.0 - r * r)),
+        0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+    return 1.0 / (sphere_surface(d) * val)
+
+
+def eta_direct(spec, x):
+    """eta_eps(x) in d = 1 by direct quadrature of rho_{eps/2} * 1_{B_{a+eps/2}}."""
+    C = mollifier_normalization(1)
+    half = spec.eps / 2.0
+    b = spec.a + half
+    lo = max(-b, x - half)
+    hi = min(b, x + half)
+    if hi <= lo:
+        return 0.0
+    scale = 2.0 / spec.eps
+
+    def rho(y):
+        t = scale * abs(x - y)
+        return C * scale * math.exp(-1.0 / (1.0 - t * t)) if t < 1.0 else 0.0
+
+    val, _ = integrate.quad(rho, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+    return val
 
 
 @pytest.fixture(scope="module")

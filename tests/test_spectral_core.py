@@ -7,8 +7,9 @@ import pytest
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 massless_constant)
 from nonlocal_spectra.experiments import random_band_limited
-from nonlocal_spectra.spectral_core import (CostGuardError, Field, FormValue,
-                                            Grid, SpectralOperator,
+from nonlocal_spectra.spectral_core import (_IMAGE_BUDGET, CostGuardError,
+                                            Field, FormValue, Grid,
+                                            SpectralOperator, _lattice_images,
                                             apply_multiplier,
                                             dirichlet_form,
                                             field_from_function,
@@ -128,16 +129,53 @@ class TestSeminorms:
         assert seminorm_direct(symbol, u) == pytest.approx(
             seminorm_fourier(symbol, u), rel=1e-10)
 
+    @pytest.mark.parametrize("m, alpha", [(0.001, 0.5), (0.01, 1.0)])
+    def test_routes_agree_small_mass(self, m, alpha):
+        # Decay lengths m^(-1/alpha) of 1e6 and 100 against L = 40: the
+        # first outruns the 1000-cell image cap, so the continuum beyond the
+        # disk carries it.
+        u = random_band_limited(Grid(d=1, n=256, L=40.0), 1)
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        assert seminorm_direct(symbol, u) == pytest.approx(
+            seminorm_fourier(symbol, u), rel=1e-10)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.75, 1.9])
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_routes_agree_d2(self, m, alpha):
         # Massless accuracy is set by the continuum tail of the image sum
-        # (1.8e-6 at alpha = 0.5), massive mostly by the lattice sum over
-        # the outer partition's 5-cell ramp (1.0e-9 at alpha = 0.5).
+        # (1.8e-6 at alpha = 0.5), massive by the lattice sum over the
+        # outer partition's ramp on [L/8, L/2 - h] (2.0e-10 at alpha = 0.5).
         u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
-            seminorm_fourier(symbol, u), rel=1e-8 if m else 1e-5)
+            seminorm_fourier(symbol, u), rel=1e-9 if m else 1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+    def test_routes_agree_d2_small_mass(self, alpha):
+        # Decay lengths of 400, 20 and 4.8 against L = 20 and the 25-cell
+        # image cap: the continuum beyond the disk carries the first two
+        # (1.5e-6 at alpha = 0.5).
+        u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
+        symbol = BernsteinSymbol.relativistic(0.05, alpha)
+        assert seminorm_direct(symbol, u) == pytest.approx(
+            seminorm_fourier(symbol, u), rel=1e-5)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_image_sum_within_budget(self, d):
+        # Forty decay lengths of 1e6 would ask for 2e6 cells per axis; the
+        # disk is capped at the budget in every d.
+        radii = []
+
+        class Counting(BernsteinSymbol):
+            def jump_kernel(self, d, r):
+                radii.append(np.size(r))
+                return super().jump_kernel(d, r)
+
+        images = _lattice_images(Counting(m=1e-6, alpha=1.0), 20.0, d)
+        radii.clear()
+        value = images(*[np.zeros(3)] * d)
+        assert 0 < sum(radii) <= 3 * _IMAGE_BUDGET
+        assert np.all(np.isfinite(value)) and np.all(value > 0.0)
 
     def test_plancherel_d2(self, s11):
         g = Grid(d=2, n=64, L=20.0)
