@@ -31,7 +31,8 @@ exactly; both are enforced by the test suite.
 
 The heat kernel p_t is evaluated by radial Fourier reduction for d <= 3 on
 Gauss panels.  In d = 1 and 3 the phase e^(i r xi) factors into a
-per-panel and a per-node part, with the panel product r m_p kept exact
+per-node part and a panel part, which splits again over two levels of
+about sqrt(P) of the P panels, with every panel product kept exact
 because its rounding would not average out; d = 2 evaluates J_0(r xi) at
 every node (see heat_kernel_profile).  The 1-resolvent kernel G_1 is a
 positive Stieltjes mixture of Yukawa kernels (see resolvent_kernel).
@@ -322,8 +323,8 @@ def _frequency_cutoff(symbol, d, t):
 
 
 # Entries of one radii x nodes block in heat_kernel_profile (8 MB of float64;
-# a complex radii x panels block takes an eighth), so memory stays bounded
-# however many radii a table asks for.
+# a complex radii x (outer phases x nodes) block takes an eighth), so memory
+# stays bounded however many radii a table asks for.
 _BLOCK_ENTRIES = 1 << 20
 
 # Veltkamp's splitting constant 2^27 + 1 for float64.
@@ -362,19 +363,23 @@ def heat_kernel_profile(symbol, d, t, radii):
     rule; their difference is the convergence test.
 
     In d = 1 and 3 the phase of a node xi = m_p + h x_j factors per panel,
-    e^(i r xi) = e^(i r m_p) e^(i r h x_j), so each rule's sum is
-    sum_j e^(i r h x_j) (E D)_(r, j) with E_(r, p) = e^(i r m_p): one panel
-    phase per radius and panel, shared by both rules, and one matmul, in
-    place of one cosine per radius and node.  J_0 has no finite addition
-    formula, so d = 2 evaluates J_0(r xi) at every node.
+    e^(i r xi) = e^(i r m_p) e^(i r h x_j), and the panel phase factors
+    again: numbering the P panels p = a B + b, B = ceil(sqrt(P)),
+    m_p = a B w + (b + 1/2) w for the panel width w.  Each rule's sum is
+    then sum_j e^(i r h x_j) sum_a e^(i r a B w) H_(r, a, j), with H one
+    matmul of the B inner phases e^(i r (b + 1/2) w) against D (padded
+    with zero panels to A B, A = ceil(P / B)): A + B ~ 2 sqrt(P)
+    exponentials per radius in place of P, or of one cosine per node.
+    J_0 has no finite addition formula, so d = 2 evaluates J_0(r xi) at
+    every node.
 
     Two roundings would each move all nodes of a panel together, an error
-    that does not average out over the panel: that of the midpoint m_p
-    (the panels would no longer tile [0, Xi]; a 32-bit width makes every
-    midpoint exact) and that of the product r m_p, which reaches ~1e4
-    (_exact_phase keeps it exact).  On the 1201-radius Cauchy table at
-    t = 0.1 the largest relative error is 9.7e-14 with both exact,
-    2.9e-12 with linspace midpoints and 8.3e-12 with a rounded r m_p.
+    that does not average out over the panel: that of m_p (the panels would
+    no longer tile [0, Xi]) and that of the product r m_p, which reaches
+    ~1e4.  A 32-bit w makes a B w and (b + 1/2) w exact (a B < 2^13), and
+    _exact_phase multiplies r by each exactly.  On the 1201-radius Cauchy
+    table at t = 0.1 the largest relative error is 9.6e-14 with both
+    exact, 2.9e-12 with linspace midpoints and 8.3e-12 with a rounded r m_p.
 
     The estimate is |I_24 - I_12| plus the roundoff floor
     10 eps sum |D A_d(0, xi)|; A_d(0, xi) bounds |A_d(r, xi)|, and the
@@ -420,11 +425,22 @@ def heat_kernel_profile(symbol, d, t, radii):
             sums[i:i + rows] = np.einsum(
                 "rpj,pj->rj", special.j0(np.multiply.outer(r, nodes)), damped)
     else:
-        rows = max(1, _BLOCK_ENTRIES // 8 // n_panels)
+        B = math.isqrt(n_panels - 1) + 1
+        A = -(-n_panels // B)
+        inner = (np.arange(B) + 0.5) * width
+        outer = np.arange(A) * B * width
+        padded = np.zeros((A * B, x.size))
+        padded[:n_panels] = damped
+        # Row b, columns (a, j): D_(aB+b, j), made complex once.
+        padded = np.ascontiguousarray(padded.reshape(A, B, x.size).transpose(1, 0, 2),
+                                      dtype=complex).reshape(B, -1)
+        rows = max(1, _BLOCK_ENTRIES // 8 // padded.shape[1])
         for i in range(0, radii.size, rows):
             r = radii[i:i + rows]
-            phased = np.exp(1j * np.outer(r, offsets)) \
-                * (_exact_phase(r, mid) @ damped)
+            # (E D)_(r, j); the r x (A 36) block is not kept past this line.
+            panel_sums = np.matmul(_exact_phase(r, outer)[:, None, :], (
+                _exact_phase(r, inner) @ padded).reshape(r.size, A, x.size))[:, 0]
+            phased = np.exp(1j * np.outer(r, offsets)) * panel_sums
             if d == 1:
                 sums[i:i + rows] = phased.real
             else:
@@ -453,8 +469,14 @@ def resolvent_kernel(symbol, d, radii):
     e^(-k r)/(4 pi r), k = sqrt(s).  For s = M + u^2, M = m^(2/alpha), sigma
     has the density (2u/pi) Im 1/(1 - m + u^alpha e^(-i pi alpha/2)) and, if
     m > 1, the atom (m-1)^(2/alpha-1)/(alpha/2) at s* = M - (m-1)^(2/alpha).
-    The estimate adds to quad's abserr the rounding it cannot see, in the
-    atom and in the exponent sqrt(s) r: (10 + 2 sqrt(s_min) r) eps |value|.
+
+    G_1 decays like e^(-k_min r), k_min^2 the bottom of sigma's support,
+    and leaves the double range for large M (Phi_{2,0.1}: e^(-717) at
+    r = 0.7).  So quad integrates e^(k_min r) Y_d, through
+    e^(-(k - k_min) r) and scipy's k0e, and the tolerance is tested before
+    the values and estimates are scaled back, to subnormal or 0 where G_1
+    underflows.  The estimate adds to quad's abserr the rounding it cannot
+    see, in the atom and in the exponent k_min r: (10 + 2 k_min r) eps |value|.
     """
     if d not in (1, 2, 3):
         raise ValueError("resolvent_kernel requires d <= 3")
@@ -463,33 +485,38 @@ def resolvent_kernel(symbol, d, radii):
         raise ValueError("resolvent_kernel requires r > 0")
     m, alpha = symbol.m, symbol.alpha
     M, c, phase = m ** (2.0 / alpha), 1.0 - m, (-1j) ** alpha
+    gap = (m - 1.0) ** (2.0 / alpha) if m > 1.0 else 0.0
+    k_min = math.sqrt(M - gap)
     # u = v^q makes the m = 1 density (2/pi) sin(pi alpha/2) u^(1-alpha)
     # flat in v.
     q = max(1.0, 1.0 / (2.0 - alpha))
-    yukawa = (lambda k, r: np.exp(-k * r) / (2.0 * k),
-              lambda k, r: special.k0(k * r) / (2.0 * math.pi),
-              lambda k, r: np.exp(-k * r) / (4.0 * math.pi * r))[d - 1]
+    # e^(k_min r) Y_d as a function of k and of (k - k_min) r >= 0.
+    scaled = (lambda k, r, x: np.exp(-x) / (2.0 * k),
+              lambda k, r, x: special.k0e(k * r) * np.exp(-x) / (2.0 * math.pi),
+              lambda k, r, x: np.exp(-x) / (4.0 * math.pi * r))[d - 1]
 
     def integrand(v, r):
         u = v ** q
+        k = math.sqrt(M + u * u)
         return (2.0 * q * u * u / (math.pi * v) * (1.0 / (c + u ** alpha * phase)).imag
-                * yukawa(math.sqrt(M + u * u), r))
+                * scaled(k, r, (gap + u * u) / (k + k_min) * r))
 
     # epsrel sits well above QUADPACK's floor of 50 eps.
     values, errs = np.array([integrate.quad(integrand, 0.0, np.inf, args=(r,),
                                             epsabs=0.0, epsrel=1e-13, limit=200)
                              for r in radii]).T
-    s_min = M  # the smallest s that sigma charges
     if m > 1.0:
-        gap = (m - 1.0) ** (2.0 / alpha)
-        s_min = M - gap
-        values += gap / (m - 1.0) / (0.5 * alpha) * yukawa(math.sqrt(s_min), radii)
-    # Rounding sqrt(s) r moves e^(-sqrt(s) r) by up to sqrt(s) r eps relative.
-    errs += (10.0 + 2.0 * math.sqrt(s_min) * radii) * np.finfo(float).eps * values
+        values += gap / (m - 1.0) / (0.5 * alpha) * scaled(k_min, radii, 0.0)
+    errs += (10.0 + 2.0 * k_min * radii) * np.finfo(float).eps * values
+    unscale = np.exp(-k_min * radii)
     if np.any(errs > REL_TOL * values):
         raise QuadratureError("resolvent quadrature did not converge",
-                              value=values, error_estimate=errs)
-    return values, errs
+                              value=values * unscale, error_estimate=errs * unscale)
+    # Below the normal range, scaling back rounds to whole units of the
+    # smallest subnormal, at most values / 2 + 1 of them; values + 2 units
+    # also cover the rounding of that product itself.
+    unit = np.finfo(float).smallest_subnormal
+    return values * unscale, errs * unscale + (values + 2.0) * unit
 
 
 def second_moment_decay(symbol, d, r_list):

@@ -243,11 +243,23 @@ class TestHeatKernel:
         t, radii = 0.1, np.geomspace(0.01, 12.0, 1201)
         table = build_kernel_table(s01, "heat", 1, radii, t=t)
         cauchy = t / (math.pi * (t * t + radii ** 2))
-        # 9.7e-14 measured; a rounded panel phase r m_p or rounded panel
+        # 9.6e-14 measured; a rounded panel phase r m_p or rounded panel
         # midpoints each push it above 2e-12.
-        assert np.max(np.abs(table.values / cauchy - 1.0)) <= 1e-12
+        assert np.max(np.abs(table.values / cauchy - 1.0)) <= 2e-13
         assert np.all(np.abs(table.values - cauchy) <= table.error_estimates)
         assert np.all(table.error_estimates <= REL_TOL * table.values)
+
+    def test_cauchy_closed_form_d3(self, s01):
+        # Phi_{0,1} in d = 3: p_t(r) = t / (pi^2 (t^2 + r^2)^2), from r = 0,
+        # where the d = 3 sum takes D xi in place of sin(r xi) / r.
+        t = 0.1
+        radii = np.concatenate([[0.0], np.geomspace(0.01, 12.0, 400)])
+        exact = t / (math.pi ** 2 * (t * t + radii ** 2) ** 2)
+        prof, errs = heat_kernel_profile(s01, 3, t, radii)
+        # 3.1e-12 measured, largest near r = 10, where p_t is 1e-8 p_t(0).
+        assert prof == pytest.approx(exact, rel=1e-11)
+        assert abs(prof[0] / exact[0] - 1.0) <= 1e-13
+        assert np.all(np.abs(prof - exact) <= errs)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_higher_dimension_mass(self, s11, d):
@@ -295,7 +307,44 @@ RESOLVENT_D1_ORACLE = {
 }
 
 
+def stieltjes_oracle(m, alpha, d, r):
+    """G_1(r) as a 30-digit mpmath quadrature of the Stieltjes integral
+    int sigma(ds) Y_d(s, r) (resolvent_kernel's docstring), integrand times
+    e^(k_min r): mpmath's tolerance is absolute, and G_1 can be 1e-134."""
+    with mpmath.workdps(30):
+        m, alpha, r = mpmath.mpf(m), mpmath.mpf(alpha), mpmath.mpf(r)
+        M, phase = m ** (2 / alpha), mpmath.expjpi(-alpha / 2)
+        gap = (m - 1) ** (2 / alpha) if m > 1 else 0
+        scale = mpmath.exp(mpmath.sqrt(M - gap) * r)
+        yukawa = (lambda k: mpmath.exp(-k * r) / (2 * k),
+                  lambda k: mpmath.besselk(0, k * r) / (2 * mpmath.pi),
+                  lambda k: mpmath.exp(-k * r) / (4 * mpmath.pi * r))[d - 1]
+        density = lambda u: (2 * u / mpmath.pi
+                             * mpmath.im(1 / (1 - m + u ** alpha * phase)))
+        breaks = [0] + [mpmath.mpf(10) ** k for k in range(-30, 6)] + [mpmath.inf]
+        integrand = lambda u: scale * density(u) * yukawa(mpmath.sqrt(M + u * u))
+        total = mpmath.quad(integrand, breaks, maxdegree=10)
+        if m > 1:
+            total += scale * gap / (m - 1) / (alpha / 2) * yukawa(mpmath.sqrt(M - gap))
+        return total / scale
+
+
 class TestResolventKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_below_double_range(self, d):
+        # Phi_{2,0.1}: M = 2^20, so G_1 ~ e^(-1024 r) is about 1e-133 at
+        # r = 0.3, subnormal at r = 0.7 and below every double at r = 1.
+        radii = [0.3, 0.7, 1.0]
+        values, errs = resolvent_kernel(BernsteinSymbol.relativistic(2.0, 0.1),
+                                        d, radii)
+        exact = [stieltjes_oracle(2.0, 0.1, d, r) for r in radii]
+        assert values[0] == pytest.approx(float(exact[0]), rel=1e-12)
+        assert errs[0] <= REL_TOL * values[0]
+        assert 0.0 < values[1] < np.finfo(float).tiny
+        assert values[2] == 0.0
+        for value, err, oracle in zip(values, errs, exact):
+            assert abs(mpmath.mpf(value) - oracle) <= err
+
     def test_value_against_time_integral_oracle(self, s01):
         # G_1(1) = int_0^inf e^-t t/(pi (t^2+1)) dt via the Cauchy density.
         oracle, _ = integrate.quad(

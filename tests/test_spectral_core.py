@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
+                                                kernel_moment,
                                                 massless_constant)
 from nonlocal_spectra.experiments import random_band_limited
 from nonlocal_spectra.spectral_core import (_IMAGE_BUDGET, CostGuardError,
@@ -16,6 +17,19 @@ from nonlocal_spectra.spectral_core import (_IMAGE_BUDGET, CostGuardError,
                                             gagliardo_seminorm,
                                             pointwise_nonlocal,
                                             seminorm_direct, seminorm_fourier)
+
+
+def counting_symbol(m, alpha):
+    """(Phi_{m,alpha}, list): the list gets the size of every jump_kernel
+    evaluation."""
+    radii = []
+
+    class Counting(BernsteinSymbol):
+        def jump_kernel(self, d, r):
+            radii.append(np.size(r))
+            return super().jump_kernel(d, r)
+
+    return Counting(m=m, alpha=alpha), radii
 
 
 class TestGridField:
@@ -164,18 +178,48 @@ class TestSeminorms:
     def test_image_sum_within_budget(self, d):
         # Forty decay lengths of 1e6 would ask for 2e6 cells per axis; the
         # disk is capped at the budget in every d.
-        radii = []
-
-        class Counting(BernsteinSymbol):
-            def jump_kernel(self, d, r):
-                radii.append(np.size(r))
-                return super().jump_kernel(d, r)
-
-        images = _lattice_images(Counting(m=1e-6, alpha=1.0), 20.0, d)
+        symbol, radii = counting_symbol(1e-6, 1.0)
+        images = _lattice_images(symbol, 20.0, d)
         radii.clear()
         value = images(*[np.zeros(3)] * d)
         assert 0 < sum(radii) <= 3 * _IMAGE_BUDGET
         assert np.all(np.isfinite(value)) and np.all(value > 0.0)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_image_sum_against_brute_force(self, m):
+        # Per-offset sums over the disk 0 < |k| <= M (M = 25 massless, and
+        # 1 + ceil(40 / L) = 3 for m = 1) plus the continuum beyond the
+        # radius sqrt(N / pi) L of its N cells, at offsets outside the
+        # canonical octant 0 <= h_x <= h_y: negative, swapped, and the
+        # -L/2 row of the roll-offset lattice.
+        L, h = 20.0, 20.0 / 64
+        symbol = BernsteinSymbol.relativistic(m, 1.0)
+        M = 25 if m == 0.0 else 3
+        k = np.array([(a, b) for a in range(-M, M + 1) for b in range(-M, M + 1)
+                      if 0 < a * a + b * b <= M * M])
+        R = math.sqrt((len(k) + 1) / math.pi) * L
+        tail = 2.0 * math.pi * kernel_moment(symbol, 2, 0, R, np.inf) / L ** 2
+        hx = np.array([-L / 2] * 5 + [5 * h, -3 * h, 12 * h, -12 * h, 0.0, 1.234])
+        hy = np.array([-32 * h, -5 * h, 0.0, 7 * h, 31 * h,
+                       -3 * h, 5 * h, 2 * h, -2 * h, -7 * h, -0.5])
+        brute = [tail + math.fsum(symbol.jump_kernel(2, np.hypot(x + L * k[:, 0],
+                                                                 y + L * k[:, 1])))
+                 for x, y in zip(hx, hy)]
+        assert _lattice_images(symbol, L, 2)(hx, hy) == pytest.approx(brute, rel=1e-14)
+
+    def test_image_sum_once_per_symmetry_class(self):
+        # The 64^2 roll offsets take 33 values of |h_k| per axis, so j is
+        # evaluated at 33 * 34 / 2 = 561 sorted pairs per image, not 4096.
+        symbol, radii = counting_symbol(0.0, 1.0)
+        images = _lattice_images(symbol, 20.0, 2)
+        radii.clear()
+        images(np.zeros(1), np.zeros(1))
+        n_images = sum(radii)
+        off = (20.0 / 64 * np.arange(64) + 10.0) % 20.0 - 10.0
+        hx, hy = np.meshgrid(off, off, indexing="ij")
+        radii.clear()
+        assert images(hx, hy).shape == (64, 64)
+        assert n_images > 1000 and sum(radii) <= 600 * n_images
 
     def test_plancherel_d2(self, s11):
         g = Grid(d=2, n=64, L=20.0)
