@@ -382,9 +382,9 @@ def heat_kernel_profile(symbol, d, t, radii):
     exact, 2.9e-12 with linspace midpoints and 8.3e-12 with a rounded r m_p.
 
     The estimate is |I_24 - I_12| plus the roundoff floor
-    10 eps sum |D A_d(0, xi)|; A_d(0, xi) bounds |A_d(r, xi)|, and the
-    difference alone falls below the actual error wherever the two rules
-    agree to roundoff.
+    10 eps sum |D| max |A_d(r, xi)|, which is sum |D| in d = 1 and 2 and
+    sum |D| min(xi, 1/r) per radius in d = 3; the difference alone falls
+    below the actual error wherever the two rules agree to roundoff.
     """
     if not t > 0:
         raise ValueError("heat_kernel requires t > 0")
@@ -417,6 +417,14 @@ def heat_kernel_profile(symbol, d, t, radii):
         damped *= nodes / (2.0 * math.pi ** 2)
         at_zero = damped * nodes
     floor = 10.0 * np.finfo(float).eps * float(np.abs(at_zero[:, 12:]).sum())
+    if d == 3:
+        # F(x) = sum |D| min(xi, x) is linear between the nodes, which the
+        # ravelled panels list in increasing order; the floor is 10 eps F(1/r).
+        xi, weight = nodes[:, 12:].ravel(), np.abs(damped[:, 12:]).ravel()
+        F = np.cumsum(weight * xi) + xi * (np.cumsum(weight[::-1])[::-1] - weight)
+        inv = np.divide(1.0, radii, out=np.full(radii.size, np.inf), where=radii > 0.0)
+        floor = 10.0 * np.finfo(float).eps * np.interp(
+            inv, np.r_[0.0, xi], np.r_[0.0, F])
     sums = np.empty((radii.size, x.size))
     if d == 2:
         rows = max(1, _BLOCK_ENTRIES // nodes.size)

@@ -23,10 +23,8 @@ error; their agreement is the discrete form of the kernel <-> symbol
 correspondence and is enforced by the acceptance suite.  The direct route
 takes the x-integral from the Fourier modes, so only h is integrated: on
 [0, h0] as a Taylor series against kernel_moment, beyond by tanh-sinh.
-The images m != 0 of J are two Hurwitz zeta functions for the massless
-kernel in d = 1; every other kernel sums them over a lattice disk sized by
-its decay and capped at about 2000 points, plus the continuum beyond, once
-per offset up to axis flips and permutations.
+The images m != 0 of J are one windowed lattice sum plus its continuum,
+the same rule for every kernel and d (_lattice_images).
 
 pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x): one radial
 quadrature of sphere-rule shell sums, the same path for d = 1, 2 and 3.
@@ -253,9 +251,6 @@ def dirichlet_form(symbol, u, v, V=None):
 # ---------------------------------------------------------------------------
 
 _COST_GUARD = {1: 256, 2: 64}
-# Lattice points of the image disk, the same in every d (M = 1000 in d = 1,
-# 25 in d = 2).
-_IMAGE_BUDGET = 2000
 
 
 def _check_cost_guard(grid):
@@ -391,41 +386,45 @@ def _direct_core_2d(field, symbol, images_offset):
 
 
 def _lattice_images(symbol, L, d):
-    """images(*offsets): sum_{m in Z^d, 0 < |m| <= M} j(|h + m L|) at the
-    offsets h (one array per axis), plus the continuum beyond the disk.
+    """images(*offsets): sum_{m != 0} j(|h + m L|) at the offsets h (one
+    array per axis), from the Ewald-type split j = j (1 - w) + j w.
 
-    A massive kernel decays like e^(-m^(1/alpha) r), so 40 decay lengths
-    need M = 1 + ceil(40 / (m^(1/alpha) L)); M is capped so that the disk
-    holds about _IMAGE_BUDGET points in every d, and massless kernels take
-    the cap.  Beyond the N summed cells the cell-averaged sum is the
-    integral of j over |x| > R, R the radius of the ball of volume N L^d.
-
-    Axis flips and permutations map the disk onto itself and keep |h + m L|
-    as a multiset, so the sum depends on h only through its sorted |h_k|:
-    it is evaluated once per such canonical offset (561 for the 64^2
-    lattice of roll offsets, not 4096) and scattered back.
+    w is 0 on [0, R0 = 2L], 1 beyond R1 = 18L and ndtr((r - 10L) / s) between,
+    s = sqrt((R1 - R0) L / (4 pi)).  j (1 - w) is summed over the images with
+    |m| L <= R1 + sqrt(d) L/2 and j >= 1e-20 j(L/2) at their nearest point;
+    the lattice sum of j w is L^-d times its integral over R^d, up to Fourier
+    coefficients e^(-(2 pi s/L)^2/2) and clipped ends e^(-(8L/s)^2/2), both
+    about e^-22.  Axis flips and permutations map the images onto themselves,
+    so the sum depends on h only through its sorted |h_k|: it is evaluated
+    once per such class (561 of 4096 roll offsets at n = 64) and scattered back.
     """
-    ball = sphere_surface(d) / d
-    M = int((_IMAGE_BUDGET / ball) ** (1.0 / d))
-    if symbol.m:
-        M = min(M, 1 + math.ceil(40.0 / (symbol.m ** (1.0 / symbol.alpha) * L)))
-    axis = np.arange(-M, M + 1)
+    r0, r1 = 2.0 * L, 18.0 * L
+    mid, s = 0.5 * (r0 + r1), math.sqrt((r1 - r0) * L / (4.0 * math.pi))
+    reach = r1 / L + 0.5 * math.sqrt(d)
+    axis = np.arange(-int(reach), int(reach) + 1)
     m = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    m = m[np.sum(m * m, axis=1) <= M * M]
-    R = (len(m) / ball) ** (1.0 / d) * L
-    tail = sphere_surface(d) * kernel_moment(symbol, d, 0, R, np.inf) / L ** d
-    shifts = L * m[np.any(m != 0, axis=1)]
+    m = m[(np.sum(m * m, axis=1) <= reach * reach) & np.any(m != 0, axis=1)]
+    nearest = L * np.sqrt(np.sum(np.maximum(np.abs(m) - 0.5, 0.0) ** 2, axis=1))
+    j_half = symbol.jump_kernel(d, 0.5 * L)
+    shifts = L * m[symbol.jump_kernel(d, nearest) >= 1e-20 * j_half]
+    # In units of j(L/2), so that tanh-sinh's absolute tolerance scales with j.
+    ramp, _ = tanh_sinh_quadrature(lambda r: symbol.jump_kernel(d, r) / j_half
+                                   * r ** (d - 1) * special.ndtr((r - mid) / s), r0, r1)
+    tail = sphere_surface(d) * (j_half * ramp + kernel_moment(symbol, d, 0, r1, np.inf)) \
+        / L ** d
 
     def images(*offsets):
         h = np.sort(np.abs(np.stack([np.ravel(o) for o in offsets], axis=1)), axis=1)
         h, where = np.unique(h, axis=0, return_inverse=True)
         total = np.full(len(h), tail)
-        # Blocks of about 2^18 kernel values bound the memory.
-        rows = max(1, (1 << 18) // len(h))
+        # Blocks of about 2^16 kernel values bound the memory.
+        rows = max(1, (1 << 16) // len(h))
         for i in range(0, len(shifts), rows):
             block = shifts[i:i + rows].T
-            r_sq = sum((s[:, None] + hk) ** 2 for s, hk in zip(block, h.T))
-            total += np.sum(symbol.jump_kernel(d, np.sqrt(r_sq)), axis=0)
+            r = np.sqrt(sum((sk[:, None] + hk) ** 2 for sk, hk in zip(block, h.T)))
+            z = (mid - r) / s
+            near = np.where(np.abs(z) < (mid - r0) / s, special.ndtr(z), z > 0.0)
+            total += np.sum(symbol.jump_kernel(d, r) * near, axis=0)
         return total[where.ravel()].reshape(np.shape(offsets[0]))
 
     return images
@@ -435,15 +434,8 @@ def seminorm_direct(symbol, field):
     """[u]_Phi from the kernel side (double quadrature on the torus)."""
     grid = field.grid
     _check_cost_guard(grid)
-    L, d = grid.L, grid.d
-    if d == 1 and not symbol.m:
-        # sum_{m != 0} |h + mL|^-exponent as two Hurwitz zeta functions.
-        c, exponent = massless_constant(d, symbol.alpha), d + symbol.alpha
-        images = lambda h: c * (special.zeta(exponent, 1.0 + h / L)
-                                + special.zeta(exponent, 1.0 - h / L)) / L ** exponent
-    else:
-        images = _lattice_images(symbol, L, d)
-    core = _direct_core_1d if d == 1 else _direct_core_2d
+    core = _direct_core_1d if grid.d == 1 else _direct_core_2d
+    images = _lattice_images(symbol, grid.L, grid.d)
     return math.sqrt(max(core(field, symbol, images), 0.0))
 
 

@@ -260,6 +260,8 @@ class TestHeatKernel:
         assert prof == pytest.approx(exact, rel=1e-11)
         assert abs(prof[0] / exact[0] - 1.0) <= 1e-13
         assert np.all(np.abs(prof - exact) <= errs)
+        # The roundoff floor follows |sin(r xi) / r| <= min(xi, 1/r).
+        assert np.max(errs / exact) <= 5e-9
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_higher_dimension_mass(self, s11, d):

@@ -1,14 +1,16 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 kernel_moment,
                                                 massless_constant)
 from nonlocal_spectra.experiments import random_band_limited
-from nonlocal_spectra.spectral_core import (_IMAGE_BUDGET, CostGuardError,
+from nonlocal_spectra.spectral_core import (CostGuardError,
                                             Field, FormValue, Grid,
                                             SpectralOperator, _lattice_images,
                                             apply_multiplier,
@@ -141,24 +143,22 @@ class TestSeminorms:
         u = random_band_limited(Grid(d=1, n=256, L=40.0), 1)
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
-            seminorm_fourier(symbol, u), rel=1e-10)
+            seminorm_fourier(symbol, u), rel=1e-14)
 
     @pytest.mark.parametrize("m, alpha", [(0.001, 0.5), (0.01, 1.0)])
     def test_routes_agree_small_mass(self, m, alpha):
-        # Decay lengths m^(-1/alpha) of 1e6 and 100 against L = 40: the
-        # first outruns the 1000-cell image cap, so the continuum beyond the
-        # disk carries it.
+        # Decay lengths m^(-1/alpha) of 1e6 and 100 against L = 40: both
+        # outrun the 18-cell image window, so its continuum carries them.
         u = random_band_limited(Grid(d=1, n=256, L=40.0), 1)
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
-            seminorm_fourier(symbol, u), rel=1e-10)
+            seminorm_fourier(symbol, u), rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.75, 1.9])
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_routes_agree_d2(self, m, alpha):
-        # Massless accuracy is set by the continuum tail of the image sum
-        # (1.8e-6 at alpha = 0.5), massive by the lattice sum over the
-        # outer partition's ramp on [L/8, L/2 - h] (2.0e-10 at alpha = 0.5).
+        # Accuracy is set by the lattice sum over the outer partition's ramp
+        # on [L/8, L/2 - h] (2.0e-10 at alpha = 0.5, massless or massive).
         u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
@@ -166,46 +166,71 @@ class TestSeminorms:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
     def test_routes_agree_d2_small_mass(self, alpha):
-        # Decay lengths of 400, 20 and 4.8 against L = 20 and the 25-cell
-        # image cap: the continuum beyond the disk carries the first two
-        # (1.5e-6 at alpha = 0.5).
+        # Decay lengths of 400, 20 and 4.8 against L = 20 and the 18-cell
+        # image window: its continuum carries the first two.
         u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
         symbol = BernsteinSymbol.relativistic(0.05, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
             seminorm_fourier(symbol, u), rel=1e-5)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("m", [0.0, 0.05])
+    def test_routes_agree_d2_at_partition_floor(self, m, alpha):
+        # Massless and slowly decaying kernels reach the massive kernel's
+        # floor, set by the outer partition's ramp (2.1e-10 measured).
+        u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        assert seminorm_direct(symbol, u) == pytest.approx(
+            seminorm_fourier(symbol, u), rel=5e-10)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_image_sum_within_budget(self, d):
-        # Forty decay lengths of 1e6 would ask for 2e6 cells per axis; the
-        # disk is capped at the budget in every d.
+        # A decay length of 1e6 drops no image: the window's reach alone
+        # bounds the sum, in every d.
         symbol, radii = counting_symbol(1e-6, 1.0)
         images = _lattice_images(symbol, 20.0, d)
         radii.clear()
         value = images(*[np.zeros(3)] * d)
-        assert 0 < sum(radii) <= 3 * _IMAGE_BUDGET
+        assert 0 < sum(radii) <= 6000
         assert np.all(np.isfinite(value)) and np.all(value > 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("m", [0.0, 1.0])
-    def test_image_sum_against_brute_force(self, m):
-        # Per-offset sums over the disk 0 < |k| <= M (M = 25 massless, and
-        # 1 + ceil(40 / L) = 3 for m = 1) plus the continuum beyond the
-        # radius sqrt(N / pi) L of its N cells, at offsets outside the
-        # canonical octant 0 <= h_x <= h_y: negative, swapped, and the
-        # -L/2 row of the roll-offset lattice.
+    def test_image_sum_against_brute_force(self, m, d):
+        # Per-offset sums of j (1 - w) over every image 0 < |k| L <= R1 +
+        # sqrt(d) L / 2, w the Gaussian step of [R0, R1] = [2L, 18L], plus
+        # the continuum of j w: QUADPACK on the ramp, kernel_moment beyond
+        # R1.  The offsets lie outside the canonical octant 0 <= h_x <= h_y:
+        # negative, swapped, and the -L/2 row of the roll-offset lattice.
         L, h = 20.0, 20.0 / 64
+        r0, r1 = 2.0 * L, 18.0 * L
+        mid, s = (r0 + r1) / 2.0, math.sqrt((r1 - r0) * L / (4.0 * math.pi))
         symbol = BernsteinSymbol.relativistic(m, 1.0)
-        M = 25 if m == 0.0 else 3
-        k = np.array([(a, b) for a in range(-M, M + 1) for b in range(-M, M + 1)
-                      if 0 < a * a + b * b <= M * M])
-        R = math.sqrt((len(k) + 1) / math.pi) * L
-        tail = 2.0 * math.pi * kernel_moment(symbol, 2, 0, R, np.inf) / L ** 2
+
+        def step(r):
+            return 0.0 if r <= r0 else 1.0 if r >= r1 else \
+                0.5 * math.erfc((mid - r) / (s * math.sqrt(2.0)))
+
+        reach = r1 / L + math.sqrt(d) / 2.0
+        k = L * np.array([c for c in itertools.product(
+            range(-int(reach), int(reach) + 1), repeat=d)
+            if 0 < sum(x * x for x in c) <= reach * reach])
+        ramp = integrate.quad(lambda r: symbol.jump_kernel(d, r) * r ** (d - 1)
+                              * step(r), r0, r1, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+        surface = 2.0 if d == 1 else 2.0 * math.pi
+        tail = surface * (ramp + kernel_moment(symbol, d, 0, r1, np.inf)) / L ** d
         hx = np.array([-L / 2] * 5 + [5 * h, -3 * h, 12 * h, -12 * h, 0.0, 1.234])
         hy = np.array([-32 * h, -5 * h, 0.0, 7 * h, 31 * h,
                        -3 * h, 5 * h, 2 * h, -2 * h, -7 * h, -0.5])
-        brute = [tail + math.fsum(symbol.jump_kernel(2, np.hypot(x + L * k[:, 0],
-                                                                 y + L * k[:, 1])))
-                 for x, y in zip(hx, hy)]
-        assert _lattice_images(symbol, L, 2)(hx, hy) == pytest.approx(brute, rel=1e-14)
+        offsets = np.stack([hx, hy][:d], axis=1)
+        brute = []
+        for x in offsets:
+            r = np.sqrt(np.sum((x + k) ** 2, axis=1))
+            brute.append(tail + math.fsum(
+                j * (1.0 - step(ri)) for j, ri in zip(symbol.jump_kernel(d, r), r)))
+        assert _lattice_images(symbol, L, d)(*offsets.T) == pytest.approx(
+            brute, rel=1e-14)
 
     def test_image_sum_once_per_symmetry_class(self):
         # The 64^2 roll offsets take 33 values of |h_k| per axis, so j is
