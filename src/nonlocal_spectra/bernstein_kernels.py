@@ -47,7 +47,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import integrate, special
 
-from .special_functions import (ABS_TOL, GAMMAINC_REL_ERR, KV_REL_ERR, REL_TOL,
+from .special_functions import (GAMMAINC_REL_ERR, KV_REL_ERR, REL_TOL,
                                 QuadratureError, bessel_k_grid)
 
 
@@ -149,7 +149,7 @@ def _unit_tanh_sinh(level):
     return u > 0.0, gap, weight
 
 
-def tanh_sinh_quadrature(f, a, b, abs_floor=0.0):
+def tanh_sinh_quadrature(f, a, b):
     """Tanh-sinh rule on [a, b] for a vectorized integrand.
 
     Node clustering at the endpoints makes the rule spectrally accurate for
@@ -159,9 +159,8 @@ def tanh_sinh_quadrature(f, a, b, abs_floor=0.0):
     roundoff; the kernel's singular origin is kernel_moment's, not this
     rule's.  A node that rounds onto a nonzero end is skipped (weight below
     1e-24 (b - a)): endpoints are never evaluated.  The step halves on each
-    of 7 passes until two passes agree to within
-    10 max(ABS_TOL, REL_TOL |value|, abs_floor); callers whose integrands
-    turn into roundoff noise supply the abs_floor it allows.
+    of 7 passes until two agree to within 10 REL_TOL sum w |f|, the rule's
+    own L1 measure of f, so the accuracy is relative at every scale of f.
     """
     width = b - a
     value = None
@@ -169,10 +168,11 @@ def tanh_sinh_quadrature(f, a, b, abs_floor=0.0):
         upper, gap, weight = _unit_tanh_sinh(level)
         x = np.where(upper, b - width * gap, a + width * gap)
         keep = (x > a) & (x < b)
-        refined = float(np.dot(width * weight[keep], f(x[keep])))
+        w, fx = width * weight[keep], f(x[keep])
+        refined = float(np.dot(w, fx))
         if value is not None:
             err = abs(refined - value)
-            if err <= max(ABS_TOL, REL_TOL * abs(refined), abs_floor) * 10.0:
+            if err <= 10.0 * REL_TOL * float(np.dot(w, np.abs(fx))):
                 return refined, err
         value = refined
     raise QuadratureError("tanh-sinh quadrature did not converge",
@@ -225,34 +225,38 @@ def sigma(d, alpha, m, r):
 def kernel_moment(symbol, d, k, a, b):
     """int_a^b r^(k+d-1) j(r) dr for 0 <= a < b <= inf (k > alpha if a = 0).
 
-    Massless moments are closed-form.  From a = 0 a massive moment is that
-    closed form minus the sigma moment (j_m = j_0 - sigma) on [0, c],
-    c = min(b, m^(-1/alpha)), summed over _sigma_rule in the closed form
-    int_0^c r^(p-1) P(xi+1, z r / c) dr
-        = (c^p / p) [P(xi+1, z) - z^-p Gamma(q) / Gamma(xi+1) P(q, z)],
-    p = k - alpha, q = p + xi + 1, z = m^(1/alpha) c cosh t.  Beyond c,
-    where j_0 - sigma would cancel, and for a > 0, QUADPACK takes j.
+    Massless moments are closed-form.  Below c = m^(-1/alpha) a massive one
+    is that closed form minus the sigma moment (j_m = j_0 - sigma), the
+    difference at x = min(b, c) and min(a, c) of sums over _sigma_rule of
+    int_0^x r^(p-1) P(xi+1, z r / x) dr
+        = (x^p / p) [P(xi+1, z) - z^-p Gamma(q) / Gamma(xi+1) P(q, z)],
+    p = k - alpha, q = p + xi + 1, z = x cosh t / c.  Beyond c, where j_0 -
+    sigma would cancel, QUADPACK takes j in s = r / c, scaled to the cutoff.
     """
     alpha, m = symbol.alpha, symbol.m
     p = k - alpha
     c0 = massless_constant(d, alpha)
     if m == 0.0:
         return c0 * (b ** p - a ** p) / p
-    total = 0.0
-    if a == 0.0:
-        mu, xi = m ** (1.0 / alpha), (d + alpha) / 2.0
-        a = min(b, 1.0 / mu)
-        cosh_t, w = _sigma_rule(xi, mu * a)
-        z = mu * a * cosh_t
-        q = p + xi + 1.0
+    mu, xi = m ** (1.0 / alpha), (d + alpha) / 2.0
+    q = p + xi + 1.0
+
+    def origin_moment(x):
+        if x == 0.0:
+            return 0.0
+        cosh_t, w = _sigma_rule(xi, mu * x)
+        z = mu * x * cosh_t
         inner = (special.gammainc(xi + 1.0, z) - z ** -p * special.gammainc(q, z)
                  * math.exp(math.lgamma(q) - math.lgamma(xi + 1.0)))
-        total = a ** p / p * (c0 - relativistic_prefactor(d, alpha, 1.0)
-                              * float(w @ inner))
-    if b > a:
-        total += integrate.quad(
-            lambda r: r ** (k + d - 1) * symbol.jump_kernel(d, r), a, b,
-            epsabs=ABS_TOL, epsrel=1e-10, limit=200)[0]
+        return x ** p / p * (c0 - relativistic_prefactor(d, alpha, 1.0)
+                             * float(w @ inner))
+
+    lo, hi = min(a, 1.0 / mu), min(b, 1.0 / mu)
+    total = origin_moment(hi) - origin_moment(lo) if hi > lo else 0.0
+    if b > hi:
+        total += mu ** -(k + d) * integrate.quad(
+            lambda s: s ** (k + d - 1) * symbol.jump_kernel(d, s / mu),
+            mu * max(a, hi), mu * b, epsabs=0.0, epsrel=REL_TOL, limit=200)[0]
     return total
 
 
@@ -456,7 +460,7 @@ def heat_kernel_profile(symbol, d, t, radii):
                 sums[i:i + rows][r == 0.0] = at_zero.sum(axis=0)
     coarse, fine = sums[:, :12].sum(axis=1), sums[:, 12:].sum(axis=1)
     diff = np.abs(fine - coarse)
-    if np.any(diff > np.maximum(ABS_TOL * 10.0, 1e-8 * np.abs(fine) + 1e-13)):
+    if np.any(diff > 1e-8 * np.abs(fine) + floor):
         raise QuadratureError("heat kernel quadrature did not converge",
                               value=fine, error_estimate=diff + floor)
     return fine, diff + floor
@@ -580,7 +584,7 @@ def build_kernel_table(symbol, kernel_id, d, radii, t=None):
     params = {"alpha": symbol.alpha,
               "m": symbol.m,
               "t": t,
-              "quadrature": {"abs_tol": ABS_TOL, "rel_tol": REL_TOL}}
+              "quadrature": {"rel_tol": REL_TOL}}
     if kernel_id == "j":
         values = np.atleast_1d(symbol.jump_kernel(d, radii))
         errs = np.abs(values) * KV_REL_ERR

@@ -19,7 +19,7 @@ from .eigensolver import dirichlet_ground_state, ground_state
 from .io_utils import radial_profile
 from .potentials import (PotentialField, WellSpec, anharmonic,
                          mollified_well, reflected_values, sharp_well)
-from .special_functions import ABS_TOL, bessel_k
+from .special_functions import REL_TOL, bessel_k
 from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
                             pointwise_nonlocal, seminorm_fourier)
 
@@ -404,7 +404,7 @@ def antisym_constant_c4(d, alpha, m, delta1):
     c = m ** (1.0 / alpha) * delta1
     val, _ = integrate.quad(
         lambda z: bessel_k(nu, c * (1.0 + z)) / (1.0 + z) ** nu,
-        0.0, np.inf, epsabs=ABS_TOL, epsrel=1e-10, limit=400)
+        0.0, np.inf, epsabs=0.0, epsrel=REL_TOL, limit=400)
     return (2.0 * math.pi / c) ** ((d - 1) / 2.0) * val
 
 
@@ -461,7 +461,7 @@ def antisymmetric_minimum_check(symbol, w, mu):
             return ((float(w(mu - t)) - w_min) * t
                     * bessel_k(xi_ord, c * z) / z ** xi_ord)
 
-        J, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=ABS_TOL,
+        J, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
                               epsrel=1e-9, limit=400)
         C = min(2.0 * constants["C1"], constants["C2"], 2.0 * constants["C3"])
         rhs1 = C * ((delta ** (-alpha) - m) * w_min - delta * J)

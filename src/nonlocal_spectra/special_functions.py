@@ -10,9 +10,9 @@ scipy.special.kv (D. E. Amos, "Algorithm 644", ACM TOMS 12, 1986); the
 t-integral above is evaluated by direct quadrature only in the test suite,
 as an independent oracle next to mpmath.besselk.
 
-Also provided: the one absolute and relative tolerance at which the kernel
-layer evaluates its integrals, and the exception a quadrature raises when
-it misses them.
+Also provided: the one relative tolerance at which the kernel layer
+evaluates its integrals, and the exception a quadrature raises when it
+misses it.
 """
 
 import numpy as np
@@ -32,7 +32,6 @@ class QuadratureError(Exception):
         self.error_estimate = error_estimate
 
 
-ABS_TOL = 1e-12
 REL_TOL = 1e-10
 
 # Relative error bound of kv and of kernels built from it; against mpmath,

@@ -40,7 +40,7 @@ from scipy import special
 from .bernstein_kernels import (BernsteinSymbol, kernel_moment,
                                 massless_constant, sphere_surface,
                                 tanh_sinh_quadrature)
-from .special_functions import ABS_TOL, QuadratureError
+from .special_functions import REL_TOL, QuadratureError
 
 class CostGuardError(ValueError):
     """A requested computation exceeds its cost guard: a direct seminorm on
@@ -391,7 +391,7 @@ def _lattice_images(symbol, L, d):
 
     w is 0 on [0, R0 = 2L], 1 beyond R1 = 18L and ndtr((r - 10L) / s) between,
     s = sqrt((R1 - R0) L / (4 pi)).  j (1 - w) is summed over the images with
-    |m| L <= R1 + sqrt(d) L/2 and j >= 1e-20 j(L/2) at their nearest point;
+    |m| L <= R1 + sqrt(d) L/2 and j > 1e-20 j(L/2) at their nearest point;
     the lattice sum of j w is L^-d times its integral over R^d, up to Fourier
     coefficients e^(-(2 pi s/L)^2/2) and clipped ends e^(-(8L/s)^2/2), both
     about e^-22.  Axis flips and permutations map the images onto themselves,
@@ -405,17 +405,18 @@ def _lattice_images(symbol, L, d):
     m = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     m = m[(np.sum(m * m, axis=1) <= reach * reach) & np.any(m != 0, axis=1)]
     nearest = L * np.sqrt(np.sum(np.maximum(np.abs(m) - 0.5, 0.0) ** 2, axis=1))
-    j_half = symbol.jump_kernel(d, 0.5 * L)
-    shifts = L * m[symbol.jump_kernel(d, nearest) >= 1e-20 * j_half]
-    # In units of j(L/2), so that tanh-sinh's absolute tolerance scales with j.
-    ramp, _ = tanh_sinh_quadrature(lambda r: symbol.jump_kernel(d, r) / j_half
-                                   * r ** (d - 1) * special.ndtr((r - mid) / s), r0, r1)
-    tail = sphere_surface(d) * (j_half * ramp + kernel_moment(symbol, d, 0, r1, np.inf)) \
-        / L ** d
+    shifts = L * m[symbol.jump_kernel(d, nearest)
+                   > 1e-20 * symbol.jump_kernel(d, 0.5 * L)]
+    ramp, _ = tanh_sinh_quadrature(lambda r: symbol.jump_kernel(d, r) * r ** (d - 1)
+                                   * special.ndtr((r - mid) / s), r0, r1)
+    tail = sphere_surface(d) * (ramp + kernel_moment(symbol, d, 0, r1, np.inf)) / L ** d
 
     def images(*offsets):
         h = np.sort(np.abs(np.stack([np.ravel(o) for o in offsets], axis=1)), axis=1)
-        h, where = np.unique(h, axis=0, return_inverse=True)
+        # A sorted row has d <= 2 entries: one complex key per class.
+        _, first, where = np.unique(h[:, 0] + 1j * h[:, -1], return_index=True,
+                                    return_inverse=True)
+        h = h[first]
         total = np.full(len(h), tail)
         # Blocks of about 2^16 kernel values bound the memory.
         rows = max(1, (1 << 16) // len(h))
@@ -479,12 +480,12 @@ def _wynn_epsilon(partial_sums):
 _GL20 = np.polynomial.legendre.leggauss(20)
 
 
-def _oscillatory_tail(f, a, panel, abs_tol):
+def _oscillatory_tail(f, a, panel):
     """int_a^inf f dh for f = (bounded oscillation) x (monotone decaying kernel).
 
-    Panel-by-panel summation; if plain summation has not converged once the
-    panels stop shrinking fast, the cumulative sums are extrapolated with
-    Wynn's epsilon algorithm (partition extrapolation).
+    Panel-by-panel summation until three pieces in a row are at most
+    REL_TOL |total|; failing that within 600 panels, Wynn's epsilon
+    algorithm extrapolates the cumulative sums (partition extrapolation).
     """
     x, w = _GL20
     half = 0.5 * panel
@@ -495,14 +496,13 @@ def _oscillatory_tail(f, a, panel, abs_tol):
         piece = half * float(np.dot(w, f(a + (k + 0.5) * panel + half * x)))
         total += piece
         sums.append(total)
-        if abs(piece) < abs_tol:
+        if abs(piece) <= REL_TOL * abs(total):
             small += 1
             if small >= 3:
                 return total, abs(piece)
         else:
             small = 0
-    value, err = _wynn_epsilon(sums[-48:])
-    return value, err
+    return _wynn_epsilon(sums[-48:])
 
 
 def _far_constant(samples):
@@ -586,15 +586,12 @@ def pointwise_nonlocal(symbol, u, x):
     s1, s2 = shell_sum(np.array([delta, 2.0 * delta]))
     taylor = _series_moment(symbol, d, [(16.0 * s1 - s2) / (12.0 * delta ** 2),
                                         (s2 - 4.0 * s1) / (12.0 * delta ** 4)], h0)
-    mid_val, _ = tanh_sinh_quadrature(lambda rs: radial(shell_sum(rs), rs),
-                                      h0, eps_cut,
-                                      abs_floor=1e-13 * (1.0 + abs(u_x)) * surf)
+    mid_val, _ = tanh_sinh_quadrature(lambda rs: radial(shell_sum(rs), rs), h0, eps_cut)
 
     tail_mass = kernel_moment(symbol, d, 0, eps_cut, np.inf)
     c_far = _far_constant(shell_total(np.array([1e5, 2.3e5, 5.1e5])))
     outer_val, outer_err = _oscillatory_tail(
-        lambda rs: radial(shell_total(rs) - c_far, rs), eps_cut, 1.0,
-        ABS_TOL * surf)
+        lambda rs: radial(shell_total(rs) - c_far, rs), eps_cut, 1.0)
     if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
         raise QuadratureError("outer nonlocal integral did not converge",
                               value=None, error_estimate=outer_err)

@@ -35,6 +35,16 @@ class TestTanhSinh:
         val, _ = tanh_sinh_quadrature(np.log, 0.0, 1.0)
         assert val == pytest.approx(-1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-12, 1.0, 1e200])
+    def test_scale_invariant(self, c):
+        # Levels are compared against the rule's own sum w |f|, so the
+        # relative accuracy does not depend on the integrand's scale.
+        val, _ = tanh_sinh_quadrature(lambda x: c * np.cos(3.0 * x), 0.0, 2.0)
+        exact = c * math.sin(6.0) / 3.0
+        assert abs(val - exact) <= 1e-13 * abs(exact)
+        val, _ = tanh_sinh_quadrature(lambda x: c * x ** -0.5, 0.0, 1.0)
+        assert abs(val - 2.0 * c) <= 1e-13 * 2.0 * c
+
     def test_unresolved_integrand_raises_with_partial_value(self):
         # About 1600 periods on [0, 1]; the finest level has ~1000 nodes.
         with pytest.raises(QuadratureError) as info:
@@ -148,6 +158,20 @@ def kernel_moment_oracle(d, alpha, m, k, b):
                                  * j(s ** 20), [0, mpmath.mpf(b) ** 0.05]))
 
 
+def kernel_tail_oracle(d, alpha, m, a):
+    """int_a^inf r^(d-1) j_{m,alpha}(r) dr at 30 digits, in t = log r, split
+    at every unit of t up to 60 decay lengths m^(-1/alpha)."""
+    with mpmath.workdps(30):
+        d, alpha, m = mpmath.mpf(d), mpmath.mpf(alpha), mpmath.mpf(m)
+        xi, mu = (d + alpha) / 2, m ** (1 / alpha)
+        pref = (alpha * 2 ** ((alpha - d) / 2) * m ** (xi / alpha)
+                / (mpmath.pi ** (d / 2) * mpmath.gamma(1 - alpha / 2)))
+        t0, t1 = mpmath.log(a), mpmath.log(60 / mu)
+        return float(mpmath.quad(
+            lambda t: pref * mpmath.exp((d - xi) * t) * mpmath.besselk(xi, mu * mpmath.exp(t)),
+            mpmath.linspace(t0, t1, int(t1 - t0) + 2)))
+
+
 class TestKernelMoment:
     @pytest.mark.parametrize("b", [1e-2, 1.0])
     @pytest.mark.parametrize("d", [1, 3])
@@ -157,6 +181,16 @@ class TestKernelMoment:
         symbol = BernsteinSymbol.relativistic(1.0, alpha)
         assert kernel_moment(symbol, d, k, 0.0, b) == pytest.approx(
             kernel_moment_oracle(d, alpha, 1.0, k, b), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4])
+    def test_near_massless_tail_against_mpmath(self, alpha):
+        # The cutoff 1/mu = 2.2e13 (alpha = 0.3) and 1e10 (alpha = 0.4) lies
+        # far beyond a = 720.  A QUADPACK map of [a, inf) in r misses it,
+        # and with it the m / 2 of sigma's mass beyond it.  This is the
+        # image continuum of seminorm_direct at d = 1, L = 40.
+        symbol = BernsteinSymbol.relativistic(1e-4, alpha)
+        assert kernel_moment(symbol, 1, 0, 720.0, np.inf) == pytest.approx(
+            kernel_tail_oracle(1, alpha, 1e-4, 720.0), rel=1e-12)
 
     def test_massless_closed_form(self, s01):
         # j_{0,1} = 1/(pi r^2) in d = 1.

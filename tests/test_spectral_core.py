@@ -145,14 +145,36 @@ class TestSeminorms:
         assert seminorm_direct(symbol, u) == pytest.approx(
             seminorm_fourier(symbol, u), rel=1e-14)
 
-    @pytest.mark.parametrize("m, alpha", [(0.001, 0.5), (0.01, 1.0)])
+    @pytest.mark.parametrize("m, alpha", [(0.001, 0.5), (0.01, 1.0),
+                                          (1e-4, 0.3), (1e-4, 0.4)])
     def test_routes_agree_small_mass(self, m, alpha):
-        # Decay lengths m^(-1/alpha) of 1e6 and 100 against L = 40: both
-        # outrun the 18-cell image window, so its continuum carries them.
+        # Decay lengths m^(-1/alpha) of 1e6, 100, 2.2e13 and 1e10 against
+        # L = 40: all outrun the 18-cell image window, so its continuum
+        # carries them, with sigma's mass m beyond the decay length.
         u = random_band_limited(Grid(d=1, n=256, L=40.0), 1)
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert seminorm_direct(symbol, u) == pytest.approx(
             seminorm_fourier(symbol, u), rel=1e-14)
+
+    @pytest.mark.parametrize("m, alpha", [(5.0, 0.3), (20.0, 0.5), (100.0, 1.0)])
+    @pytest.mark.parametrize("d, n, L, rel", [(1, 256, 40.0, 1e-12),
+                                              (2, 64, 20.0, 5e-10)])
+    def test_routes_agree_heavy_mass(self, d, n, L, rel, m, alpha):
+        # Decay lengths of 2.5e-3 to 1e-2: j(L/2) underflows to 0, and so
+        # does the image continuum, without any rescaling by it.
+        u = random_band_limited(Grid(d=d, n=n, L=L), 1)
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        assert seminorm_direct(symbol, u) == pytest.approx(
+            seminorm_fourier(symbol, u), rel=rel)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4])
+    def test_routes_agree_d2_near_massless(self, alpha):
+        # Decay lengths 2.2e13 and 1e10: the image continuum holds sigma's
+        # mass m = 1e-4 beyond them, which a tail map in r would lose.
+        u = random_band_limited(Grid(d=2, n=64, L=20.0), 1)
+        symbol = BernsteinSymbol.relativistic(1e-4, alpha)
+        assert seminorm_direct(symbol, u) == pytest.approx(
+            seminorm_fourier(symbol, u), rel=5e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.75, 1.9])
     @pytest.mark.parametrize("m", [0.0, 1.0])
