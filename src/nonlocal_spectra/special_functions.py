@@ -10,9 +10,9 @@ scipy.special.kv (D. E. Amos, "Algorithm 644", ACM TOMS 12, 1986); the
 t-integral above is evaluated by direct quadrature only in the test suite,
 as an independent oracle next to mpmath.besselk.
 
-Also provided: the one relative tolerance at which the kernel layer
-evaluates its integrals, and the exception a quadrature raises when it
-misses it.
+Also provided: REL_TOL, the relative tolerance that the kernel layer's
+quadratures share, and the exception a quadrature raises when it misses
+its tolerance.
 """
 
 import numpy as np

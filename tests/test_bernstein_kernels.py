@@ -277,7 +277,7 @@ class TestHeatKernel:
         t, radii = 0.1, np.geomspace(0.01, 12.0, 1201)
         table = build_kernel_table(s01, "heat", 1, radii, t=t)
         cauchy = t / (math.pi * (t * t + radii ** 2))
-        # 9.6e-14 measured; a rounded panel phase r m_p or rounded panel
+        # 1.1e-13 measured; a rounded panel phase r m_p or rounded panel
         # midpoints each push it above 2e-12.
         assert np.max(np.abs(table.values / cauchy - 1.0)) <= 2e-13
         assert np.all(np.abs(table.values - cauchy) <= table.error_estimates)
@@ -296,6 +296,30 @@ class TestHeatKernel:
         assert np.all(np.abs(prof - exact) <= errs)
         # The roundoff floor follows |sin(r xi) / r| <= min(xi, 1/r).
         assert np.max(errs / exact) <= 5e-9
+
+    @pytest.mark.parametrize("alpha, d, t", [(1.9, 1, 0.1), (1.5, 1, 0.01),
+                                             (0.3, 3, 10.0)])
+    def test_kink_at_origin(self, alpha, d, t):
+        # Phi_{0,alpha}(xi^2) = |xi|^alpha has a kink at xi = 0.  With the
+        # first panel whole, these raised on the CLI's default radii.
+        radii = np.geomspace(0.1, 10.0, 50)
+        prof, errs = heat_kernel_profile(BernsteinSymbol.relativistic(0.0, alpha),
+                                         d, t, radii)
+        # QUADPACK's QAWO on [0, X], e^(-t X^alpha) = e^-50, up to r = 5.2:
+        # beyond, it warns of roundoff for alpha = 1.5.  Measured <= 1.1e-12.
+        top = (50.0 / t) ** (1.0 / alpha)
+        for r, value in zip(radii[:43:7], prof[:43:7]):
+            if d == 1:
+                exact = integrate.quad(lambda x: math.exp(-t * x ** alpha) / math.pi,
+                                       0.0, top, weight="cos", wvar=r, epsabs=0.0,
+                                       epsrel=1e-10, limit=2000)[0]
+            else:
+                exact = integrate.quad(
+                    lambda x: x * math.exp(-t * x ** alpha) / (2.0 * math.pi ** 2 * r),
+                    0.0, top, weight="sin", wvar=r, epsabs=0.0, epsrel=1e-10,
+                    limit=2000)[0]
+            assert value == pytest.approx(exact, rel=1e-10)
+        assert np.all(errs <= 1e-8 * prof)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_higher_dimension_mass(self, s11, d):

@@ -13,6 +13,7 @@ from nonlocal_spectra.experiments import random_band_limited
 from nonlocal_spectra.spectral_core import (CostGuardError,
                                             Field, FormValue, Grid,
                                             SpectralOperator, _lattice_images,
+                                            _oscillatory_tail,
                                             apply_multiplier,
                                             dirichlet_form,
                                             field_from_function,
@@ -460,6 +461,30 @@ class TestPointwiseNonlocal:
         val = pointwise_nonlocal(s, lambda y: np.cos(k * y), x)
         assert val == pytest.approx(s.evaluate(k * k) * math.cos(k * x),
                                     abs=1e-6)
+
+    @pytest.mark.parametrize("d, m", [(1, 0.0), (1, 1.0), (2, 1.0), (3, 1.0)])
+    def test_plane_wave_at_its_zero(self, d, m):
+        # Phi(-Delta) cos(k x_1) vanishes where cos does; there the shell sum
+        # is rounding noise, which no relative quadrature test can converge on.
+        s = BernsteinSymbol.relativistic(m, 1.0)
+        k, x = 2.0, np.array([math.pi / 4.0] + [0.3] * (d - 1))
+        val = pointwise_nonlocal(s, lambda *coords: np.cos(k * coords[0]), x)
+        # Measured <= 1.5e-15.
+        assert abs(val) <= 1e-13
+
+    def test_tail_stops_on_a_cancelling_total(self):
+        # int_0^inf (e^-h - 2 e^-2h) dh = 0: the pieces ~ e^-k fall below
+        # REL_TOL sum |piece| after 27 panels, but below REL_TOL |total| only
+        # at the rounding of the vanishing total, after 61.
+        panels = []
+
+        def f(h):
+            panels.append(h)
+            return np.exp(-h) - 2.0 * np.exp(-2.0 * h)
+
+        value, err = _oscillatory_tail(f, 0.0, 1.0)
+        assert abs(value) <= err <= 1e-11
+        assert len(panels) <= 30
 
     def test_massive_plane_wave(self, s11):
         k, x = 1.5, -0.4
