@@ -142,7 +142,8 @@ def _unit_tanh_sinh(level):
     (1 - tanh |s|) / 2; upper marks the nodes nearer 1.
     """
     h = 0.45 / 2 ** level
-    u = np.arange(-3.6, 3.6 + h, h)
+    # Integer multiples of h: the nodes pair up exactly about u = 0.
+    u = h * np.arange(-8 * 2 ** level, 8 * 2 ** level + 1)
     su = 0.5 * math.pi * np.sinh(u)
     gap = 1.0 / (1.0 + np.exp(2.0 * np.abs(su)))
     weight = h * 0.25 * math.pi * np.cosh(u) / np.cosh(su) ** 2
@@ -287,11 +288,20 @@ class BernsteinSymbol:
         return f"relativistic(m={self.m:g}, alpha={self.alpha:g})"
 
     def evaluate(self, z):
-        """Phi(z) for z >= 0 (vectorized); Phi(0) = 0."""
+        """Phi(z) for z >= 0 (vectorized); Phi(0) = 0.
+
+        Below M = m^(2/alpha), (z + M)^(alpha/2) - m cancels (to 2.5 relative
+        for Phi_{100,0.3} at z = 1e-4), so there Phi = m expm1((alpha/2)
+        log1p(z / M)); from M on the difference loses at most
+        log2(1 / (2^(alpha/2) - 1)) bits, 3.2 at alpha = 0.3.  Where M
+        underflows to 0, z^(alpha/2) - m is negative only at z = 0.
+        """
         z = np.asarray(z, dtype=float)
-        out = (z + self.m ** (2.0 / self.alpha)) ** (self.alpha / 2.0) - self.m
-        # Guard the z=0 roundoff of m^(2/alpha)^(alpha/2) - m.
-        out = np.where(z == 0.0, 0.0, out)
+        half, M = 0.5 * self.alpha, self.m ** (2.0 / self.alpha)
+        low = z < M
+        t = np.divide(z, M, out=np.zeros_like(z), where=low)
+        out = np.where(low, self.m * np.expm1(half * np.log1p(t)),
+                       np.maximum((z + M) ** half - self.m, 0.0))
         return float(out) if out.ndim == 0 else out
 
     __call__ = evaluate

@@ -21,10 +21,13 @@ kernel J(h) = sum_m j(|h + mL|).  At lattice frequencies the periodization
 is exact for the multiplier, so the two routes must agree up to quadrature
 error; their agreement is the discrete form of the kernel <-> symbol
 correspondence and is enforced by the acceptance suite.  The direct route
-takes the x-integral from the Fourier modes, so only h is integrated: on
-[0, h0] as a Taylor series against kernel_moment, beyond by tanh-sinh.
-The images m != 0 of J are one windowed lattice sum plus its continuum,
-the same rule for every kernel and d (_lattice_images).
+takes the x-integral from the Fourier modes, so only h is integrated,
+by one core for d = 1 and 2 (_direct_core).  One Gaussian-smoothed step
+(_step) splits J twice: near the origin j (1 - w) is a radial integral,
+a Taylor series against kernel_moment on [0, h0] and tanh-sinh beyond,
+and the smooth rest, j w plus the images, is a lattice sum taken as one
+transform; the images m != 0 are a windowed lattice sum plus its
+continuum, the same rule for every kernel and d (_lattice_images).
 
 pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x): one radial
 quadrature of sphere-rule shell sums, the same path for d = 1, 2 and 3.
@@ -204,10 +207,7 @@ class SpectralOperator:
 
     def seminorm(self, u):
         """[u]_Phi from the Fourier side."""
-        _require_same_grid(u.grid, self.grid)
-        _, power, measure = _spectral_weights(u)
-        sq = measure * float(np.sum(self.multiplier * power))
-        return math.sqrt(max(sq, 0.0))
+        return math.sqrt(max(self.form(u, u).kinetic, 0.0))
 
     def residual(self, u, lam, V=None, mask=None):
         """||(Phi(-Delta) + V - lam) u||_2, restricted to mask if given."""
@@ -224,16 +224,6 @@ class SpectralOperator:
 def apply_multiplier(symbol, field):
     """Phi(-Delta) u via transform, multiply by Phi(|xi|^2), inverse transform."""
     return SpectralOperator(symbol, field.grid).apply(field)
-
-
-def _spectral_weights(field):
-    """(|u_hat|^2, weights * |u_hat|^2, lattice measure) for seminorm-type
-    sums, from one forward transform."""
-    grid = field.grid
-    spec_sq = np.abs(np.fft.rfftn(field.values)) ** 2
-    power = _rfft_weights(grid.d, grid.n) * spec_sq
-    measure = grid.cell_volume / grid.n ** grid.d
-    return spec_sq, power, measure
 
 
 def seminorm_fourier(symbol, field):
@@ -285,121 +275,94 @@ def _origin_piece(symbol, d, q, pw):
     return h0, sphere_surface(d) * _series_moment(symbol, d, coefs, h0)
 
 
-def _direct_core_1d(field, symbol, images):
-    """(1/2) iint_T |u(x+h)-u(x)|^2 J(h) dx dh on the torus, d = 1.
+def _step(r, r0, r1, spacing):
+    """Gaussian-smoothed step: 0 on [0, r0], 1 beyond r1, ndtr((r - mid)/s)
+    between, mid = (r0 + r1)/2 and s = sqrt((r1 - r0) spacing / (4 pi)).
 
-    The x-integral is done exactly in the mode representation:
-    int_T |u(x+h)-u(x)|^2 dx = 4 sum_k sin^2(xi_k h/2) |u_hat(xi_k)|^2.
-    On [0, h0] only the smooth images are left to tanh-sinh.
+    That s balances the two errors of summing the step on a lattice of that
+    spacing: the clipped ends, ndtr(-(r1 - r0)/(2s)), and the first Fourier
+    coefficient at 2 pi / spacing, e^(-(2 pi s / spacing)^2 / 2), are both
+    about e^(-pi (r1 - r0) / (2 spacing)).  1 - step(r) = step(r0 + r1 - r)
+    without cancellation.
+    """
+    r = np.asarray(r, dtype=float)
+    mid, s = 0.5 * (r0 + r1), math.sqrt((r1 - r0) * spacing / (4.0 * math.pi))
+    return np.where(r <= r0, 0.0, np.where(r >= r1, 1.0, special.ndtr((r - mid) / s)))
+
+
+# Points per axis of the lattice that carries the outer part and the images:
+# the core's step spans (3/8) 64 - 1 = 23 spacings, an error of e^-36.
+_LATTICE = 64
+
+
+def _direct_core(field, symbol, images):
+    """(1/2) iint_T |u(x+h)-u(x)|^2 J(h) dx dh on the torus, d <= 2.
+
+    The x-integral is done in the mode representation: with pw the power
+    of mode xi, S(h) = int_T |u(x+h)-u(x)|^2 dx = 2 sum pw (1 - cos(xi . h)),
+    whose mean over |h| = r is 2 sum pw (1 - A_d(|xi| r)), A_1 = cos and
+    A_2 = J_0.  The step w = _step(r, L/8, L/2 - spacing, spacing) splits J:
+    * j (1 - w), supported in |h| < L/2: the radial integral of
+      |S^(d-1)| sum pw (1 - A_d) j (1 - w) r^(d-1), _origin_piece on
+      [0, h0] and tanh-sinh on [h0, L/8] and [L/8, L/2 - spacing], with
+      1 - A_1 = 2 sin^2(x/2) and one column per distinct |xi|.
+    * G = j w + images, smooth, periodic and even in every axis: the cell
+      integral of S G / 2 is its lattice sum at spacing = L / max(n, 64),
+      spacing^d sum pw (G^(0) - G^(xi)) with G^ = rfftn(G) read at the
+      field's modes.
     """
     grid = field.grid
-    _, power, measure = _spectral_weights(field)
-    xi = np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L))
-    pw = power * measure
+    d, n, L = grid.d, grid.n, grid.L
+    spec = np.fft.rfftn(field.values)
+    power = _rfft_weights(d, n) * (spec * spec.conj()).real * (grid.cell_volume / n ** d)
+    # 1 - A_d(|xi| r) depends on |xi| alone: one column per distinct |xi|
+    # (498 of the 2112 modes at n = 64, d = 2), carrying their summed power.
+    mod_xi, where = np.unique(np.sqrt(_freq_sq_rfft(d, n, L)), return_inverse=True)
+    pw = np.bincount(where.ravel(), weights=power.ravel())
+    size = max(n, _LATTICE)
+    spacing = L / size
+    r0, r1 = L / 8.0, L / 2.0 - spacing
 
-    def shifted_sq(hs):
-        return 4.0 * np.sin(0.5 * np.outer(hs, xi)) ** 2 @ pw
-
-    h0, origin = _origin_piece(symbol, 1, xi, pw)
-    near, _ = tanh_sinh_quadrature(lambda hs: shifted_sq(hs) * images(hs), 0.0, h0)
-    far, _ = tanh_sinh_quadrature(
-        lambda hs: shifted_sq(hs) * (symbol.jump_kernel(1, hs) + images(hs)),
-        h0, grid.L / 2.0)
-    return origin + near + far
-
-
-def _smoothstep(r, r0, r1):
-    """C-infinity ramp 0 -> 1 on [r0, r1]; all derivatives vanish at the
-    ends, which keeps the tanh-sinh rule exponentially convergent."""
-    t = np.clip((np.asarray(r, dtype=float) - r0) / (r1 - r0), 0.0, 1.0)
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
-    pos = t > 0.0
-    a[pos] = np.exp(-1.0 / t[pos])
-    neg = t < 1.0
-    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    return a / (a + b)
-
-
-def _direct_core_2d(field, symbol, images_offset):
-    """Torus double integral in d = 2, split by a smooth radial partition.
-
-    * Inner part (weight 1-w, supported in |h| < L/2): the x-integral and
-      the angular h-integral are done exactly in the mode representation
-      (the angular average of 1 - cos(xi . h) over the circle is
-      1 - J_0(|xi| r)), leaving a radial integral against the singular
-      kernel: _origin_piece on [0, h0], tanh-sinh beyond.
-    * Outer part (weight w) and the periodization images: cell sums over
-      the lattice of roll offsets.  The smooth partition makes every
-      summand a smooth periodic function of the offset, so the midpoint
-      sum is spectrally accurate; a hard disk/corner split would leave an
-      O(h) cell-classification error at the circle.  The ramp spans
-      [L/8, L/2 - h], so the lattice resolves it with the box, not with a
-      fixed number of cells.
-    """
-    grid = field.grid
-    spec_sq, power, measure = _spectral_weights(field)
-    # 1 - J_0(|xi| r) depends on |xi| alone: one column per distinct |xi|
-    # (498 of the 2112 modes at n = 64), carrying their summed power.
-    mod_xi, where = np.unique(np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L)),
-                              return_inverse=True)
-    pw = np.bincount(where.ravel(), weights=power.ravel()) * measure
-    r0 = grid.L / 8.0
-    r1 = grid.L / 2.0 - grid.h
-
-    def angular_average(rs):
-        # Blocks of about 2^18 Bessel values bound the memory of a level.
+    def inner(rs):
+        # Blocks of about 2^18 values bound the memory of a level.
         rows = max(1, (1 << 18) // mod_xi.size)
-        out = np.empty(rs.size)
+        shell = np.empty(rs.size)
         for i in range(0, rs.size, rows):
-            bess = special.j0(np.outer(rs[i:i + rows], mod_xi))
-            out[i:i + rows] = (1.0 - bess) @ pw
-        return 2.0 * math.pi * 2.0 * out
+            x = np.outer(rs[i:i + rows], mod_xi)
+            shell[i:i + rows] = (2.0 * np.sin(0.5 * x) ** 2 if d == 1
+                                 else 1.0 - special.j0(x)) @ pw
+        return (sphere_surface(d) * shell * symbol.jump_kernel(d, rs)
+                * _step(r0 + r1 - rs, r0, r1, spacing) * rs ** (d - 1))
 
-    def f(rs):
-        return 0.5 * angular_average(rs) * symbol.jump_kernel(2, rs) * rs \
-            * (1.0 - _smoothstep(rs, r0, r1))
+    h0, origin = _origin_piece(symbol, d, mod_xi, pw)
+    near = sum(tanh_sinh_quadrature(inner, a, b)[0] for a, b in ((h0, r0), (r0, r1)))
 
-    h0, origin = _origin_piece(symbol, 2, mod_xi, pw)
-    inner, _ = tanh_sinh_quadrature(f, h0, r1)
-
-    # Lattice autocorrelation gives S at every lattice shift at once; entry
-    # (i, j) corresponds to the roll offset (i h, j h) wrapped into the
-    # torus, so the kernel factors use the same wrapped offsets.
-    corr = np.fft.irfftn(spec_sq, s=grid.shape,
-                         axes=tuple(range(grid.d)))
-    S_lattice = 2.0 * grid.cell_volume * (corr.flat[0] - corr)
-
-    off = (grid.h * np.arange(grid.n) + grid.L / 2.0) % grid.L - grid.L / 2.0
-    hx, hy = np.meshgrid(off, off, indexing="ij")
-    shift_r = np.sqrt(hx * hx + hy * hy)
-    w = _smoothstep(shift_r, r0, r1)
-    outer_vals = np.zeros_like(shift_r)
-    sel = w > 0.0
-    outer_vals[sel] = symbol.jump_kernel(2, shift_r[sel]) * w[sel] * S_lattice[sel]
-    outer_sum = 0.5 * grid.cell_volume * float(np.sum(outer_vals))
-
-    image_sum = 0.5 * grid.cell_volume * float(
-        np.sum(S_lattice * images_offset(hx, hy)))
-
-    return origin + inner + outer_sum + image_sum
+    offsets = np.meshgrid(*[L * np.fft.fftfreq(size)] * d, indexing="ij")
+    r = np.sqrt(sum(o * o for o in offsets))
+    w = _step(r, r0, r1, spacing)
+    G = images(*offsets)
+    outer = w > 0.0
+    G[outer] += symbol.jump_kernel(d, r[outer]) * w[outer]
+    G_hat = np.fft.rfftn(G).real
+    modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    G_hat = G_hat[np.ix_(*[modes] * (d - 1) + [np.arange(n // 2 + 1)])]
+    return origin + near + spacing ** d * float(np.sum(power * (G_hat.flat[0] - G_hat)))
 
 
 def _lattice_images(symbol, L, d):
     """images(*offsets): sum_{m != 0} j(|h + m L|) at the offsets h (one
     array per axis), from the Ewald-type split j = j (1 - w) + j w.
 
-    w is 0 on [0, R0 = 2L], 1 beyond R1 = 18L and ndtr((r - 10L) / s) between,
-    s = sqrt((R1 - R0) L / (4 pi)).  j (1 - w) is summed over the images with
-    |m| L <= R1 + sqrt(d) L/2 and j > 1e-20 j(L/2) at their nearest point;
-    the lattice sum of j w is L^-d times its integral over R^d, up to Fourier
-    coefficients e^(-(2 pi s/L)^2/2) and clipped ends e^(-(8L/s)^2/2), both
-    about e^-22.  Axis flips and permutations map the images onto themselves,
-    so the sum depends on h only through its sorted |h_k|: it is evaluated
-    once per such class (561 of 4096 roll offsets at n = 64) and scattered back.
+    w = _step(r, R0, R1, L) on [R0, R1] = [2L, 18L].  j (1 - w) is summed
+    over the images with |m| L <= R1 + sqrt(d) L/2 and j > 1e-20 j(L/2) at
+    their nearest point; the lattice sum of j w is L^-d times its integral
+    over R^d, up to the step's two errors at spacing L, e^(-8 pi) ~ 1e-11
+    relative to j w.  Axis flips and permutations map the images onto
+    themselves, so the sum depends on h only through its sorted |h_k|: it
+    is evaluated once per such class (561 of 4096 roll offsets at n = 64)
+    and scattered back.
     """
     r0, r1 = 2.0 * L, 18.0 * L
-    mid, s = 0.5 * (r0 + r1), math.sqrt((r1 - r0) * L / (4.0 * math.pi))
     reach = r1 / L + 0.5 * math.sqrt(d)
     axis = np.arange(-int(reach), int(reach) + 1)
     m = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
@@ -408,7 +371,7 @@ def _lattice_images(symbol, L, d):
     shifts = L * m[symbol.jump_kernel(d, nearest)
                    > 1e-20 * symbol.jump_kernel(d, 0.5 * L)]
     ramp, _ = tanh_sinh_quadrature(lambda r: symbol.jump_kernel(d, r) * r ** (d - 1)
-                                   * special.ndtr((r - mid) / s), r0, r1)
+                                   * _step(r, r0, r1, L), r0, r1)
     tail = sphere_surface(d) * (ramp + kernel_moment(symbol, d, 0, r1, np.inf)) / L ** d
 
     def images(*offsets):
@@ -423,9 +386,8 @@ def _lattice_images(symbol, L, d):
         for i in range(0, len(shifts), rows):
             block = shifts[i:i + rows].T
             r = np.sqrt(sum((sk[:, None] + hk) ** 2 for sk, hk in zip(block, h.T)))
-            z = (mid - r) / s
-            near = np.where(np.abs(z) < (mid - r0) / s, special.ndtr(z), z > 0.0)
-            total += np.sum(symbol.jump_kernel(d, r) * near, axis=0)
+            total += np.sum(symbol.jump_kernel(d, r) * _step(r0 + r1 - r, r0, r1, L),
+                            axis=0)
         return total[where.ravel()].reshape(np.shape(offsets[0]))
 
     return images
@@ -435,9 +397,8 @@ def seminorm_direct(symbol, field):
     """[u]_Phi from the kernel side (double quadrature on the torus)."""
     grid = field.grid
     _check_cost_guard(grid)
-    core = _direct_core_1d if grid.d == 1 else _direct_core_2d
     images = _lattice_images(symbol, grid.L, grid.d)
-    return math.sqrt(max(core(field, symbol, images), 0.0))
+    return math.sqrt(max(_direct_core(field, symbol, images), 0.0))
 
 
 def gagliardo_seminorm(s, field):

@@ -19,7 +19,8 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 relativistic_prefactor,
                                                 resolvent_kernel,
                                                 second_moment_decay, sigma,
-                                                tanh_sinh_quadrature)
+                                                tanh_sinh_quadrature,
+                                                _unit_tanh_sinh)
 from nonlocal_spectra.special_functions import (REL_TOL, QuadratureError,
                                                 bessel_k)
 
@@ -44,6 +45,16 @@ class TestTanhSinh:
         assert abs(val - exact) <= 1e-13 * abs(exact)
         val, _ = tanh_sinh_quadrature(lambda x: c * x ** -0.5, 0.0, 1.0)
         assert abs(val - 2.0 * c) <= 1e-13 * 2.0 * c
+
+    @pytest.mark.parametrize("level", range(2, 7))
+    def test_unit_rule_exact_for_degree_one(self, level):
+        # The nodes sit at integer multiples of the step, so they pair up
+        # about the centre and the weights sum to 1 to rounding.
+        upper, gap, weight = _unit_tanh_sinh(level)
+        x = np.where(upper, 1.0 - gap, gap)
+        eps = np.finfo(float).eps
+        assert abs(math.fsum(weight) - 1.0) <= 2.0 * eps
+        assert abs(math.fsum(weight * x) - 0.5) <= 2.0 * eps
 
     def test_unresolved_integrand_raises_with_partial_value(self):
         # About 1600 periods on [0, 1]; the finest level has ~1000 nodes.
@@ -521,6 +532,28 @@ class TestBernsteinSymbol:
         s = BernsteinSymbol.relativistic(1.0, 1.0)
         assert s.evaluate(0.0) == 0.0
         assert s.evaluate(3.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("m", [1.0, 5.0, 100.0])
+    def test_against_mpmath_below_mass_scale(self, m, alpha):
+        # (z + M)^(alpha/2) - m cancels for z << M = m^(2/alpha) (M = 2e13
+        # for Phi_{100,0.3}); the expm1 form does not.
+        z = np.geomspace(1e-4, 1e4, 41)
+        vals = BernsteinSymbol.relativistic(m, alpha).evaluate(z)
+        with mpmath.workdps(60):
+            a = mpmath.mpf(alpha)
+            M = mpmath.mpf(m) ** (2 / a)
+            exact = np.array([float((mpmath.mpf(x) + M) ** (a / 2) - m) for x in z])
+        assert np.max(np.abs(vals / exact - 1.0)) <= 1e-14
+
+    def test_underflowing_mass_scale(self):
+        # M = (1e-20)^20 underflows to 0: the values stay finite, free of
+        # warnings, and 0 at z = 0.
+        s = BernsteinSymbol.relativistic(1e-20, 0.1)
+        vals = s.evaluate(np.array([0.0, 1e-10, 1.0, 1e10]))
+        assert vals[0] == 0.0 and s.evaluate(0.0) == 0.0
+        assert vals[1:] == pytest.approx([0.1 ** 0.5 - 1e-20, 1.0, 10.0 ** 0.5],
+                                         rel=1e-15, abs=0.0)
 
     def test_monotone_and_concave_on_log_grid(self):
         z = np.geomspace(1e-3, 1e3, 60)
