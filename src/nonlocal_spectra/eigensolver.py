@@ -1,9 +1,12 @@
 """Ground states of H = Phi(-Delta) + V on the periodic grid.
 
-Potential problems take one LOBPCG solve (Knyazev 2001) of H as a
-LinearOperator on the full grid: a matvec is one rfftn/irfftn pair plus a
-pointwise V.  The preconditioner D (c + Phi(-Delta))^(-1) D, another pair,
-has c = 1 + max(0, -min V) and the Jacobi scaling
+Potential problems take one single-vector LOBPCG solve (Knyazev, SIAM J.
+Sci. Comput. 23, 2001) of H on the full grid: a matvec is one
+rfftn/irfftn pair plus a pointwise V.  The basis [x, w, p] is kept
+orthonormal (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006), so each
+Rayleigh-Ritz step is a plain eigh of the 3 x 3 matrix S^T H S with no
+Gram matrix to factor.  The preconditioner D (c + Phi(-Delta))^(-1) D,
+another pair, has c = 1 + max(0, -min V) and the Jacobi scaling
 D = sqrt((c + t0) / (c + t0 + V_+)), t0 the diagonal of Phi(-Delta), so
 its diagonal is about that of (H + c)^(-1); for wells D = 1.  The start
 vector is the seed's uniform field times e^(-(V - min V)).  lambda is the
@@ -21,12 +24,10 @@ threshold and the stop reason in meta.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import linalg
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .spectral_core import CostGuardError, Field, SpectralOperator
 
@@ -71,6 +72,60 @@ def _unit(values, cell_volume):
     return values / (norm if values.sum() > 0 else -norm)
 
 
+def _lobpcg(apply_H, precondition, x, tol, max_iters):
+    """Lowest eigenpair of H by LOBPCG with one vector, from start x.
+
+    Each step orthogonalizes w = M (H x - lam x) against x and p twice and
+    normalizes it; H w is its one matvec.  With c the lowest eigenvector of
+    S^T H S, S = [x, w, p] (no p at first), x becomes S c and p becomes
+    S q / |q|, q = e - c (c . e) with e = (0, c1, c2), orthogonal to S c.
+    Returns (x, lam history, preconditioner applications, stop): "residual"
+    at ||H x - lam x||_2 <= tol, "budget" after max_iters applications, or
+    "breakdown" when w has a zero or non-finite norm.
+    """
+    x /= math.sqrt(np.vdot(x, x))
+    Hx = apply_H(x)
+    lam = float(np.vdot(x, Hx))
+    history, iters, p, Hp = [lam], 0, None, None
+    while True:
+        r = Hx - lam * x
+        if math.sqrt(np.vdot(r, r)) <= tol:
+            return x, history, iters, "residual"
+        if iters == max_iters:
+            return x, history, iters, "budget"
+        w = precondition(r)
+        iters += 1
+        basis = (x,) if p is None else (x, p)
+        for b in basis + basis:
+            w -= np.vdot(b, w) * b
+        norm = math.sqrt(np.vdot(w, w))
+        if not 0.0 < norm < math.inf:
+            return x, history, iters, "breakdown"
+        w /= norm
+        Hw = apply_H(w)
+        S, HS = (x, w) + basis[1:], (Hx, Hw, Hp)[:len(basis) + 1]
+        gram = np.array([[np.vdot(a, Hb) if j >= i else 0.0
+                          for j, Hb in enumerate(HS)] for i, a in enumerate(S)])
+        vals, vecs = np.linalg.eigh(gram, UPLO="U")
+        lam, c = float(vals[0]), vecs[:, 0]
+        history.append(lam)
+        # With t = c1 w + c2 p and s = |t|^2: S c = c0 x + t, and S q / |q|
+        # is (c0 t - s x) / sqrt(s) up to sign; the same for H x and H p.
+        s = float(c[1:] @ c[1:])
+        new_p = []
+        for v, t, q in ((x, w, p), (Hx, Hw, Hp)):
+            t *= c[1]
+            if q is not None:
+                t += c[2] * q
+            if s > 0.0:
+                q = np.multiply(t, c[0] / math.sqrt(s), out=q)
+                q -= math.sqrt(s) * v
+            v *= c[0]
+            v += t
+            new_p.append(q if s > 0.0 else None)
+        p, Hp = new_p
+
+
 def ground_state(symbol, potential, cfg):
     """Ground state of Phi(-Delta) + V by one preconditioned LOBPCG solve.
 
@@ -94,45 +149,30 @@ def ground_state(symbol, potential, cfg):
     jacobi = (np.sqrt((c + t0) / (c + t0 + np.maximum(V, 0.0)))
               if np.max(V) > 0.0 else None)
     inverse = 1.0 / (c + op.multiplier)
-    applications = 0
 
-    def apply_H(x):
-        u = x.reshape(shape)
+    def apply_H(u):
         out = op.filter(u, op.multiplier)
         out += V * u
-        return out.reshape(x.shape)
+        return out
 
-    def precondition(x):
-        nonlocal applications
-        applications += 1
-        u = x.reshape(shape)
+    def precondition(r):
         if jacobi is None:
-            return op.filter(u, inverse).reshape(x.shape)
-        return (jacobi * op.filter(jacobi * u, inverse)).reshape(x.shape)
+            return op.filter(r, inverse)
+        return jacobi * op.filter(jacobi * r, inverse)
 
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + float(np.max(np.abs(V)))))
     with np.errstate(under="ignore"):
         start = (np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=shape)
                  * np.exp(v_min - V))
-    H = LinearOperator((size, size), apply_H, dtype=float)
-    M = LinearOperator((size, size), precondition, dtype=float)
-    with warnings.catch_warnings():
-        # A miss of the tolerance is reported through converged and stop.
-        warnings.simplefilter("ignore", UserWarning)
-        _, vecs, lam_hist, res_hist = lobpcg(
-            H, start.reshape(size, 1), M=M, tol=0.1 * threshold,
-            maxiter=cfg.max_iters - 1, largest=False, retLambdaHistory=True,
-            retResidualNormsHistory=True)
+    x, history, iters, stop = _lobpcg(apply_H, precondition, start,
+                                      0.1 * threshold, cfg.max_iters)
 
-    phi = Field(grid=grid, values=_unit(vecs[:, 0].reshape(shape),
-                                        grid.cell_volume))
+    phi = Field(grid=grid, values=_unit(x, grid.cell_volume))
     lam = op.form(phi, phi, potential).total
     residual = op.residual(phi, lam, potential)
-    stop = ("residual" if min(res_hist) <= 0.1 * threshold else
-            "budget" if applications == cfg.max_iters else "breakdown")
-    return EigenResult(lam=lam, phi=phi, residual=residual, iters=applications,
-                       history=[float(h) for h in lam_hist],
+    return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
+                       history=history + [lam],
                        converged=residual <= threshold, method="lobpcg",
                        meta={"potential": getattr(potential, "meta", {}),
                              "stop": stop, "threshold": threshold})

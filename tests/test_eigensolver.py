@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from nonlocal_spectra import potentials
+from nonlocal_spectra import eigensolver, potentials
 from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
 from nonlocal_spectra.eigensolver import (EigenResult, SolverConfig,
                                           dirichlet_ground_state,
@@ -97,6 +99,16 @@ class TestGroundState:
         assert not res.converged
         assert res.iters == 10
         assert res.meta["stop"] == "budget"
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_breakdown_stops_the_loop(self, fill):
+        # A preconditioned residual of zero or non-finite norm ends the loop.
+        diag = np.array([1.0, 2.0, 3.0])
+        _, history, iters, stop = eigensolver._lobpcg(
+            lambda u: diag * u, lambda r: np.full_like(r, fill),
+            np.ones(3), 1e-12, 10)
+        assert stop == "breakdown" and iters == 1
+        assert history == [pytest.approx(2.0)]
 
     def test_infinite_potential_rejected(self, s01):
         bad = PotentialField(
@@ -300,6 +312,85 @@ class TestConvergence:
             tracemalloc.stop()
         assert res.converged
         assert peak <= 10e6
+
+
+def dense_lowest_eigenvalue(symbol, pot):
+    """Lowest eigenvalue of the dense H: the circulant with first column
+    irfftn(Phi(|xi|^2)) at the wrapped index differences, plus diag(V)."""
+    grid = pot.grid
+    column = np.fft.irfftn(SpectralOperator(symbol, grid).multiplier,
+                           s=grid.shape, axes=tuple(range(grid.d)))
+    flat = np.zeros((pot.values.size,) * 2, dtype=np.intp)
+    for idx in np.indices(grid.shape).reshape(grid.d, -1):
+        flat *= grid.n
+        flat += np.subtract.outer(idx, idx) % grid.n
+    matrix = column.ravel()[flat] + np.diag(pot.values.ravel())
+    return float(linalg.eigvalsh(matrix, subset_by_index=[0, 0])[0])
+
+
+# Dense eigh errs by about eps ||H||, so the anharmonic boxes have L = 4,
+# where |x|^8 stays below 256 in d = 1 and 2.
+DENSE_CASES = {
+    "well-1d-s01": ("s01", sharp_well(WellSpec(a=1.0, v=4.0),
+                                      Grid(d=1, n=128, L=16.0))),
+    "well-1d-s11": ("s11", sharp_well(WellSpec(a=1.0, v=4.0),
+                                      Grid(d=1, n=128, L=16.0))),
+    "anharmonic-4-1d-s01": ("s01", anharmonic(4, Grid(d=1, n=128, L=4.0))),
+    "anharmonic-4-1d-s11": ("s11", anharmonic(4, Grid(d=1, n=128, L=4.0))),
+    "well-2d-s01": ("s01", sharp_well(WellSpec(a=1.0, v=4.0),
+                                      Grid(d=2, n=32, L=8.0))),
+    "anharmonic-4-2d-s01": ("s01", anharmonic(4, Grid(d=2, n=32, L=4.0))),
+}
+
+
+class TestAgainstIndependentSolvers:
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_dense_oracle(self, request, case):
+        # Wells take the D = 1 preconditioner, anharmonic wells the Jacobi one.
+        name, pot = DENSE_CASES[case]
+        symbol = request.getfixturevalue(name)
+        res = ground_state(symbol, pot, CFG)
+        assert res.converged
+        assert res.lam == pytest.approx(dense_lowest_eigenvalue(symbol, pot),
+                                        rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda g: sharp_well(WellSpec(a=1.0, v=4.0), g),
+        lambda g: anharmonic(4, g)], ids=["well", "anharmonic-4"])
+    def test_no_more_iterations_than_scipy_lobpcg(self, monkeypatch, s01,
+                                                  build):
+        # scipy's block LOBPCG gets the start, preconditioner and tolerance
+        # ground_state hands its own loop.
+        grid, loop, seen = Grid(d=1, n=2048, L=32.0), eigensolver._lobpcg, {}
+
+        def spy(apply_H, precondition, x, tol, max_iters):
+            seen.update(apply_H=apply_H, precondition=precondition,
+                        start=x.copy(), tol=tol, max_iters=max_iters)
+            return loop(apply_H, precondition, x, tol, max_iters)
+
+        monkeypatch.setattr(eigensolver, "_lobpcg", spy)
+        res = ground_state(s01, build(grid),
+                           SolverConfig(tol=1e-13, max_iters=60000, seed=0))
+        assert res.converged and res.meta["stop"] == "residual"
+
+        applications = 0
+
+        def precondition(x):
+            nonlocal applications
+            applications += 1
+            return seen["precondition"](x.reshape(grid.shape)).reshape(x.shape)
+
+        def apply_H(x):
+            return seen["apply_H"](x.reshape(grid.shape)).reshape(x.shape)
+
+        size = grid.n
+        H = LinearOperator((size, size), apply_H, dtype=float)
+        M = LinearOperator((size, size), precondition, dtype=float)
+        _, _, residuals = lobpcg(H, seen["start"].reshape(size, 1), M=M,
+                                 tol=seen["tol"], maxiter=seen["max_iters"] - 1,
+                                 largest=False, retResidualNormsHistory=True)
+        assert min(residuals) <= seen["tol"]
+        assert res.iters <= applications
 
 
 class TestCountedWork:

@@ -268,8 +268,10 @@ class TestSeminorms:
             r = np.sqrt(np.sum((x + k) ** 2, axis=1))
             brute.append(tail + math.fsum(
                 j * (1.0 - step(ri)) for j, ri in zip(symbol.jump_kernel(d, r), r)))
+        # abs=0: the Phi_{1,1} sums go down to 5.5e-12, below approx's
+        # default absolute tolerance of 1e-12.
         assert _lattice_images(symbol, L, d)(*offsets.T) == pytest.approx(
-            brute, rel=1e-14)
+            brute, rel=1e-14, abs=0.0)
 
     def test_image_sum_once_per_symmetry_class(self):
         # The 64^2 roll offsets take 33 values of |h_k| per axis, so j is
