@@ -2,7 +2,7 @@
 
 Subpackages follow the layering of the build: special functions ->
 Bernstein symbols and jump kernels -> periodic-grid spectral operators ->
-potentials -> eigensolver (LOBPCG, dense Dirichlet eigh) -> experiment
+potentials -> eigensolver (LOBPCG for wells and balls) -> experiment
 drivers -> CLI.
 """
 

@@ -230,7 +230,8 @@ def dispatch(cfg):
 
     elif cfg.command == "dirichlet-eig":
         result = dirichlet_ground_state(cfg.symbol,
-                                        float(extras["ball_radius"]), cfg.grid)
+                                        float(extras["ball_radius"]), cfg.grid,
+                                        cfg.solver)
         _write_eigenresult(out, result)
         if not result.converged:
             status = 2

@@ -1,43 +1,38 @@
-"""Ground states of H = Phi(-Delta) + V on the periodic grid.
+"""Ground states of H = Phi(-Delta) + V on the periodic grid, and of
+Phi(-Delta) on a ball with Dirichlet exterior condition.
 
-Potential problems take one single-vector LOBPCG solve (Knyazev, SIAM J.
-Sci. Comput. 23, 2001) of H on the full grid: a matvec is one
-rfftn/irfftn pair plus a pointwise V.  The basis [x, w, p] is kept
-orthonormal (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006), so each
-Rayleigh-Ritz step is a plain eigh of the 3 x 3 matrix S^T H S with no
-Gram matrix to factor.  The preconditioner D (c + Phi(-Delta))^(-1) D,
-another pair, has c = 1 + max(0, -min V) and the Jacobi scaling
-D = sqrt((c + t0) / (c + t0 + V_+)), t0 the diagonal of Phi(-Delta), so
-its diagonal is about that of (H + c)^(-1); for wells D = 1.  The start
-vector is the seed's uniform field times e^(-(V - min V)).  lambda is the
-Rayleigh quotient of the returned phi, and converged means the Fourier-route
-residual ||(H - lambda) phi||_2 is at most max(tol, 100 eps ||H||), with
-||H|| <= max Phi + max |V|: absolute, so lambda = 0 is covered.  LOBPCG is
-asked for a tenth of that, as the recomputed residual can exceed its own.
+Both take one single-vector LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23,
+2001) whose matvec is one rfftn/irfftn pair plus a pointwise factor.  The
+basis [x, w, p] is kept orthonormal (Hetmaniuk & Lehoucq, J. Comput. Phys.
+218, 2006), so each Rayleigh-Ritz step is a plain eigh of the 3 x 3 matrix
+S^T H S with no Gram matrix to factor.
 
-Dirichlet eigenvalues of balls take one dense eigh of Phi(-Delta)
-restricted to the ball's grid points: the circulant's first column
-irfftn(Phi(|xi|^2)) at the wrapped index differences.
+Potential problems solve H on the full grid.  The preconditioner
+D (c + Phi(-Delta))^(-1) D, another pair, has c = 1 + max(0, -min V) and the
+Jacobi scaling D = sqrt((c + t0) / (c + t0 + V_+)), t0 the diagonal of
+Phi(-Delta), so its diagonal is about that of (H + c)^(-1); for wells D = 1.
+The start vector is the seed's uniform field times e^(-(V - min V)).
 
-Both evaluate the multiplier once per solve and record the convergence
-threshold and the stop reason in meta.
+A ball B solves chi Phi(-Delta) chi, chi = 1_B, with the preconditioner
+chi (1 + Phi(-Delta))^(-1) chi and the start chi, so every iterate is
+exactly 0 outside B; memory is a fixed number of full-grid arrays.
+
+lambda is the Rayleigh quotient of the returned phi, and converged means the
+Fourier-route residual ||(H - lambda) phi||_2 (restricted to B for a ball)
+is at most max(tol, 100 eps ||H||), with ||H|| <= max Phi + max |V|:
+absolute, so lambda = 0 is covered.  LOBPCG is asked for a tenth of that,
+as the recomputed residual can exceed its own.  Each solve evaluates the
+multiplier once and records the threshold and the stop reason in meta.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import linalg
 
-from .spectral_core import CostGuardError, Field, SpectralOperator
+from .spectral_core import Field, SpectralOperator
 
-# The dense Dirichlet matrix holds 8 N^2 bytes for N points in the ball:
-# 128 MB at this cap.
-MAX_BALL_POINTS = 4096
-# A Dirichlet eigenpair is converged when its residual is at most this
-# multiple of max Phi(|xi|^2), which bounds ||Phi(-Delta)|| on the grid.
-_DENSE_RESIDUAL_FACTOR = 1e-10
-# An iterative eigenpair is converged at residual max(tol, this * ||H||).
+# An eigenpair is converged at residual max(tol, this * ||H||).
 _ROUNDOFF_FACTOR = 100.0 * float(np.finfo(float).eps)
 
 
@@ -188,48 +183,37 @@ def fourier_residual(symbol, potential, result):
                                                    potential, mask)
 
 
-def dirichlet_ground_state(symbol, radius, grid):
+def dirichlet_ground_state(symbol, radius, grid, cfg):
     """Principal Dirichlet eigenvalue/eigenfunction of Phi(-Delta) on B_radius,
-    from one dense eigh of the operator restricted to the ball's points.
+    from one LOBPCG solve of chi Phi(-Delta) chi, chi = 1_B, started at chi.
 
-    phi is exactly 0 outside the ball, positive in sum and of unit L^2
-    norm.  converged means the Fourier-route residual, which does not use
-    the restricted matrix, is at most 1e-10 max Phi(|xi|^2).
+    phi is exactly 0 outside the ball, positive in sum and of unit L^2 norm.
     """
     if not 0.0 < radius < grid.L / 2.0:
         raise ValueError(f"ball radius {radius} does not fit in the box")
-    inside = grid.radius() <= radius
-    points = int(np.count_nonzero(inside))
-    if points > MAX_BALL_POINTS:
-        raise CostGuardError(f"the ball holds {points} grid points; the dense "
-                             f"Dirichlet solve allows {MAX_BALL_POINTS}")
-
+    chi = (grid.radius() <= radius).astype(float)
     op = SpectralOperator(symbol, grid)
-    column = np.fft.irfftn(op.multiplier, s=grid.shape, axes=op.axes)
-    # Flat index of the wrapped multi-index difference, one axis at a time.
-    flat = np.zeros((points, points), dtype=np.intp)
-    for idx in np.nonzero(inside):
-        flat *= grid.n
-        flat += np.subtract.outer(idx, idx) % grid.n
-    matrix = column.ravel()[flat]
-    del flat
-    lams, vecs = linalg.eigh(matrix, subset_by_index=[0, 0], overwrite_a=True)
+    inverse = 1.0 / (1.0 + op.multiplier)
 
-    lam = float(lams[0])
-    values = np.zeros(grid.shape)
-    values[inside] = vecs[:, 0]
-    phi = Field(grid=grid, values=_unit(values, grid.cell_volume))
-    residual = op.residual(phi, lam, mask=inside)
-    threshold = _DENSE_RESIDUAL_FACTOR * float(np.max(op.multiplier))
-    return EigenResult(lam=lam, phi=phi, residual=residual, iters=0,
-                       history=[lam], converged=residual <= threshold,
-                       method="dense-eigh",
-                       meta={"ball_radius": radius, "stop": "direct",
+    def apply_H(u):
+        out = op.filter(u, op.multiplier)
+        out *= chi
+        return out
+
+    def precondition(r):
+        out = op.filter(r, inverse)
+        out *= chi
+        return out
+
+    threshold = max(cfg.tol, _ROUNDOFF_FACTOR * float(np.max(op.multiplier)))
+    x, history, iters, stop = _lobpcg(apply_H, precondition, chi.copy(),
+                                      0.1 * threshold, cfg.max_iters)
+
+    phi = Field(grid=grid, values=_unit(x, grid.cell_volume))
+    lam = op.form(phi, phi).total
+    residual = op.residual(phi, lam, mask=chi)
+    return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
+                       history=history + [lam],
+                       converged=residual <= threshold, method="lobpcg",
+                       meta={"ball_radius": radius, "stop": stop,
                              "threshold": threshold})
-
-
-def existence_criterion(symbol, a, v, grid):
-    """(lambda_a, satisfied): Dirichlet eigenvalue of B_a and the test
-    lambda_a - v < 0 which guarantees a bound state of the depth-v well."""
-    lam_a = dirichlet_ground_state(symbol, a, grid).lam
-    return lam_a, bool(lam_a - v < 0.0)

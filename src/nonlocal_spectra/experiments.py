@@ -148,7 +148,7 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     target = ground_state(symbol, sharp_well(sharp, grid), cfg)
     fine = ground_state(symbol, sharp_well(
         sharp, Grid(d=grid.d, n=2 * grid.n, L=grid.L)), cfg)
-    dirichlet = dirichlet_ground_state(symbol, well.a, grid)
+    dirichlet = dirichlet_ground_state(symbol, well.a, grid, cfg)
     report = _sequence_report(
         "mollified-well", symbol, target, eps,
         (mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
@@ -184,7 +184,7 @@ def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
     k_list = list(k_list)
     if any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be increasing")
-    target = dirichlet_ground_state(symbol, 1.0, grid)
+    target = dirichlet_ground_state(symbol, 1.0, grid, cfg)
     pots = [anharmonic(k, grid) for k in k_list]
     report = _sequence_report("anharmonic", symbol, target, k_list, pots, cfg)
     report.lam_dirichlet = target.lam

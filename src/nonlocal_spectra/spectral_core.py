@@ -46,9 +46,8 @@ from .bernstein_kernels import (BernsteinSymbol, kernel_moment,
 from .special_functions import REL_TOL, QuadratureError
 
 class CostGuardError(ValueError):
-    """A requested computation exceeds its cost guard: a direct seminorm on
-    too fine a grid (use the Fourier route), or a dense Dirichlet solve on
-    a ball of too many grid points."""
+    """A direct seminorm was asked for on too fine a grid or in d = 3 (use
+    the Fourier route)."""
 
 
 @dataclass(frozen=True)

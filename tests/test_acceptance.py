@@ -59,7 +59,7 @@ def sweep_runs():
 @pytest.fixture(scope="module")
 def dirichlet_b1():
     from nonlocal_spectra.eigensolver import dirichlet_ground_state
-    return dirichlet_ground_state(S01, 1.0, GRID)
+    return dirichlet_ground_state(S01, 1.0, GRID, CFG)
 
 
 def test_criterion_01_kernel_decomposition():

@@ -145,7 +145,7 @@ class TestDispatch:
         assert main(["--config", str(write_config(tmp_path, payload))]) == 0
         result = json.loads((tmp_path / "dir" / "result.json").read_text())
         assert result["lambda"] > 0.0
-        assert result["method"] == "dense-eigh" and "config" not in result
+        assert result["method"] == "lobpcg" and "config" not in result
 
     def test_kernel_table(self, tmp_path):
         payload = {"command": "kernel-table",
@@ -171,19 +171,22 @@ class TestDispatch:
         assert len(csv) == 3
 
     def test_result_records_stop_reason_and_threshold(self, tmp_path):
-        runs = {"residual": dict(BASE),
-                "budget": dict(BASE, solver=dict(BASE["solver"], max_iters=5,
-                                                 tol=1e-300)),
-                "direct": {key: value for key, value in BASE.items()
-                           if key != "potential"}}
-        runs["direct"]["command"] = "dirichlet-eig"
-        for stop, payload in runs.items():
-            out = tmp_path / stop
-            main(["--config", str(write_config(tmp_path, payload)),
-                  "--output", str(out)])
+        ball = {key: value for key, value in BASE.items() if key != "potential"}
+        ball["command"] = "dirichlet-eig"
+        runs = {"well-residual": (dict(BASE), "residual"),
+                "well-budget": (dict(BASE, solver=dict(
+                    BASE["solver"], max_iters=5, tol=1e-300)), "budget"),
+                "ball-residual": (ball, "residual"),
+                "ball-budget": (dict(ball, solver=dict(
+                    BASE["solver"], max_iters=1, tol=1e-300)), "budget")}
+        for name, (payload, stop) in runs.items():
+            out = tmp_path / name
+            status = main(["--config", str(write_config(tmp_path, payload)),
+                           "--output", str(out)])
             result = json.loads((out / "result.json").read_text())
             assert result["stop"] == stop
-            assert result["converged"] == (stop != "budget")
+            assert result["converged"] is (stop != "budget")
+            assert status == (2 if stop == "budget" else 0)
             assert result["residual"] <= result["threshold"] or stop == "budget"
 
     def test_ignored_solver_keys_change_only_the_manifest(self, tmp_path):

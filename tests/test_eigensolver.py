@@ -10,14 +10,12 @@ from nonlocal_spectra import eigensolver, potentials
 from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
 from nonlocal_spectra.eigensolver import (EigenResult, SolverConfig,
                                           dirichlet_ground_state,
-                                          existence_criterion,
                                           fourier_residual, ground_state)
 from nonlocal_spectra.experiments import symmetry_check
 from nonlocal_spectra.potentials import (PotentialField, WellSpec, anharmonic,
                                          mollified_well, sharp_well)
-from nonlocal_spectra.spectral_core import (CostGuardError, Field, Grid,
-                                            SpectralOperator, dirichlet_form,
-                                            field_from_function)
+from nonlocal_spectra.spectral_core import (Field, Grid, SpectralOperator,
+                                            dirichlet_form, field_from_function)
 
 # Kwasnicki, "Eigenvalues of the fractional Laplace operator in the
 # interval", J. Funct. Anal. 262 (2012): lambda_1 of (-Delta)^(1/2) on (-1,1).
@@ -118,83 +116,122 @@ class TestGroundState:
             ground_state(s01, bad, CFG)
 
 
+def dense_operator(symbol, grid, points):
+    """Phi(-Delta) between the grid points (one index array per axis) as a
+    dense matrix: the circulant's first column irfftn(Phi(|xi|^2)) at the
+    wrapped index differences."""
+    column = np.fft.irfftn(SpectralOperator(symbol, grid).multiplier,
+                           s=grid.shape, axes=tuple(range(grid.d)))
+    flat = np.zeros((points[0].size,) * 2, dtype=np.intp)
+    for idx in points:
+        flat *= grid.n
+        flat += np.subtract.outer(idx, idx) % grid.n
+    return column.ravel()[flat]
+
+
+def dense_dirichlet(symbol, radius, grid):
+    """(lambda, phi) of Phi(-Delta) restricted to the ball's grid points by
+    dense eigh; phi is of unit L^2 norm and positive in sum."""
+    inside = grid.radius() <= radius
+    lams, vecs = linalg.eigh(dense_operator(symbol, grid, np.nonzero(inside)),
+                             subset_by_index=[0, 0])
+    phi = np.zeros(grid.shape)
+    phi[inside] = vecs[:, 0]
+    phi /= math.sqrt(grid.cell_volume * np.sum(phi ** 2)) * np.sign(phi.sum())
+    return float(lams[0]), phi
+
+
+# Balls of B_1 with 129 (d = 1), 797 (d = 2) and 619 (d = 3) grid points.
+BALL_GRIDS = {"d1": Grid(d=1, n=2048, L=32.0), "d2": Grid(d=2, n=128, L=8.0),
+              "d3": Grid(d=3, n=32, L=6.0)}
+
+
 class TestDirichlet:
     def test_support_projection_exact(self, s01):
-        res = dirichlet_ground_state(s01, 1.0, GRID)
+        res = dirichlet_ground_state(s01, 1.0, GRID, CFG)
         outside = np.abs(GRID.axis()) > 1.0
         assert np.abs(res.phi.values[outside]).max() == 0.0
         assert res.lam > 0.0
-        assert res.method == "dense-eigh"
+        assert res.method == "lobpcg"
 
     def test_acceptance_grid_eigenpair(self, s01):
         grid = Grid(d=1, n=2048, L=32.0)
-        res = dirichlet_ground_state(s01, 1.0, grid)
+        res = dirichlet_ground_state(s01, 1.0, grid, CFG)
         assert res.lam == pytest.approx(1.14353671, abs=1e-8)
-        assert res.converged
-        assert res.residual <= 1e-10 * float(np.max(
-            SpectralOperator(s01, grid).multiplier))
+        threshold = max(CFG.tol, 100.0 * float(np.finfo(float).eps) * float(
+            np.max(SpectralOperator(s01, grid).multiplier)))
+        assert res.meta["threshold"] == pytest.approx(threshold, rel=1e-15)
+        assert res.converged and res.meta["stop"] == "residual"
+        assert res.residual <= threshold
         assert res.residual == fourier_residual(s01, None, res)
         assert abs(res.phi.l2_norm() - 1.0) < 1e-12
         assert np.all(res.phi.values[np.abs(grid.axis()) > 1.0] == 0.0)
 
+    @pytest.mark.parametrize("grid", sorted(BALL_GRIDS))
+    @pytest.mark.parametrize("m, alpha", [(0.0, 1.0), (1.0, 1.0), (0.0, 0.5),
+                                          (1.0, 1.5)])
+    def test_dense_oracle(self, grid, m, alpha):
+        grid = BALL_GRIDS[grid]
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        res = dirichlet_ground_state(symbol, 1.0, grid, CFG)
+        lam, phi = dense_dirichlet(symbol, 1.0, grid)
+        assert res.converged
+        assert res.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+        assert np.abs(res.phi.values - phi).max() <= 1e-10
+
     def test_profile_radially_non_increasing(self, s01):
-        res = dirichlet_ground_state(s01, 1.0, GRID)
+        res = dirichlet_ground_state(s01, 1.0, GRID, CFG)
         prof = res.phi.values[GRID.n // 2:]
         assert float(np.max(np.diff(prof))) <= 1e-8 * prof[0]
 
     def test_dilation_scaling(self, s01):
-        # Dilation x -> 2x maps (r, L) -> (2r, 2L) and halves the restricted
-        # matrix exactly for the 1-homogeneous massless symbol, so the
+        # Dilation x -> 2x maps (r, L) -> (2r, 2L) and halves the masked
+        # operator exactly for the 1-homogeneous massless symbol, so the
         # eigenvalue halves to rounding.
-        r1 = dirichlet_ground_state(s01, 1.0, Grid(d=1, n=1024, L=32.0))
-        r2 = dirichlet_ground_state(s01, 2.0, Grid(d=1, n=1024, L=64.0))
+        r1 = dirichlet_ground_state(s01, 1.0, Grid(d=1, n=1024, L=32.0), CFG)
+        r2 = dirichlet_ground_state(s01, 2.0, Grid(d=1, n=1024, L=64.0), CFG)
         assert 2.0 * r2.lam == pytest.approx(r1.lam, rel=1e-12)
 
     def test_converges_to_kwasnicki_from_below(self, s01):
         # lambda_1 of (-Delta)^(1/2) on B_1 at L = 32: the discrete value
         # rises with n toward the published one.  Measured relative errors:
-        # 1.230e-2 at n = 2048, 4.268e-3 at n = 8192.
-        lams = [dirichlet_ground_state(s01, 1.0, Grid(d=1, n=n, L=32.0)).lam
-                for n in (2048, 8192)]
+        # 1.230e-2 at n = 2048, 4.268e-3 at n = 8192 and 1.909e-3 at
+        # n = 65536, whose ball holds 4097 points.
+        lams = []
+        for n in (2048, 8192, 65536):
+            grid = Grid(d=1, n=n, L=32.0)
+            res = dirichlet_ground_state(s01, 1.0, grid, CFG)
+            assert res.converged
+            assert np.all(res.phi.values[grid.radius() > 1.0] == 0.0)
+            lams.append(res.lam)
         errs = [(KWASNICKI_LAMBDA1 - lam) / KWASNICKI_LAMBDA1 for lam in lams]
-        assert lams[0] < lams[1] < KWASNICKI_LAMBDA1
+        assert lams[0] < lams[1] < lams[2] < KWASNICKI_LAMBDA1
         assert errs[0] < 1.3e-2
         assert errs[1] < 4.5e-3
+        assert errs[2] < 2.0e-3
 
     @pytest.mark.parametrize("grid", [Grid(d=2, n=256, L=20.0),
                                       Grid(d=3, n=64, L=16.0)],
                              ids=["d2", "d3"])
     def test_ball_in_higher_dimensions(self, s01, grid):
-        res = dirichlet_ground_state(s01, 1.0, grid)
+        res = dirichlet_ground_state(s01, 1.0, grid, CFG)
         assert res.converged
         assert np.all(res.phi.values[grid.radius() > 1.0] == 0.0)
         assert res.phi.values.min() >= 0.0
         # Quarter turns and flips (d = 2), flips and the axis swap (d = 3).
         assert symmetry_check(res)["exact"] <= 1e-10
 
-    def test_cost_guard(self, s01):
-        # 2 * 2048 + 1 = 4097 points of B_1 at h = 1/2048: one above the cap.
-        with pytest.raises(CostGuardError, match="4097"):
-            dirichlet_ground_state(s01, 1.0, Grid(d=1, n=65536, L=32.0))
-
     def test_radius_must_fit(self, s01):
         with pytest.raises(ValueError):
-            dirichlet_ground_state(s01, 20.0, GRID)
+            dirichlet_ground_state(s01, 20.0, GRID, CFG)
         with pytest.raises(ValueError):
-            dirichlet_ground_state(s01, 0.0, GRID)
+            dirichlet_ground_state(s01, 0.0, GRID, CFG)
 
 
 class TestExistenceCriterion:
-    def test_boolean_arithmetic(self, s01):
-        lam_a, sat = existence_criterion(s01, 1.0, 1.0, GRID)
-        assert lam_a > 0.0
-        _, sat_deep = existence_criterion(s01, 1.0, 2.0 * lam_a, GRID)
-        _, sat_shallow = existence_criterion(s01, 1.0, lam_a / 2.0, GRID)
-        assert sat_deep is True
-        assert sat_shallow is False
-
     def test_criterion_implies_bound_state(self, s01):
-        lam_a, _ = existence_criterion(s01, 1.0, 1.0, GRID)
+        # lambda_a - v < 0 guarantees a bound state of the depth-v well.
+        lam_a = dirichlet_ground_state(s01, 1.0, GRID, CFG).lam
         v = 2.0 * lam_a
         res = ground_state(s01, sharp_well(WellSpec(a=1.0, v=v), GRID), CFG)
         assert res.lam < 0.0
@@ -265,7 +302,7 @@ class TestConvergence:
         # The splitting solver's exp(-tau V / 2) overflowed here.
         v = 1e4
         res = ground_state(s01, sharp_well(WellSpec(a=1.0, v=v), GRID), CFG)
-        lam_d = dirichlet_ground_state(s01, 1.0, GRID).lam
+        lam_d = dirichlet_ground_state(s01, 1.0, GRID, CFG).lam
         assert res.converged
         # -v < lambda <= lambda_D(B_1) - v by min-max.
         assert -v < res.lam <= lam_d - v
@@ -315,16 +352,12 @@ class TestConvergence:
 
 
 def dense_lowest_eigenvalue(symbol, pot):
-    """Lowest eigenvalue of the dense H: the circulant with first column
-    irfftn(Phi(|xi|^2)) at the wrapped index differences, plus diag(V)."""
+    """Lowest eigenvalue of the dense H: Phi(-Delta) on every grid point
+    plus diag(V)."""
     grid = pot.grid
-    column = np.fft.irfftn(SpectralOperator(symbol, grid).multiplier,
-                           s=grid.shape, axes=tuple(range(grid.d)))
-    flat = np.zeros((pot.values.size,) * 2, dtype=np.intp)
-    for idx in np.indices(grid.shape).reshape(grid.d, -1):
-        flat *= grid.n
-        flat += np.subtract.outer(idx, idx) % grid.n
-    matrix = column.ravel()[flat] + np.diag(pot.values.ravel())
+    matrix = (dense_operator(symbol, grid,
+                             np.indices(grid.shape).reshape(grid.d, -1))
+              + np.diag(pot.values.ravel()))
     return float(linalg.eigvalsh(matrix, subset_by_index=[0, 0])[0])
 
 
