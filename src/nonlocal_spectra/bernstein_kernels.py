@@ -45,10 +45,13 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .special_functions import (GAMMAINC_REL_ERR, KV_REL_ERR, REL_TOL,
                                 QuadratureError, bessel_k_grid)
+
+# scipy.integrate is imported inside the two functions that call quad, so
+# that importing the package, which every CLI call does, does not load it.
 
 
 class AssumptionViolationError(Exception):
@@ -247,14 +250,24 @@ def kernel_moment(symbol, d, k, a, b):
             return 0.0
         cosh_t, w = _sigma_rule(xi, mu * x)
         z = mu * x * cosh_t
-        inner = (special.gammainc(xi + 1.0, z) - z ** -p * special.gammainc(q, z)
-                 * math.exp(math.lgamma(q) - math.lgamma(xi + 1.0)))
+        # z^-p Gamma(q) / Gamma(xi+1) P(q, z): for z < 1 its series
+        # z^(xi+1) e^-z 1F1(1; q+1; z) / (q Gamma(xi+1)), where z^-p
+        # overflows and P(q, z) underflows.
+        small = z < 1.0
+        zs, zl = z[small], z[~small]
+        tail = np.empty_like(z)
+        tail[small] = (zs ** (xi + 1.0) * np.exp(-zs) * special.hyp1f1(1.0, q + 1.0, zs)
+                       / (q * math.gamma(xi + 1.0)))
+        tail[~small] = (zl ** -p * special.gammainc(q, zl)
+                        * math.exp(math.lgamma(q) - math.lgamma(xi + 1.0)))
+        inner = special.gammainc(xi + 1.0, z) - tail
         return x ** p / p * (c0 - relativistic_prefactor(d, alpha, 1.0)
                              * float(w @ inner))
 
     lo, hi = min(a, 1.0 / mu), min(b, 1.0 / mu)
     total = origin_moment(hi) - origin_moment(lo) if hi > lo else 0.0
     if b > hi:
+        from scipy import integrate
         total += mu ** -(k + d) * integrate.quad(
             lambda s: s ** (k + d - 1) * symbol.jump_kernel(d, s / mu),
             mu * max(a, hi), mu * b, epsabs=0.0, epsrel=REL_TOL, limit=200)[0]
@@ -523,6 +536,7 @@ def resolvent_kernel(symbol, d, radii):
         return (2.0 * q * u * u / (math.pi * v) * (1.0 / (c + u ** alpha * phase)).imag
                 * scaled(k, r, (gap + u * u) / (k + k_min) * r))
 
+    from scipy import integrate
     # epsrel sits well above QUADPACK's floor of 50 eps.
     values, errs = np.array([integrate.quad(integrand, 0.0, np.inf, args=(r,),
                                             epsabs=0.0, epsrel=1e-13, limit=200)

@@ -7,10 +7,17 @@ basis [x, w, p] is kept orthonormal (Hetmaniuk & Lehoucq, J. Comput. Phys.
 218, 2006), so each Rayleigh-Ritz step is a plain eigh of the 3 x 3 matrix
 S^T H S with no Gram matrix to factor.
 
-Potential problems solve H on the full grid.  The preconditioner
-D (c + Phi(-Delta))^(-1) D, another pair, has c = 1 + max(0, -min V) and the
-Jacobi scaling D = sqrt((c + t0) / (c + t0 + V_+)), t0 the diagonal of
-Phi(-Delta), so its diagonal is about that of (H + c)^(-1); for wells D = 1.
+Potential problems solve H on the full grid, with c = 1 + max(0, -min V),
+t0 the diagonal of Phi(-Delta) and chi = 1[V_+ <= t0].  V_+ is the part of
+V above max(0, min V), so a constant added to V >= 0, which moves no
+eigenvector, moves no point out of chi.  The preconditioner has two blocks
+whose diagonals are about that of (H + c)^(-1):
+  - inner, chi D (c + Phi(-Delta))^(-1) D chi, another pair, with the Jacobi
+    scaling D = sqrt((c + t0) / (c + t0 + V_+));
+  - outer, the exact diagonal (1 - chi) / (c + t0 + V_+), where V_+ > t0
+    makes H nearly diagonal and the Fourier inverse would smear over points.
+For wells and constants V_+ = 0, so chi = D = 1 and the preconditioner is
+(c + Phi(-Delta))^(-1).
 The start vector is the seed's uniform field times e^(-(V - min V)).
 
 A ball B solves chi Phi(-Delta) chi, chi = 1_B, with the preconditioner
@@ -140,9 +147,16 @@ def ground_state(symbol, potential, cfg):
     v_min = float(np.min(V))
     c = 1.0 + max(0.0, -v_min)
     t0 = float(np.sum(op.weighted_multiplier)) / size
-    # None for a well (D = 1), saving a full-grid array and a copy per call.
-    jacobi = (np.sqrt((c + t0) / (c + t0 + np.maximum(V, 0.0)))
-              if np.max(V) > 0.0 else None)
+    # None where V_+ = 0 (D = 1), saving full-grid arrays and a copy per
+    # call.  Points with V_+ > t0 leave the Fourier block for the diagonal.
+    jacobi = outer = None
+    floor = max(v_min, 0.0)
+    if np.max(V) > floor:
+        v_plus = np.maximum(V - floor, 0.0)
+        diagonal = c + t0 + v_plus
+        inner = v_plus <= t0
+        jacobi = np.where(inner, np.sqrt((c + t0) / diagonal), 0.0)
+        outer = np.where(inner, 0.0, 1.0 / diagonal)
     inverse = 1.0 / (c + op.multiplier)
 
     def apply_H(u):
@@ -153,7 +167,9 @@ def ground_state(symbol, potential, cfg):
     def precondition(r):
         if jacobi is None:
             return op.filter(r, inverse)
-        return jacobi * op.filter(jacobi * r, inverse)
+        out = jacobi * op.filter(jacobi * r, inverse)
+        out += outer * r
+        return out
 
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + float(np.max(np.abs(V)))))

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .bernstein_kernels import (BernsteinSymbol, massless_constant,
                                 relativistic_prefactor, sphere_surface)
@@ -22,6 +21,10 @@ from .potentials import (PotentialField, WellSpec, anharmonic,
 from .special_functions import REL_TOL, bessel_k
 from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
                             pointwise_nonlocal, seminorm_fourier)
+
+# scipy.integrate and scipy.optimize are imported inside the two functions
+# that use them, so that importing the package, which every CLI call does,
+# does not load them.
 
 
 def random_band_limited(grid, seed, kmax_frac=0.25):
@@ -402,6 +405,7 @@ def antisym_constant_c4(d, alpha, m, delta1):
     """
     nu = (d + alpha) / 2.0 - (d - 1) / 2.0
     c = m ** (1.0 / alpha) * delta1
+    from scipy import integrate
     val, _ = integrate.quad(
         lambda z: bessel_k(nu, c * (1.0 + z)) / (1.0 + z) ** nu,
         0.0, np.inf, epsabs=0.0, epsrel=REL_TOL, limit=400)
@@ -428,6 +432,7 @@ def antisymmetric_minimum_check(symbol, w, mu):
     if defect > 1e-10:
         raise ValueError(f"w is not mu-antisymmetric (defect {defect:.2e})")
 
+    from scipy import integrate, optimize
     # Locate the interior minimizer by a coarse scan plus local refinement.
     scan = mu - np.linspace(1e-6, 30.0, 4000)
     vals = np.asarray(w(scan))

@@ -156,17 +156,18 @@ class TestSigma:
         assert np.all(errs <= 1e-12 * values)
 
 
-def kernel_moment_oracle(d, alpha, m, k, b):
-    """int_0^b r^(k+d-1) j_{m,alpha}(r) dr at 30 digits; r = s^20 flattens
-    the r^(k-1-alpha) singularity, which a plain quad on [0, b] misses."""
+def kernel_moment_oracle(d, alpha, m, k, b, e=20):
+    """int_0^b r^(k+d-1) j_{m,alpha}(r) dr at 30 digits; r = s^e, e = 20,
+    flattens the r^(k-1-alpha) singularity, which a plain quad on [0, b]
+    misses.  For k >> alpha it steepens a smooth power instead: take e = 1."""
     with mpmath.workdps(30):
         d, a, m = mpmath.mpf(d), mpmath.mpf(alpha), mpmath.mpf(m)
         xi = (d + a) / 2
         pref = (a * 2 ** ((a - d) / 2) * m ** (xi / a)
                 / (mpmath.pi ** (d / 2) * mpmath.gamma(1 - a / 2)))
         j = lambda r: pref * r ** -xi * mpmath.besselk(xi, m ** (1 / a) * r)
-        return float(mpmath.quad(lambda s: 20 * s ** 19 * s ** (20 * (k + d - 1))
-                                 * j(s ** 20), [0, mpmath.mpf(b) ** 0.05]))
+        return float(mpmath.quad(lambda s: e * s ** (e - 1) * s ** (e * (k + d - 1))
+                                 * j(s ** e), [0, mpmath.mpf(b) ** (1.0 / e)]))
 
 
 def kernel_tail_oracle(d, alpha, m, a):
@@ -202,6 +203,14 @@ class TestKernelMoment:
         symbol = BernsteinSymbol.relativistic(1e-4, alpha)
         assert kernel_moment(symbol, 1, 0, 720.0, np.inf) == pytest.approx(
             kernel_tail_oracle(1, alpha, 1e-4, 720.0), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_near_massless_high_moment(self, d):
+        # mu = 1e-20, so the origin series meets z ~ 1e-22, where z^-p
+        # overflows and P(q, z) underflows: the direct form gave NaN.
+        symbol = BernsteinSymbol.relativistic(1e-4, 0.2)
+        assert kernel_moment(symbol, d, 16, 0.0, 0.01) == pytest.approx(
+            kernel_moment_oracle(d, 0.2, 1e-4, 16, 0.01, e=1), rel=1e-13)
 
     def test_massless_closed_form(self, s01):
         # j_{0,1} = 1/(pi r^2) in d = 1.

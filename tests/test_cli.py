@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nonlocal_spectra
 from nonlocal_spectra.cli import ConfigError, main, parse_config
 from nonlocal_spectra.eigensolver import SolverConfig
 from nonlocal_spectra.io_utils import read_field
@@ -299,3 +304,15 @@ class TestDeterminism:
             assert main(["--config", str(cfg_path), "--seed", seed]) == 0
             lams.append(json.loads((out / "result.json").read_text())["lambda"])
         assert abs(lams[0] - lams[1]) < 1e-7
+
+
+def test_import_leaves_quadrature_and_optimizer_unloaded():
+    # Every CLI call imports the package; only the functions that call quad
+    # or minimize_scalar import scipy.integrate and scipy.optimize.
+    src = str(Path(nonlocal_spectra.__file__).resolve().parent.parent)
+    code = ("import sys, nonlocal_spectra.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

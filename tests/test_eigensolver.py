@@ -362,7 +362,7 @@ def dense_lowest_eigenvalue(symbol, pot):
 
 
 # Dense eigh errs by about eps ||H||, so the anharmonic boxes have L = 4,
-# where |x|^8 stays below 256 in d = 1 and 2.
+# where |x|^8 stays below 256 in d = 1 and 2, or L = 8 for |x|^4.
 DENSE_CASES = {
     "well-1d-s01": ("s01", sharp_well(WellSpec(a=1.0, v=4.0),
                                       Grid(d=1, n=128, L=16.0))),
@@ -370,6 +370,8 @@ DENSE_CASES = {
                                       Grid(d=1, n=128, L=16.0))),
     "anharmonic-4-1d-s01": ("s01", anharmonic(4, Grid(d=1, n=128, L=4.0))),
     "anharmonic-4-1d-s11": ("s11", anharmonic(4, Grid(d=1, n=128, L=4.0))),
+    "anharmonic-2-1d-s01": ("s01", anharmonic(2, Grid(d=1, n=128, L=8.0))),
+    "anharmonic-2-1d-s11": ("s11", anharmonic(2, Grid(d=1, n=128, L=8.0))),
     "well-2d-s01": ("s01", sharp_well(WellSpec(a=1.0, v=4.0),
                                       Grid(d=2, n=32, L=8.0))),
     "anharmonic-4-2d-s01": ("s01", anharmonic(4, Grid(d=2, n=32, L=4.0))),
@@ -379,7 +381,9 @@ DENSE_CASES = {
 class TestAgainstIndependentSolvers:
     @pytest.mark.parametrize("case", sorted(DENSE_CASES))
     def test_dense_oracle(self, request, case):
-        # Wells take the D = 1 preconditioner, anharmonic wells the Jacobi one.
+        # Wells take the D = 1 preconditioner, anharmonic wells the split
+        # one; V_+ reaches 256 against t0 of 25 to 50, so both of its blocks
+        # are non-empty.
         name, pot = DENSE_CASES[case]
         symbol = request.getfixturevalue(name)
         res = ground_state(symbol, pot, CFG)
@@ -424,6 +428,77 @@ class TestAgainstIndependentSolvers:
                                  largest=False, retResidualNormsHistory=True)
         assert min(residuals) <= seen["tol"]
         assert res.iters <= applications
+
+
+def spied_solve(monkeypatch, symbol, pot, cfg):
+    """ground_state's result and what it hands _lobpcg."""
+    loop, seen = eigensolver._lobpcg, {}
+
+    def spy(apply_H, precondition, x, tol, max_iters):
+        seen.update(apply_H=apply_H, precondition=precondition,
+                    start=x.copy(), tol=tol, max_iters=max_iters)
+        return loop(apply_H, precondition, x, tol, max_iters)
+
+    monkeypatch.setattr(eigensolver, "_lobpcg", spy)
+    return ground_state(symbol, pot, cfg), seen
+
+
+class TestPreconditioner:
+    """Where V_+ <= t0, the diagonal of Phi(-Delta), the preconditioner is
+    chi D (c + Phi)^(-1) D chi; elsewhere the diagonal 1 / (c + t0 + V_+).
+    V_+ is the part of V above max(0, min V)."""
+
+    CFG = SolverConfig(tol=1e-13, max_iters=60000, seed=1)
+    GRID = Grid(d=1, n=2048, L=32.0)
+
+    def split_and_product_iters(self, monkeypatch, symbol, pot):
+        """Iterations of ground_state, and of the product rule
+        D (c + Phi)^(-1) D on every point, D from V_+ = max(V, 0), run
+        from the same start to the same tolerance."""
+        res, seen = spied_solve(monkeypatch, symbol, pot, self.CFG)
+        assert res.converged and res.meta["stop"] == "residual"
+        op = SpectralOperator(symbol, pot.grid)
+        c = 1.0 + max(0.0, -float(np.min(pot.values)))
+        t0 = float(np.sum(op.weighted_multiplier)) / pot.values.size
+        D = np.sqrt((c + t0) / (c + t0 + np.maximum(pot.values, 0.0)))
+        inverse = 1.0 / (c + op.multiplier)
+        _, _, product_iters, stop = eigensolver._lobpcg(
+            seen["apply_H"], lambda r: D * op.filter(D * r, inverse),
+            seen["start"], seen["tol"], seen["max_iters"])
+        assert stop == "residual"
+        return res.iters, product_iters
+
+    def test_well_takes_the_plain_fourier_inverse(self, monkeypatch, s01):
+        pot = sharp_well(WellSpec(a=1.0, v=4.0), self.GRID)
+        _, seen = spied_solve(monkeypatch, s01, pot, self.CFG)
+        op = SpectralOperator(s01, self.GRID)
+        r = np.random.default_rng(0).standard_normal(self.GRID.shape)
+        # c = 1 + max(0, -min V) = 5.
+        assert np.array_equal(seen["precondition"](r),
+                              op.filter(r, 1.0 / (5.0 + op.multiplier)))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+    def test_fewer_iterations_than_the_product_rule(self, monkeypatch, s01, k):
+        split, product = self.split_and_product_iters(
+            monkeypatch, s01, anharmonic(k, self.GRID))
+        if k == 1:
+            assert split <= product
+        else:
+            assert 2 * split <= product
+
+    @pytest.mark.parametrize("shift", [200.0, 1e4])
+    def test_plateau_above_t0_stays_in_the_fourier_block(self, monkeypatch,
+                                                         s01, shift):
+        # V >= shift - 4 > t0 (about 100) everywhere.  Measured from 0,
+        # every point would take the diagonal alone, which leaves the
+        # kinetic part unpreconditioned: 133 and 121 iterations against the
+        # product rule's 31 and 28.
+        well = sharp_well(WellSpec(a=1.0, v=4.0), self.GRID)
+        pot = PotentialField(field=Field(grid=self.GRID,
+                                         values=well.values + shift),
+                             meta={"kind": "shifted_well"})
+        split, product = self.split_and_product_iters(monkeypatch, s01, pot)
+        assert split <= product
 
 
 class TestCountedWork:

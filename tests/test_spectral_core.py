@@ -174,6 +174,14 @@ class TestSeminorms:
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert route_gap(symbol, u) <= rel
 
+    @pytest.mark.parametrize("d, n, L", [(1, 256, 40.0), (2, 64, 20.0)])
+    def test_routes_agree_near_massless_high_moments(self, d, n, L):
+        # mu = m^(1/alpha) = 1e-20: the high origin-series moments take
+        # their series form at z ~ 1e-22, where the direct one is inf * 0.
+        u = random_band_limited(Grid(d=d, n=n, L=L), 1)
+        symbol = BernsteinSymbol.relativistic(1e-4, 0.2)
+        assert route_gap(symbol, u) <= 1e-13
+
     @pytest.mark.parametrize("alpha", [0.3, 0.4])
     def test_routes_agree_d2_near_massless(self, alpha):
         # Decay lengths 2.2e13 and 1e10: the image continuum holds sigma's
