@@ -45,13 +45,13 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .special_functions import (GAMMAINC_REL_ERR, KV_REL_ERR, REL_TOL,
                                 QuadratureError, bessel_k_grid)
 
-# scipy.integrate is imported inside the two functions that call quad, so
-# that importing the package, which every CLI call does, does not load it.
+# scipy.integrate and scipy.special are imported inside the functions that
+# call quad or a special function, so that importing the package, which
+# every CLI call does, does not load them.
 
 
 class AssumptionViolationError(Exception):
@@ -210,6 +210,8 @@ def sigma(d, alpha, m, r):
     can be exactly 0, plus GAMMAINC_REL_ERR |value|: every term of the
     positive sum carries gammainc's relative error.
     """
+    from scipy import special
+
     d, alpha, r = _check_massive("sigma", d, alpha, m, r)
     r = r.ravel()
     xi = (d + alpha) / 2.0
@@ -246,6 +248,8 @@ def kernel_moment(symbol, d, k, a, b):
     q = p + xi + 1.0
 
     def origin_moment(x):
+        from scipy import special
+
         if x == 0.0:
             return 0.0
         cosh_t, w = _sigma_rule(xi, mu * x)
@@ -450,6 +454,7 @@ def heat_kernel_profile(symbol, d, t, radii):
         size = np.interp(inv, np.r_[0.0, xi], np.r_[0.0, F])
     sums = np.empty((radii.size, x.size))
     if d == 2:
+        from scipy import special
         rows = max(1, _BLOCK_ENTRIES // nodes.size)
         for i in range(0, radii.size, rows):
             r = radii[i:i + rows]
@@ -525,6 +530,7 @@ def resolvent_kernel(symbol, d, radii):
     # u = v^q makes the m = 1 density (2/pi) sin(pi alpha/2) u^(1-alpha)
     # flat in v.
     q = max(1.0, 1.0 / (2.0 - alpha))
+    from scipy import integrate, special
     # e^(k_min r) Y_d as a function of k and of (k - k_min) r >= 0.
     scaled = (lambda k, r, x: np.exp(-x) / (2.0 * k),
               lambda k, r, x: special.k0e(k * r) * np.exp(-x) / (2.0 * math.pi),
@@ -536,7 +542,6 @@ def resolvent_kernel(symbol, d, radii):
         return (2.0 * q * u * u / (math.pi * v) * (1.0 / (c + u ** alpha * phase)).imag
                 * scaled(k, r, (gap + u * u) / (k + k_min) * r))
 
-    from scipy import integrate
     # epsrel sits well above QUADPACK's floor of 50 eps.
     values, errs = np.array([integrate.quad(integrand, 0.0, np.inf, args=(r,),
                                             epsabs=0.0, epsrel=1e-13, limit=200)

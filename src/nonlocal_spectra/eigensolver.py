@@ -5,7 +5,10 @@ Both take one single-vector LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23,
 2001) whose matvec is one rfftn/irfftn pair plus a pointwise factor.  The
 basis [x, w, p] is kept orthonormal (Hetmaniuk & Lehoucq, J. Comput. Phys.
 218, 2006), so each Rayleigh-Ritz step is a plain eigh of the 3 x 3 matrix
-S^T H S with no Gram matrix to factor.
+S^T H S with no Gram matrix to factor.  The basis and its images are the
+rows of one preallocated block, and the matvec and the preconditioner
+write into those rows through out= transforms and one scratch array, so
+an iteration allocates no grid-sized array.
 
 Potential problems solve H on the full grid, with c = 1 + max(0, -min V),
 t0 the diagonal of Phi(-Delta) and chi = 1[V_+ <= t0].  V_+ is the part of
@@ -74,58 +77,66 @@ def _unit(values, cell_volume):
     return values / (norm if values.sum() > 0 else -norm)
 
 
-def _lobpcg(apply_H, precondition, x, tol, max_iters):
-    """Lowest eigenpair of H by LOBPCG with one vector, from start x.
+def _lobpcg(apply_H, precondition, start, tol, max_iters):
+    """Lowest eigenpair of H by LOBPCG with one vector, from start.
 
-    Each step orthogonalizes w = M (H x - lam x) against x and p twice and
-    normalizes it; H w is its one matvec.  With c the lowest eigenvector of
-    S^T H S, S = [x, w, p] (no p at first), x becomes S c and p becomes
+    apply_H(u, out) and precondition(r, out) write H u and M r into out.
+    S = [x, w, p] and HS = [H x, H w, H p] are the two halves of one
+    preallocated block whose row i pairs S[i] with HS[i], and the residual
+    has a reused buffer, so a step allocates no grid-sized array.  Each step
+    orthogonalizes w = M (H x - lam x) against x and p by two Gram-Schmidt
+    passes and normalizes it; H w is its one matvec.  With c the lowest
+    eigenvector of S^T H S (no p at first), x becomes S c and p becomes
     S q / |q|, q = e - c (c . e) with e = (0, c1, c2), orthogonal to S c.
-    Returns (x, lam history, preconditioner applications, stop): "residual"
-    at ||H x - lam x||_2 <= tol, "budget" after max_iters applications, or
-    "breakdown" when w has a zero or non-finite norm.
+    Returns (a fresh x, lam history, preconditioner applications, stop):
+    "residual" at ||H x - lam x||_2 <= tol, "budget" after max_iters
+    applications, or "breakdown" when w has a zero or non-finite norm.
     """
-    x /= math.sqrt(np.vdot(x, x))
-    Hx = apply_H(x)
+    block = np.empty((3, 2, start.size))
+    S, HS = block[:, 0], block[:, 1]
+    # Row 0 is the residual and the projections' scratch; both rows are the
+    # update's scratch for a vector and its image.
+    scratch = np.empty((2, start.size))
+    # The operator takes grid-shaped views of the flat rows.
+    x, w, Hx, Hw, r = (row.reshape(start.shape)
+                       for row in (S[0], S[1], HS[0], HS[1], scratch[0]))
+    np.divide(start, math.sqrt(np.vdot(start, start)), out=x)
+    apply_H(x, Hx)
     lam = float(np.vdot(x, Hx))
-    history, iters, p, Hp = [lam], 0, None, None
+    history, iters, m = [lam], 0, 2
     while True:
-        r = Hx - lam * x
+        np.subtract(Hx, np.multiply(x, lam, out=r), out=r)
         if math.sqrt(np.vdot(r, r)) <= tol:
-            return x, history, iters, "residual"
+            return x.copy(), history, iters, "residual"
         if iters == max_iters:
-            return x, history, iters, "budget"
-        w = precondition(r)
+            return x.copy(), history, iters, "budget"
+        precondition(r, w)
         iters += 1
-        basis = (x,) if p is None else (x, p)
-        for b in basis + basis:
-            w -= np.vdot(b, w) * b
+        basis = S[:m:2]  # x, and p after the first step
+        for _ in range(2):
+            S[1] -= np.matmul(basis @ S[1], basis, out=scratch[0])
         norm = math.sqrt(np.vdot(w, w))
         if not 0.0 < norm < math.inf:
-            return x, history, iters, "breakdown"
+            return x.copy(), history, iters, "breakdown"
         w /= norm
-        Hw = apply_H(w)
-        S, HS = (x, w) + basis[1:], (Hx, Hw, Hp)[:len(basis) + 1]
-        gram = np.array([[np.vdot(a, Hb) if j >= i else 0.0
-                          for j, Hb in enumerate(HS)] for i, a in enumerate(S)])
-        vals, vecs = np.linalg.eigh(gram, UPLO="U")
+        apply_H(w, Hw)
+        vals, vecs = np.linalg.eigh(S[:m] @ HS[:m].T, UPLO="U")
         lam, c = float(vals[0]), vecs[:, 0]
         history.append(lam)
         # With t = c1 w + c2 p and s = |t|^2: S c = c0 x + t, and S q / |q|
-        # is (c0 t - s x) / sqrt(s) up to sign; the same for H x and H p.
+        # is (c0 t - s x) / sqrt(s) up to sign; each line updates a vector
+        # and its image, so H x and H p follow x and p.
         s = float(c[1:] @ c[1:])
-        new_p = []
-        for v, t, q in ((x, w, p), (Hx, Hw, Hp)):
-            t *= c[1]
-            if q is not None:
-                t += c[2] * q
-            if s > 0.0:
-                q = np.multiply(t, c[0] / math.sqrt(s), out=q)
-                q -= math.sqrt(s) * v
-            v *= c[0]
-            v += t
-            new_p.append(q if s > 0.0 else None)
-        p, Hp = new_p
+        v, t, q = block
+        t *= c[1]
+        if m == 3:
+            t += np.multiply(q, c[2], out=scratch)
+        if s > 0.0:
+            np.multiply(t, c[0] / math.sqrt(s), out=q)
+            q -= np.multiply(v, math.sqrt(s), out=scratch)
+        v *= c[0]
+        v += t
+        m = 3 if s > 0.0 else 2
 
 
 def ground_state(symbol, potential, cfg):
@@ -158,18 +169,21 @@ def ground_state(symbol, potential, cfg):
         jacobi = np.where(inner, np.sqrt((c + t0) / diagonal), 0.0)
         outer = np.where(inner, 0.0, 1.0 / diagonal)
     inverse = 1.0 / (c + op.multiplier)
+    # V u in apply_H, the Jacobi and outer products in precondition; neither
+    # keeps it across calls.
+    scratch = np.empty(shape)
 
-    def apply_H(u):
-        out = op.filter(u, op.multiplier)
-        out += V * u
-        return out
+    def apply_H(u, out):
+        op.filter(u, op.multiplier, out)
+        out += np.multiply(V, u, out=scratch)
 
-    def precondition(r):
+    def precondition(r, out):
         if jacobi is None:
-            return op.filter(r, inverse)
-        out = jacobi * op.filter(jacobi * r, inverse)
-        out += outer * r
-        return out
+            op.filter(r, inverse, out)
+        else:
+            op.filter(np.multiply(jacobi, r, out=scratch), inverse, out)
+            out *= jacobi
+            out += np.multiply(outer, r, out=scratch)
 
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + float(np.max(np.abs(V)))))
@@ -189,16 +203,6 @@ def ground_state(symbol, potential, cfg):
                              "stop": stop, "threshold": threshold})
 
 
-def fourier_residual(symbol, potential, result):
-    """L^2 norm of Phi(|xi|^2) phi_hat - lam phi_hat - F[V phi] (Plancherel),
-    inside the ball for a Dirichlet result."""
-    grid = result.phi.grid
-    radius = result.meta.get("ball_radius")
-    mask = None if radius is None else grid.radius() <= radius
-    return SpectralOperator(symbol, grid).residual(result.phi, result.lam,
-                                                   potential, mask)
-
-
 def dirichlet_ground_state(symbol, radius, grid, cfg):
     """Principal Dirichlet eigenvalue/eigenfunction of Phi(-Delta) on B_radius,
     from one LOBPCG solve of chi Phi(-Delta) chi, chi = 1_B, started at chi.
@@ -211,15 +215,13 @@ def dirichlet_ground_state(symbol, radius, grid, cfg):
     op = SpectralOperator(symbol, grid)
     inverse = 1.0 / (1.0 + op.multiplier)
 
-    def apply_H(u):
-        out = op.filter(u, op.multiplier)
+    def apply_H(u, out):
+        op.filter(u, op.multiplier, out)
         out *= chi
-        return out
 
-    def precondition(r):
-        out = op.filter(r, inverse)
+    def precondition(r, out):
+        op.filter(r, inverse, out)
         out *= chi
-        return out
 
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * float(np.max(op.multiplier)))
     x, history, iters, stop = _lobpcg(apply_H, precondition, chi.copy(),

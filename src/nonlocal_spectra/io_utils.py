@@ -11,6 +11,9 @@ from pathlib import Path
 import numpy as np
 
 
+_FLOAT_CELLS = {float, np.float64}
+
+
 def fmt(x):
     """Shortest round-trip representation of a float (or pass-through str/int)."""
     if isinstance(x, (np.floating, float)):
@@ -19,10 +22,13 @@ def fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Rows of equal length under a header.  A column of floats is formatted
+    from its .tolist() values, any other column cell by cell by fmt."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    columns = [map(repr, np.array(column).tolist())
+               if set(map(type, column)) <= _FLOAT_CELLS else map(fmt, column)
+               for column in zip(*rows, strict=True)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -16,7 +16,9 @@ its tolerance.
 """
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported inside the function that calls kv, so that
+# importing the package, which every CLI call does, does not load it.
 
 
 class QuadratureError(Exception):
@@ -45,6 +47,8 @@ _TINY = np.finfo(float).tiny
 
 
 def _kv(xi, z):
+    from scipy import special
+
     # scipy.special.kv returns nan or inf for subnormal orders.  K is even
     # and analytic in its order, K_xi = K_0 + O(xi^2), so an order below the
     # smallest normal double gives K_0 to full double precision.

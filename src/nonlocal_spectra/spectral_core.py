@@ -38,12 +38,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .bernstein_kernels import (BernsteinSymbol, kernel_moment,
                                 massless_constant, sphere_surface,
                                 tanh_sinh_quadrature)
 from .special_functions import REL_TOL, QuadratureError
+
+# scipy.special is imported inside the two functions that call ndtr and j0,
+# so that importing the package, which every CLI call does, does not load it.
+
 
 class CostGuardError(ValueError):
     """A direct seminorm was asked for on too fine a grid or in d = 3 (use
@@ -175,12 +178,19 @@ class SpectralOperator:
         self.cell_volume = grid.cell_volume
         self.measure = grid.cell_volume / grid.n ** grid.d
         self.axes = tuple(range(grid.d))
+        self._spectrum = np.empty(self.multiplier.shape, dtype=complex)
 
-    def filter(self, values, factor):
-        """irfftn(factor * rfftn(values)): one forward, one inverse transform."""
-        spec = np.fft.rfftn(values)
+    def filter(self, values, factor, out=None):
+        """irfftn(factor * rfftn(values)): one forward, one inverse transform.
+
+        The spectrum lives in a buffer of the operator's own and the result
+        is written into out when given, so a call with out allocates no
+        grid-sized array in d = 1; in d >= 2 irfftn's axis passes take one
+        spectrum-sized temporary.
+        """
+        spec = np.fft.rfftn(values, out=self._spectrum)
         spec *= factor
-        return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes, out=out)
 
     def apply(self, u):
         """Phi(-Delta) u as a Field."""
@@ -284,6 +294,8 @@ def _step(r, r0, r1, spacing):
     about e^(-pi (r1 - r0) / (2 spacing)).  1 - step(r) = step(r0 + r1 - r)
     without cancellation.
     """
+    from scipy import special
+
     r = np.asarray(r, dtype=float)
     mid, s = 0.5 * (r0 + r1), math.sqrt((r1 - r0) * spacing / (4.0 * math.pi))
     return np.where(r <= r0, 0.0, np.where(r >= r1, 1.0, special.ndtr((r - mid) / s)))
@@ -310,6 +322,8 @@ def _direct_core(field, symbol, images):
       spacing^d sum pw (G^(0) - G^(xi)) with G^ = rfftn(G) read at the
       field's modes.
     """
+    from scipy import special
+
     grid = field.grid
     d, n, L = grid.d, grid.n, grid.L
     spec = np.fft.rfftn(field.values)

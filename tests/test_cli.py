@@ -306,13 +306,24 @@ class TestDeterminism:
         assert abs(lams[0] - lams[1]) < 1e-7
 
 
-def test_import_leaves_quadrature_and_optimizer_unloaded():
-    # Every CLI call imports the package; only the functions that call quad
-    # or minimize_scalar import scipy.integrate and scipy.optimize.
+def test_import_leaves_quadrature_and_optimizer_unloaded(tmp_path):
+    # Every CLI call imports the package; only the functions that call quad,
+    # minimize_scalar or a special function import scipy.integrate,
+    # scipy.optimize and scipy.special.  Ground states and balls call none.
+    well = dict(BASE, output_dir=str(tmp_path / "well"))
+    ball = dict(BASE, command="dirichlet-eig", ball_radius=1.0,
+                output_dir=str(tmp_path / "ball"))
+    ball.pop("potential")
+    configs = [write_config(tmp_path, well, "well.json"),
+               write_config(tmp_path, ball, "ball.json")]
     src = str(Path(nonlocal_spectra.__file__).resolve().parent.parent)
-    code = ("import sys, nonlocal_spectra.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    report = ("print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+              "'scipy.special') if m in sys.modules))")
+    run = ("from nonlocal_spectra.cli import main; "
+           + "; ".join(f"assert main(['--config', {str(c)!r}]) == 0" for c in configs))
+    for code in ("import sys, nonlocal_spectra.cli; " + report,
+                 "import sys; " + run + "; " + report):
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip().splitlines()[-1] == "[]"

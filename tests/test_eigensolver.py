@@ -9,8 +9,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 from nonlocal_spectra import eigensolver, potentials
 from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
 from nonlocal_spectra.eigensolver import (EigenResult, SolverConfig,
-                                          dirichlet_ground_state,
-                                          fourier_residual, ground_state)
+                                          dirichlet_ground_state, ground_state)
 from nonlocal_spectra.experiments import symmetry_check
 from nonlocal_spectra.potentials import (PotentialField, WellSpec, anharmonic,
                                          mollified_well, sharp_well)
@@ -33,6 +32,16 @@ def zero_potential(grid):
 def constant_potential(grid, c):
     return PotentialField(field=Field(grid=grid, values=np.full(grid.shape, c)),
                           meta={"kind": "constant"})
+
+
+def fourier_residual(symbol, potential, result):
+    """L^2 norm of Phi(|xi|^2) phi_hat - lam phi_hat - F[V phi] (Plancherel),
+    inside the ball for a Dirichlet result."""
+    grid = result.phi.grid
+    radius = result.meta.get("ball_radius")
+    mask = None if radius is None else grid.radius() <= radius
+    return SpectralOperator(symbol, grid).residual(result.phi, result.lam,
+                                                   potential, mask)
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +112,8 @@ class TestGroundState:
         # A preconditioned residual of zero or non-finite norm ends the loop.
         diag = np.array([1.0, 2.0, 3.0])
         _, history, iters, stop = eigensolver._lobpcg(
-            lambda u: diag * u, lambda r: np.full_like(r, fill),
-            np.ones(3), 1e-12, 10)
+            lambda u, out: np.multiply(diag, u, out=out),
+            lambda r, out: out.fill(fill), np.ones(3), 1e-12, 10)
         assert stop == "breakdown" and iters == 1
         assert history == [pytest.approx(2.0)]
 
@@ -415,10 +424,14 @@ class TestAgainstIndependentSolvers:
         def precondition(x):
             nonlocal applications
             applications += 1
-            return seen["precondition"](x.reshape(grid.shape)).reshape(x.shape)
+            out = np.empty(grid.shape)
+            seen["precondition"](x.reshape(grid.shape), out)
+            return out.reshape(x.shape)
 
         def apply_H(x):
-            return seen["apply_H"](x.reshape(grid.shape)).reshape(x.shape)
+            out = np.empty(grid.shape)
+            seen["apply_H"](x.reshape(grid.shape), out)
+            return out.reshape(x.shape)
 
         size = grid.n
         H = LinearOperator((size, size), apply_H, dtype=float)
@@ -463,7 +476,8 @@ class TestPreconditioner:
         D = np.sqrt((c + t0) / (c + t0 + np.maximum(pot.values, 0.0)))
         inverse = 1.0 / (c + op.multiplier)
         _, _, product_iters, stop = eigensolver._lobpcg(
-            seen["apply_H"], lambda r: D * op.filter(D * r, inverse),
+            seen["apply_H"],
+            lambda r, out: np.multiply(D, op.filter(D * r, inverse), out=out),
             seen["start"], seen["tol"], seen["max_iters"])
         assert stop == "residual"
         return res.iters, product_iters
@@ -473,9 +487,10 @@ class TestPreconditioner:
         _, seen = spied_solve(monkeypatch, s01, pot, self.CFG)
         op = SpectralOperator(s01, self.GRID)
         r = np.random.default_rng(0).standard_normal(self.GRID.shape)
+        out = np.empty_like(r)
+        seen["precondition"](r, out)
         # c = 1 + max(0, -min V) = 5.
-        assert np.array_equal(seen["precondition"](r),
-                              op.filter(r, 1.0 / (5.0 + op.multiplier)))
+        assert np.array_equal(out, op.filter(r, 1.0 / (5.0 + op.multiplier)))
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
     def test_fewer_iterations_than_the_product_rule(self, monkeypatch, s01, k):
@@ -534,6 +549,41 @@ class TestCountedWork:
         short = self._counted_solve(monkeypatch, s01, 10)
         long = self._counted_solve(monkeypatch, s01, 20)
         assert short["evaluate"] == long["evaluate"] == 1
+
+    @staticmethod
+    def _unbuffered_transforms(monkeypatch, solve, symbol, max_iters):
+        """numpy.fft.rfftn and irfftn calls of one solve made without out."""
+        unbuffered = []
+
+        def spying(fn):
+            def wrapper(*args, **kwargs):
+                if kwargs.get("out") is None:
+                    unbuffered.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as mp:
+            for name in ("rfftn", "irfftn"):
+                mp.setattr(np.fft, name, spying(getattr(np.fft, name)))
+            res = solve(symbol, SolverConfig(tol=1e-300, max_iters=max_iters,
+                                             seed=3))
+        assert res.iters == max_iters
+        return sorted(unbuffered)
+
+    @pytest.mark.parametrize("solve", [
+        lambda s, cfg: ground_state(s, sharp_well(WellSpec(a=1.0, v=4.0),
+                                                  GRID), cfg),
+        lambda s, cfg: ground_state(s, anharmonic(4, GRID), cfg),
+        lambda s, cfg: ground_state(s, sharp_well(WellSpec(a=1.0, v=4.0),
+                                                  Grid(d=2, n=64, L=16.0)), cfg),
+        lambda s, cfg: dirichlet_ground_state(s, 1.0, GRID, cfg)],
+        ids=["well-1d", "anharmonic-1d", "well-2d", "ball"])
+    def test_loop_transforms_write_into_buffers(self, monkeypatch, s01, solve):
+        # Only the form's forward and the residual's inverse transform,
+        # after the loop, return a fresh array.
+        short = self._unbuffered_transforms(monkeypatch, solve, s01, 4)
+        long = self._unbuffered_transforms(monkeypatch, solve, s01, 8)
+        assert short == long == ["irfftn", "rfftn"]
 
     def test_missing_potential_rejected(self, s01):
         with pytest.raises(ValueError, match="zero potential"):
