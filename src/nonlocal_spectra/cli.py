@@ -190,7 +190,7 @@ def _write_sequence_report(out, report, param):
     """report.json and report.csv of a StabilityReport; the exit status."""
     io_utils.write_json(out / "report.json", report.to_json_dict())
     io_utils.write_csv(out / "report.csv", [param, "lambda", "gap", "gap_l2"],
-                       report.csv_rows())
+                       report.csv_columns())
     return 0 if report.converged else 2
 
 
@@ -224,7 +224,7 @@ def dispatch(cfg):
             payload["symmetry"] = sym
             io_utils.write_json(out / "report.json", payload)
             io_utils.write_csv(out / "report.csv", ["r", "chi(r)"],
-                               report.csv_rows())
+                               report.csv_columns())
         if not result.converged:
             status = 2
 

@@ -11,9 +11,6 @@ from pathlib import Path
 import numpy as np
 
 
-_FLOAT_CELLS = {float, np.float64}
-
-
 def fmt(x):
     """Shortest round-trip representation of a float (or pass-through str/int)."""
     if isinstance(x, (np.floating, float)):
@@ -21,14 +18,15 @@ def fmt(x):
     return str(x)
 
 
-def write_csv(path, header, rows):
-    """Rows of equal length under a header.  A column of floats is formatted
-    from its .tolist() values, any other column cell by cell by fmt."""
+def write_csv(path, header, columns):
+    """Columns of equal length under a header.  A float64 array is formatted
+    from its .tolist() values, without a numpy scalar per cell, any other
+    column cell by cell by fmt; both give fmt's text."""
     path = Path(path)
-    columns = [map(repr, np.array(column).tolist())
-               if set(map(type, column)) <= _FLOAT_CELLS else map(fmt, column)
-               for column in zip(*rows, strict=True)]
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+    cells = [map(repr, column.tolist())
+             if isinstance(column, np.ndarray) and column.dtype == np.float64
+             else map(fmt, column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -93,9 +91,8 @@ def read_field(path_base):
 def write_kernel_table(table, path_base):
     """KernelTable -> CSV `r,value,error_estimate` + JSON sidecar."""
     base = Path(path_base)
-    rows = zip(table.radii, table.values, table.error_estimates)
-    csv_path = write_csv(base.with_suffix(".csv"),
-                         ["r", "value", "error_estimate"], rows)
+    csv_path = write_csv(base.with_suffix(".csv"), ["r", "value", "error_estimate"],
+                         [table.radii, table.values, table.error_estimates])
     sidecar = {"kernel_id": table.kernel_id, "d": table.dimension}
     sidecar.update({k: v for k, v in table.params.items()})
     json_path = write_json(base.with_suffix(".json"), sidecar)
@@ -116,4 +113,4 @@ def radial_profile(field):
 
 def write_radial_profile(field, path):
     radii, values = radial_profile(field)
-    return write_csv(path, ["r", "phi(r)"], zip(radii, values))
+    return write_csv(path, ["r", "phi(r)"], [radii, values])

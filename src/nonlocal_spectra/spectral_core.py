@@ -566,6 +566,8 @@ def pointwise_nonlocal(symbol, u, x):
     c_far = _far_constant(shell(np.array([1e5, 2.3e5, 5.1e5]), 0.0))
     outer_val, outer_err = _oscillatory_tail(
         lambda rs: radial(shell(rs, c_far), rs), eps_cut, 1.0)
+    # A guard against a failed extrapolation, not an accuracy target: the
+    # plane-wave and antisymmetric-check tails estimate 1e-22 to 3e-13.
     if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
         raise QuadratureError("outer nonlocal integral did not converge",
                               value=None, error_estimate=outer_err)

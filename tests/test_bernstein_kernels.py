@@ -20,9 +20,10 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 resolvent_kernel,
                                                 second_moment_decay, sigma,
                                                 tanh_sinh_quadrature,
-                                                _unit_tanh_sinh)
-from nonlocal_spectra.special_functions import (REL_TOL, QuadratureError,
-                                                bessel_k)
+                                                _gammainc_saturation,
+                                                _sigma_rule, _unit_tanh_sinh)
+from nonlocal_spectra.special_functions import (GAMMAINC_REL_ERR, REL_TOL,
+                                                QuadratureError, bessel_k)
 
 
 class TestTanhSinh:
@@ -62,6 +63,86 @@ class TestTanhSinh:
             tanh_sinh_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0)
         assert np.isfinite(info.value.value)
         assert info.value.error_estimate > 0.0
+
+
+def all_levels_tanh_sinh(f, a, b):
+    """tanh_sinh_quadrature with f called on every node of every level: the
+    reference for the nested levels."""
+    width = b - a
+    value = None
+    for level in range(7):
+        upper, gap, weight = _unit_tanh_sinh(level)
+        x = np.where(upper, b - width * gap, a + width * gap)
+        keep = (x > a) & (x < b)
+        w, fx = width * weight[keep], f(x[keep])
+        refined = float(np.dot(w, fx))
+        if value is not None:
+            err = abs(refined - value)
+            if err <= 10.0 * REL_TOL * float(np.dot(w, np.abs(fx))):
+                return refined, err
+        value = refined
+    raise QuadratureError("did not converge", value=value, error_estimate=err)
+
+
+NESTED_CASES = [
+    (lambda x: x ** -0.5, 0.0, 1.0),
+    (np.log, 0.0, 1.0),
+    (lambda x: np.cos(3.0 * x), 0.0, 2.0),
+    (lambda x: np.exp(-x) * np.sqrt(x - 1.0), 1.0, 30.0),
+    (lambda x: 1e-200 / (1.0 + x * x), -3.0, 7.0),
+    (lambda x: x ** 1.5 * np.exp(x), 0.0, 2.0),
+    # The d = 1 massless direct-seminorm core: a j(r) r^(d-1) shell integrand.
+    (lambda x: 2.0 * np.sin(0.5 * x) ** 2 * x ** -2.0, 1e-3, 5.0),
+]
+
+
+class TestNestedLevels:
+    @pytest.mark.parametrize("case", range(len(NESTED_CASES)))
+    def test_bit_identical_to_evaluating_every_level(self, case):
+        f, a, b = NESTED_CASES[case]
+        assert tanh_sinh_quadrature(f, a, b) == all_levels_tanh_sinh(f, a, b)
+
+    def test_partial_value_bit_identical(self):
+        f = lambda x: np.sin(1e4 * x)
+        with pytest.raises(QuadratureError) as nested:
+            tanh_sinh_quadrature(f, 0.0, 1.0)
+        with pytest.raises(QuadratureError) as full:
+            all_levels_tanh_sinh(f, 0.0, 1.0)
+        assert nested.value.value == full.value.value
+        assert nested.value.error_estimate == full.value.error_estimate
+
+    @pytest.mark.parametrize("case", range(len(NESTED_CASES)))
+    def test_each_node_evaluated_once(self, case):
+        f, a, b = NESTED_CASES[case]
+        seen, calls = [], []
+
+        def spy(x):
+            seen.append(x.copy())
+            return f(x)
+
+        tanh_sinh_quadrature(spy, a, b)
+        all_levels_tanh_sinh(lambda x: calls.append(x.size) or f(x), a, b)
+        # The nodes f saw are exactly the kept nodes of the accepting level
+        # (as a multiset: nodes near b can round to the same x), where the
+        # reference calls f on every level in full.
+        upper, gap, _ = _unit_tanh_sinh(len(seen) - 1)
+        x = np.where(upper, b - (b - a) * gap, a + (b - a) * gap)
+        assert np.array_equal(np.sort(np.concatenate(seen)),
+                              np.sort(x[(x > a) & (x < b)]))
+        assert len(calls) == len(seen) and sum(calls) > 1.7 * calls[-1]
+
+    def test_unresolved_integrand_evaluates_the_finest_level_once(self):
+        seen = []
+
+        def spy(x):
+            seen.append(x.size)
+            return np.sin(1e4 * x)
+
+        with pytest.raises(QuadratureError):
+            tanh_sinh_quadrature(spy, 0.0, 1.0)
+        upper, gap, _ = _unit_tanh_sinh(6)
+        x = np.where(upper, 1.0 - gap, gap)
+        assert len(seen) == 7 and sum(seen) == int(np.sum((x > 0.0) & (x < 1.0)))
 
 
 class TestMasslessKernel:
@@ -154,6 +235,47 @@ class TestSigma:
         scale = relativistic_prefactor(d, alpha, 1.0) * r ** (-(d + alpha))
         assert np.all(np.abs(values - scale * exact) <= errs)
         assert np.all(errs <= 1e-12 * values)
+
+
+def full_matrix_sigma(d, alpha, m, r):
+    """sigma with gammainc at every (radius, node) pair: the saturated
+    entries are not filled in."""
+    xi = (d + alpha) / 2.0
+    x = m ** (1.0 / alpha) * r
+    cosh_t, w = _sigma_rule(xi, float(x.min()))
+    fine, coarse = np.empty(r.size), np.empty(r.size)
+    rows = max(1, (1 << 16) // w.size)
+    for i in range(0, r.size, rows):
+        P = special.gammainc(xi + 1.0, np.outer(x[i:i + rows], cosh_t))
+        fine[i:i + rows], coarse[i:i + rows] = P @ w, 2.0 * P[:, ::2] @ w[::2]
+    scale = relativistic_prefactor(d, alpha, 1.0) * r ** (-(d + alpha))
+    values = scale * fine
+    return values, scale * np.abs(fine - coarse) + GAMMAINC_REL_ERR * values
+
+
+class TestSaturatedSigma:
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_full_gammainc_matrix(self, d, alpha, m):
+        # x = m^(1/alpha) r from 1e-3 (the longest rule) to 60, and a block
+        # boundary of the 2^16-entry blocks inside the 700 radii.
+        r = np.geomspace(1e-3, 60.0, 700) / m ** (1.0 / alpha)
+        values, errs = sigma(d, alpha, m, r)
+        full_values, full_errs = full_matrix_sigma(d, alpha, m, r)
+        assert np.array_equal(values, full_values)
+        assert np.array_equal(errs, full_errs)
+
+    @pytest.mark.parametrize("a", [1.01, 1.5, 1.6, 2.0, 2.5, 3.0, 3.5, 5.0, 12.0])
+    def test_saturation_point(self, a):
+        # gammainc is exactly 1.0 from z_sat on, and z_sat is within 2 of
+        # the first z where it is.
+        z_sat = _gammainc_saturation(a)
+        z = z_sat + np.r_[0.0, np.geomspace(1e-12, 1e3, 400)]
+        assert np.all(special.gammainc(a, z) == 1.0)
+        below = np.linspace(z_sat - 2.0, z_sat, 2001)[:-1]
+        assert np.any(special.gammainc(a, below) < 1.0)
+        assert special.gammaincc(a, z_sat) <= 2.0 ** -55
 
 
 def kernel_moment_oracle(d, alpha, m, k, b, e=20):
@@ -302,6 +424,17 @@ class TestHeatKernel:
         assert np.max(np.abs(table.values / cauchy - 1.0)) <= 2e-13
         assert np.all(np.abs(table.values - cauchy) <= table.error_estimates)
         assert np.all(table.error_estimates <= REL_TOL * table.values)
+
+    def test_d2_estimates_cover_cauchy_error(self, s01):
+        # Phi_{0,1} in d = 2: p_t(r) = t / (2 pi (t^2 + r^2)^(3/2)), in long
+        # double.  Summed over the 4009 panels in panel order, 6 rows near
+        # r = 0.05 erred by up to 3.1 times their estimate.
+        t, radii = 0.1, np.geomspace(0.05, 12.0, 200)
+        prof, errs = heat_kernel_profile(s01, 2, t, radii)
+        r, tl = radii.astype(np.longdouble), np.longdouble(t)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        exact = tl / (2 * pi * (tl * tl + r * r) ** np.longdouble(1.5))
+        assert np.all(np.abs(prof - exact) <= errs)
 
     def test_cauchy_closed_form_d3(self, s01):
         # Phi_{0,1} in d = 3: p_t(r) = t / (pi^2 (t^2 + r^2)^2), from r = 0,
@@ -452,6 +585,19 @@ class TestResolventKernel:
         values, errs = resolvent_kernel(s11, d, radii)
         assert values == pytest.approx(exact, rel=1e-12)
         assert np.all(np.abs(values - exact) <= errs)
+        assert np.all(errs <= REL_TOL * values)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_phi11_closed_form_wide_radii(self, s11, d):
+        # The scalar integrand from r = 1e-3, where K_0(k r) in d = 2 and
+        # 1/r in d = 3 are large, out to G_1 ~ e^-40.
+        radii = np.geomspace(1e-3, 40.0, 30)
+        closed = (lambda r: mpmath.besselk(0, r) / mpmath.pi,
+                  lambda r: mpmath.exp(-r) / (2 * mpmath.pi * r),
+                  lambda r: mpmath.besselk(1, r) / (2 * mpmath.pi ** 2 * r))[d - 1]
+        exact = np.array([closed(mpmath.mpf(r)) for r in radii])
+        values, errs = resolvent_kernel(s11, d, radii)
+        assert all(abs(mpmath.mpf(v) - x) <= e for v, x, e in zip(values, exact, errs))
         assert np.all(errs <= REL_TOL * values)
 
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -62,8 +62,8 @@ class TestStabilitySweep:
     def test_json_and_csv_shapes(self, sweep):
         payload = sweep.to_json_dict()
         assert len(payload["lambda"]) == 3
-        rows = list(sweep.csv_rows())
-        assert len(rows) == 3 and len(rows[0]) == 4
+        columns = sweep.csv_columns()
+        assert len(columns) == 4 and all(len(c) == 3 for c in columns)
 
 
 class TestUniformShift:
