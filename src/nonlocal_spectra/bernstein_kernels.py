@@ -213,36 +213,17 @@ def _sigma_rule(xi, x_min):
     return cosh_t, w
 
 
-def _gammainc_saturation(a):
-    """z_sat > a - 1 with gammainc(a, z) exactly 1.0 for all z >= z_sat, a > 1.
-
-    P = 1 - Q rounds to 1.0 once Q <= 2^-54.  For a > 1 and z > a - 1,
-    Gamma(a, z) = z^(a-1) e^-z int_0^inf (1 + s/z)^(a-1) e^-s ds and
-    (1 + s/z)^(a-1) <= e^((a-1) s/z) give
-        Q(a, z) <= z^(a-1) e^-z / (Gamma(a) (1 - (a-1)/z)),
-    a decreasing bound (the leading term of DLMF 8.11.2 over Gamma(a)).
-    z_sat is where it reaches 2^-55: the factor 2 covers gammainc's own
-    relative error in Q.  z = 55 log 2 - log Gamma(a) + (a-1) log z -
-    log(1 - (a-1)/z) is iterated from 2 (a + 40), where the bound is below
-    2^-55; the iterates then decrease towards the root and each is a
-    valid z_sat (within 1e-7 of the root after 8 steps for a <= 5).
-    """
-    c = 55.0 * math.log(2.0) - math.lgamma(a)
-    z = 2.0 * (a + 40.0)
-    for _ in range(8):
-        z = c + (a - 1.0) * math.log(z) - math.log1p(-(a - 1.0) / z)
-    return z
-
-
 def sigma(d, alpha, m, r):
     """Defect kernel sigma_{m,alpha} >= 0 at radii r > 0 (flattened):
     (values, error estimates).
 
-    gammainc is called only where x cosh t < _gammainc_saturation(xi + 1),
-    41-47 for d <= 3: beyond it P is exactly 1.0 and is filled in, so the
-    sums are those of the full matrix.  On the 400-radius tables of
-    [0.05, 20] that is 90-92% of the entries, each a gammainc call of
-    about 45 ns where the fill costs about 9.
+    gammainc is called only where x cosh t < z_sat, the z with
+    Q(xi + 1, z) = 2^-55 (gammainccinv; 41-47 for d <= 3): P = 1 - Q is
+    exactly 1.0 once Q <= 2^-54, so beyond z_sat it is filled in, with a
+    factor 2 of margin for Q's own error, and the sums are those of the
+    full matrix.  On the 400-radius tables of [0.05, 20] that is 90-92% of
+    the entries, each a gammainc call of about 45 ns where the fill costs
+    about 9.
 
     The estimate is the difference to _sigma_rule at twice the step, which
     can be exactly 0, plus GAMMAINC_REL_ERR |value|: every term of the
@@ -255,7 +236,7 @@ def sigma(d, alpha, m, r):
     xi = (d + alpha) / 2.0
     x = m ** (1.0 / alpha) * r
     cosh_t, w = _sigma_rule(xi, float(x.min()))
-    z_sat = _gammainc_saturation(xi + 1.0)
+    z_sat = special.gammainccinv(xi + 1.0, 2.0 ** -55)
     fine, coarse = np.empty(r.size), np.empty(r.size)
     # Blocks of 2^16 gammainc values (512 KB) bound the memory.
     rows = max(1, (1 << 16) // w.size)
@@ -567,9 +548,9 @@ def resolvent_kernel(symbol, d, radii):
     see, in the atom and in the exponent k_min r: (10 + 2 k_min r) eps |value|.
 
     quad's integrand takes one Python float at a time, about 240 times per
-    radius, so it is written in math.exp and cython_special.k0e (d = 2
-    only), which take about half the time of their numpy ufuncs on a float;
-    the atom keeps the vectorized form over all radii.
+    radius, so e^(k_min r) Y_d is one scalar function per d, in math.exp
+    and cython_special.k0e (d = 2 only), which take about half the time of
+    their numpy ufuncs on a float; the atom evaluates it at each radius.
     """
     if d not in (1, 2, 3):
         raise ValueError("resolvent_kernel requires d <= 3")
@@ -583,34 +564,37 @@ def resolvent_kernel(symbol, d, radii):
     # u = v^q makes the m = 1 density (2/pi) sin(pi alpha/2) u^(1-alpha)
     # flat in v.
     q = max(1.0, 1.0 / (2.0 - alpha))
-    from scipy import integrate, special
-    from scipy.special import cython_special
-    # e^(k_min r) Y_d as a function of k and of (k - k_min) r >= 0, for
-    # the atom's array of radii.
-    scaled = (lambda k, r, x: np.exp(-x) / (2.0 * k),
-              lambda k, r, x: special.k0e(k * r) * np.exp(-x) / (2.0 * math.pi),
-              lambda k, r, x: np.exp(-x) / (4.0 * math.pi * r))[d - 1]
+    from scipy import integrate
+    # e^(k_min r) Y_d as a function of k, r and (k - k_min) r >= 0, in
+    # scalars.
+    if d == 1:
+        def yukawa(k, r, x):
+            return math.exp(-x) / (2.0 * k)
+    elif d == 2:
+        from scipy.special import cython_special
+
+        def yukawa(k, r, x):
+            return cython_special.k0e(k * r) * math.exp(-x) / (2.0 * math.pi)
+    else:
+        def yukawa(k, r, x):
+            return math.exp(-x) / (4.0 * math.pi * r)
     weight = 2.0 * q / math.pi
 
     def integrand(v, r):
-        # sigma's density in v times the same e^(k_min r) Y_d, in scalars.
+        # sigma's density in v times e^(k_min r) Y_d.
         u = v ** q
         uu = u * u
         k = math.sqrt(M + uu)
-        y = (weight * uu / v * (1.0 / (c + u ** alpha * phase)).imag
-             * math.exp(-(gap + uu) / (k + k_min) * r))
-        if d == 1:
-            return y / (2.0 * k)
-        if d == 2:
-            return y * cython_special.k0e(k * r) / (2.0 * math.pi)
-        return y / (4.0 * math.pi * r)
+        return (weight * uu / v * (1.0 / (c + u ** alpha * phase)).imag
+                * yukawa(k, r, (gap + uu) / (k + k_min) * r))
 
     # epsrel sits well above QUADPACK's floor of 50 eps.
     values, errs = np.array([integrate.quad(integrand, 0.0, np.inf, args=(r,),
                                             epsabs=0.0, epsrel=1e-13, limit=200)
                              for r in radii]).T
     if m > 1.0:
-        values += gap / (m - 1.0) / (0.5 * alpha) * scaled(k_min, radii, 0.0)
+        atom = np.array([yukawa(k_min, r, 0.0) for r in radii])
+        values += gap / (m - 1.0) / (0.5 * alpha) * atom
     errs += (10.0 + 2.0 * k_min * radii) * np.finfo(float).eps * values
     unscale = np.exp(-k_min * radii)
     if np.any(errs > REL_TOL * values):

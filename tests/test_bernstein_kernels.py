@@ -20,7 +20,6 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 resolvent_kernel,
                                                 second_moment_decay, sigma,
                                                 tanh_sinh_quadrature,
-                                                _gammainc_saturation,
                                                 _sigma_rule, _unit_tanh_sinh)
 from nonlocal_spectra.special_functions import (GAMMAINC_REL_ERR, REL_TOL,
                                                 QuadratureError, bessel_k)
@@ -268,14 +267,14 @@ class TestSaturatedSigma:
 
     @pytest.mark.parametrize("a", [1.01, 1.5, 1.6, 2.0, 2.5, 3.0, 3.5, 5.0, 12.0])
     def test_saturation_point(self, a):
-        # gammainc is exactly 1.0 from z_sat on, and z_sat is within 2 of
-        # the first z where it is.
-        z_sat = _gammainc_saturation(a)
+        # sigma's z_sat: gammainc is exactly 1.0 from it on, it is within 2
+        # of the first z where it is, and Q there is below half an ulp of 1.
+        z_sat = special.gammainccinv(a, 2.0 ** -55)
         z = z_sat + np.r_[0.0, np.geomspace(1e-12, 1e3, 400)]
         assert np.all(special.gammainc(a, z) == 1.0)
         below = np.linspace(z_sat - 2.0, z_sat, 2001)[:-1]
         assert np.any(special.gammainc(a, below) < 1.0)
-        assert special.gammaincc(a, z_sat) <= 2.0 ** -55
+        assert special.gammaincc(a, z_sat) < 2.0 ** -54
 
 
 def kernel_moment_oracle(d, alpha, m, k, b, e=20):
