@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io_utils
-from .bernstein_kernels import BernsteinSymbol, build_kernel_table
+from .bernstein_kernels import KERNEL_IDS, BernsteinSymbol, build_kernel_table
 from .eigensolver import SolverConfig, dirichlet_ground_state, ground_state
 from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
                           embedding_tail_check, monotonicity_check,
@@ -138,11 +138,10 @@ def parse_config(path):
 
     sol_raw = dict(raw.get("solver", {}))
     _require_keys("solver", sol_raw, _SOLVER_KEYS)
+    casts = {"tol": float, "max_iters": int, "seed": int}
     try:
-        solver = SolverConfig(
-            tol=float(sol_raw.get("tol", 1e-11)),
-            max_iters=int(sol_raw.get("max_iters", 20000)),
-            seed=int(sol_raw.get("seed", 12345)))
+        solver = SolverConfig(**{key: cast(sol_raw[key])
+                                 for key, cast in casts.items() if key in sol_raw})
     except ValueError as exc:
         raise ConfigError(f"solver invariant violated: {exc}") from None
 
@@ -154,8 +153,20 @@ def parse_config(path):
     if "kernel" in extras:
         kernel = extras["kernel"] = dict(extras["kernel"])
         _require_keys("kernel", kernel, ("id", "radii", "t"),
-                      required=("id",))
-        kernel.setdefault("radii", {"start": 0.1, "stop": 10.0, "num": 50})
+                      required=("id", "t") if kernel.get("id") == "heat" else ("id",))
+        if kernel["id"] not in KERNEL_IDS:
+            raise ConfigError(f"unknown kernel id {kernel['id']!r}; expected "
+                              f"one of {KERNEL_IDS}")
+        if kernel["id"] == "heat" and not float(kernel["t"]) > 0.0:
+            raise ConfigError("a heat table needs t > 0")
+        radii = kernel.get("radii", {"start": 0.1, "stop": 10.0, "num": 50})
+        _require_keys("kernel radii", radii, ("start", "stop", "num"),
+                      required=("start", "stop", "num"))
+        radii = kernel["radii"] = {"start": float(radii["start"]),
+                                   "stop": float(radii["stop"]),
+                                   "num": int(radii["num"])}
+        if not (0.0 < radii["start"] < radii["stop"] and radii["num"] >= 1):
+            raise ConfigError("kernel radii need 0 < start < stop and num >= 1")
         kernel.setdefault("t", None)
     if "eps_schedule" in extras:
         try:
@@ -202,13 +213,10 @@ def dispatch(cfg):
     status = 0
 
     if cfg.command == "kernel-table":
-        kernel = extras["kernel"]
-        radii = kernel["radii"]
-        if isinstance(radii, dict):
-            radii = np.geomspace(radii["start"], radii["stop"], radii["num"])
-        table = build_kernel_table(cfg.symbol, kernel["id"], cfg.grid.d,
-                                   np.asarray(radii, dtype=float),
-                                   t=kernel["t"])
+        kernel, radii = extras["kernel"], extras["kernel"]["radii"]
+        table = build_kernel_table(
+            cfg.symbol, kernel["id"], cfg.grid.d,
+            np.geomspace(radii["start"], radii["stop"], radii["num"]), t=kernel["t"])
         io_utils.write_kernel_table(table, out / "table")
 
     elif cfg.command in ("ground-state", "monotonicity"):

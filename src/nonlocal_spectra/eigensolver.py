@@ -139,6 +139,25 @@ def _lobpcg(apply_H, precondition, start, tol, max_iters):
         m = 3 if s > 0.0 else 2
 
 
+def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
+           mask=None):
+    """One LOBPCG solve from start and its check: threshold
+    max(tol, 100 eps (max Phi + v_max)), LOBPCG at a tenth of it, and the
+    unit phi's Rayleigh quotient and Fourier-route residual (inside mask)."""
+    threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
+                                                 + v_max))
+    x, history, iters, stop = _lobpcg(apply_H, precondition, start,
+                                      0.1 * threshold, cfg.max_iters)
+
+    phi = Field(grid=op.grid, values=_unit(x, op.cell_volume))
+    lam = op.form(phi, phi, potential).total
+    residual = op.residual(phi, lam, potential, mask)
+    return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
+                       history=history + [lam],
+                       converged=residual <= threshold, method="lobpcg",
+                       meta={**meta, "stop": stop, "threshold": threshold})
+
+
 def ground_state(symbol, potential, cfg):
     """Ground state of Phi(-Delta) + V by one preconditioned LOBPCG solve.
 
@@ -185,22 +204,11 @@ def ground_state(symbol, potential, cfg):
             out *= jacobi
             out += np.multiply(outer, r, out=scratch)
 
-    threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
-                                                 + float(np.max(np.abs(V)))))
     with np.errstate(under="ignore"):
         start = (np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=shape)
                  * np.exp(v_min - V))
-    x, history, iters, stop = _lobpcg(apply_H, precondition, start,
-                                      0.1 * threshold, cfg.max_iters)
-
-    phi = Field(grid=grid, values=_unit(x, grid.cell_volume))
-    lam = op.form(phi, phi, potential).total
-    residual = op.residual(phi, lam, potential)
-    return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
-                       history=history + [lam],
-                       converged=residual <= threshold, method="lobpcg",
-                       meta={"potential": getattr(potential, "meta", {}),
-                             "stop": stop, "threshold": threshold})
+    return _solve(op, apply_H, precondition, start, float(np.max(np.abs(V))),
+                  cfg, {"potential": getattr(potential, "meta", {})}, potential)
 
 
 def dirichlet_ground_state(symbol, radius, grid, cfg):
@@ -223,15 +231,5 @@ def dirichlet_ground_state(symbol, radius, grid, cfg):
         op.filter(r, inverse, out)
         out *= chi
 
-    threshold = max(cfg.tol, _ROUNDOFF_FACTOR * float(np.max(op.multiplier)))
-    x, history, iters, stop = _lobpcg(apply_H, precondition, chi.copy(),
-                                      0.1 * threshold, cfg.max_iters)
-
-    phi = Field(grid=grid, values=_unit(x, grid.cell_volume))
-    lam = op.form(phi, phi).total
-    residual = op.residual(phi, lam, mask=chi)
-    return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
-                       history=history + [lam],
-                       converged=residual <= threshold, method="lobpcg",
-                       meta={"ball_radius": radius, "stop": stop,
-                             "threshold": threshold})
+    return _solve(op, apply_H, precondition, chi.copy(), 0.0, cfg,
+                  {"ball_radius": radius}, mask=chi)

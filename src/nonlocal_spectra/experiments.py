@@ -8,7 +8,7 @@ bit-identical reports.
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -331,20 +331,11 @@ def monotonicity_check(result):
                               region_flags=flags)
 
 
-def moving_plane_difference(field, mu):
-    """w_mu(x) = phi(x^mu) - phi(x) as a Field (diagnostic only; its sign
-    on the half-space holds for the exact ground state, not asserted on
-    discretizations)."""
-    return Field(grid=field.grid,
-                 values=reflected_values(field, mu) - field.values)
-
-
 def moving_plane_min(field, mu):
-    """Min of w_mu over the half-space {x_1 < mu} (reported, not asserted)."""
-    w = moving_plane_difference(field, mu)
-    x1 = field.grid.axis()
-    sel = x1 < mu
-    return float(w.values[sel, ...].min())
+    """Min of w_mu(x) = phi(x^mu) - phi(x) over the half-space {x_1 < mu}
+    (reported, not asserted: its sign holds for the exact ground state)."""
+    w = reflected_values(field, mu) - field.values
+    return float(w[field.grid.axis() < mu, ...].min())
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +357,7 @@ class AntisymmetricCheck:
     bounds_ok: bool
 
     def to_json_dict(self):
-        return {"mu": self.mu, "x_star": self.x_star, "delta": self.delta,
-                "w_min": self.w_min, "lhs": self.lhs, "rhs1": self.rhs1,
-                "rhs2": self.rhs2, "constants": self.constants,
-                "antisym_defect": self.antisym_defect,
-                "sign_ok": self.sign_ok, "bounds_ok": self.bounds_ok}
+        return asdict(self)
 
 
 def antisym_constant_c1(d, alpha):

@@ -29,8 +29,8 @@ and the smooth rest, j w plus the images, is a lattice sum taken as one
 transform; the images m != 0 are a windowed lattice sum plus its
 continuum, the same rule for every kernel and d (_lattice_images).
 
-pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x): one radial
-quadrature of sphere-rule shell sums, the same path for d = 1, 2 and 3.
+pointwise_nonlocal is a grid-free oracle for Phi(-Delta)u(x) in d = 1: one
+radial quadrature of the second difference u(x+r) - 2u(x) + u(x-r).
 """
 
 import math
@@ -484,85 +484,57 @@ def _far_constant(samples):
     return 0.0
 
 
-def _sphere_rule(d):
-    """(directions, weights) of the angular rule on S^(d-1): S^0 = {+1, -1}
-    with weights (1, 1), 64 equispaced points on the circle, 24 Gauss-Legendre
-    latitudes x 48 longitudes on the sphere.  Each rule is symmetric under
-    omega -> -omega, and its weights sum to |S^(d-1)|."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return omegas, np.full(len(theta), 2.0 * math.pi / len(theta))
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    phi = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    ct, ph = np.meshgrid(nodes, phi, indexing="ij")
-    st = np.sqrt(1.0 - ct ** 2)
-    omegas = np.stack([st * np.cos(ph), st * np.sin(ph), ct],
-                      axis=-1).reshape(-1, 3)
-    return omegas, np.repeat(wts, len(phi)) * (2.0 * math.pi / len(phi))
-
-
 def pointwise_nonlocal(symbol, u, x):
-    """Phi(-Delta)u(x) = -(1/2) int (u(x+h) - 2u(x) + u(x-h)) j(|h|) dh.
+    """Phi(-Delta)u(x) = -(1/2) int (u(x+h) - 2u(x) + u(x-h)) j(|h|) dh in d = 1.
 
-    u is a bounded C^2 function on R^d, d = len(x) <= 3, called like the
-    callable of field_from_function: u(*coords), one array per axis.  In
-    polar form this is -(1/2) int_0^inf S(r) j(r) r^(d-1) dr with the shell
-    sum S(r) = 2 (sum_w w u(x + r w) - |S^(d-1)| u(x)) over the symmetric
-    rule of _sphere_rule, so every d takes one path and u is called once
-    per batch of radii.  On [0, h0], h0 = 1e-2, S is cancellation noise
-    that the singular kernel would amplify, so there S(r) = a r^2 + b r^4,
-    a = (16 S(delta) - S(2 delta)) / (12 delta^2) and
+    u is a bounded C^2 function of one variable that takes arrays, and x is
+    a float.  Folded onto the half-line this is -(1/2) int_0^inf S(r) j(r) dr
+    with the shell sum S(r) = 2 (u(x + r) + u(x - r)) - 4 u(x), and u is
+    called once per batch of radii.  On [0, h0], h0 = 1e-2, S is
+    cancellation noise that the singular kernel would amplify, so there
+    S(r) = a r^2 + b r^4, a = (16 S(delta) - S(2 delta)) / (12 delta^2) and
     b = (S(2 delta) - 4 S(delta)) / (12 delta^4), delta = h0/2, is
-    integrated against the kernel moments (in d = 1 this is the five-point
-    stencil for u'' and u'''').  Tanh-sinh covers [h0, 1], and panel
-    summation, accelerated for oscillatory integrands, covers [1, inf).
-    u is rejected as unbounded if |u| > 1e6 (1 + |u(x)|) at a distance
-    10 to 1e4 from x along one rule direction.
+    integrated against the kernel moments (the five-point stencil for u''
+    and u'''').  Tanh-sinh covers [h0, 1], and panel summation, accelerated
+    for oscillatory integrands, covers [1, inf).  u is rejected as unbounded
+    if |u| > 1e6 (1 + |u(x)|) at a distance 10 to 1e4 from x.
     """
     eps_cut = 1.0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    if d > 3:
-        raise ValueError("pointwise_nonlocal supports d <= 3")
-    omegas, weights = _sphere_rule(d)
-    surf = float(np.sum(weights))
+    x = float(x)
 
     def u_on(points):
-        return np.asarray(u(*points), dtype=float)
+        return np.asarray(u(points), dtype=float)
 
-    u_x = float(u_on(x[:, None])[0])
+    u_x = float(u_on(np.array([x]))[0])
     far = np.array([10.0, 100.0, 1000.0, 1e4])
-    probe = u_on(x[:, None] + np.outer(omegas[0], np.concatenate([-far, far])))
+    probe = u_on(x + np.concatenate([-far, far]))
     if np.any(np.abs(probe) > 1e6 * (1.0 + abs(u_x))):
         raise ValueError("u appears unbounded; pointwise_nonlocal "
                          "requires a bounded C^2 function")
 
-    def shell(rs, centre=2.0 * surf * u_x, g=np.positive):
-        # 2 sum_w w g(u(x + r w)) - centre for every radius r, from one call of u.
-        points = x[:, None, None] + rs[None, :, None] * omegas.T[:, None, :]
-        return 2.0 * (g(u_on(points)) @ weights) - centre
+    def shell(rs, centre=4.0 * u_x, g=np.positive):
+        # 2 (g(u(x + r)) + g(u(x - r))) - centre for every radius r, from one call of u.
+        plus, minus = g(u_on(np.stack([x + rs, x - rs])))
+        return 2.0 * (plus + minus) - centre
 
     def radial(values, rs):
-        return values * np.asarray(symbol.jump_kernel(d, rs)) * rs ** (d - 1)
+        return values * np.asarray(symbol.jump_kernel(1, rs))
 
     h0, delta = 1e-2, 5e-3
     s1, s2 = shell(np.array([delta, 2.0 * delta]))
-    taylor = _series_moment(symbol, d, [(16.0 * s1 - s2) / (12.0 * delta ** 2),
+    taylor = _series_moment(symbol, 1, [(16.0 * s1 - s2) / (12.0 * delta ** 2),
                                         (s2 - 4.0 * s1) / (12.0 * delta ** 4)], h0)
     try:
         mid_val, _ = tanh_sinh_quadrature(lambda rs: radial(shell(rs), rs), h0, eps_cut)
     except QuadratureError as exc:
         # At a zero of Phi(-Delta)u S is rounding noise: hold it to its terms.
         size, _ = tanh_sinh_quadrature(lambda rs: radial(
-            shell(rs, -2.0 * surf * abs(u_x), np.abs), rs), h0, eps_cut)
+            shell(rs, -4.0 * abs(u_x), np.abs), rs), h0, eps_cut)
         if exc.error_estimate > 10.0 * REL_TOL * size:
             raise
         mid_val = exc.value
 
-    tail_mass = kernel_moment(symbol, d, 0, eps_cut, np.inf)
+    tail_mass = kernel_moment(symbol, 1, 0, eps_cut, np.inf)
     c_far = _far_constant(shell(np.array([1e5, 2.3e5, 5.1e5]), 0.0))
     outer_val, outer_err = _oscillatory_tail(
         lambda rs: radial(shell(rs, c_far), rs), eps_cut, 1.0)
@@ -571,5 +543,4 @@ def pointwise_nonlocal(symbol, u, x):
     if not np.isfinite(outer_val) or outer_err > 1e-5 * (1.0 + abs(outer_val)):
         raise QuadratureError("outer nonlocal integral did not converge",
                               value=None, error_estimate=outer_err)
-    return -0.5 * (taylor + mid_val + outer_val
-                   + (c_far - 2.0 * surf * u_x) * tail_mass)
+    return -0.5 * (taylor + mid_val + outer_val + (c_far - 4.0 * u_x) * tail_mass)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -262,6 +263,28 @@ class TestDispatch:
     def test_bad_config_exits_1(self, tmp_path):
         bad = dict(BASE, symbol={"alpha": -1.0})
         assert main(["--config", str(write_config(tmp_path, bad))]) == 1
+
+    @pytest.mark.parametrize("kernel, match", [
+        ({"id": "j", "radii": {"start": 0.1, "stop": 2.0}}, "missing key.*num"),
+        ({"id": "bessel"}, "unknown kernel id"),
+        ({"id": "j", "radii": [2.0, 1.0, 0.5]}, "unknown key.*kernel radii"),
+        ({"id": "j", "radii": {"start": 2.0, "stop": 0.5, "num": 5}},
+         "0 < start < stop"),
+        ({"id": "heat", "radii": {"start": 0.1, "stop": 2.0, "num": 5}},
+         "missing key.*'t'"),
+        ({"id": "heat", "t": 0.0}, "t > 0"),
+    ], ids=["radii-without-num", "unknown-id", "radii-list", "decreasing-radii",
+            "heat-without-t", "heat-at-t-0"])
+    def test_malformed_kernel_is_a_config_error(self, tmp_path, capsys, kernel,
+                                                match):
+        out = tmp_path / "ktab"
+        payload = {"command": "kernel-table", "symbol": {"m": 1.0},
+                   "grid": {"d": 1, "n": 16, "L": 1.0}, "kernel": kernel,
+                   "output_dir": str(out)}
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and re.search(match, err)
+        assert not out.exists()
 
     def test_wrongly_typed_section_is_a_config_error(self, tmp_path, capsys):
         for mutation in ({"potential": [1]}, {"symbol": {"m": "heavy"}}):
