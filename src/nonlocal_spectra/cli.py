@@ -168,6 +168,13 @@ def parse_config(path):
         if not (0.0 < radii["start"] < radii["stop"] and radii["num"] >= 1):
             raise ConfigError("kernel radii need 0 < start < stop and num >= 1")
         kernel.setdefault("t", None)
+    # The Dirichlet ball must fit in the box: dirichlet-eig's, or the unit
+    # ball that anharmonic-limit's potentials approach.
+    if command in ("dirichlet-eig", "anharmonic-limit"):
+        radius = float(extras.get("ball_radius", 1.0))
+        if not 0.0 < radius < grid.L / 2.0:
+            raise ConfigError(f"ball radius {radius} must lie in "
+                              f"(0, L/2 = {grid.L / 2.0})")
     if "eps_schedule" in extras:
         try:
             validate_eps_schedule(extras["eps_schedule"], grid)
@@ -297,15 +304,15 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.solver = replace(cfg.solver, seed=args.seed)
+            cfg.raw.setdefault("solver", {})["seed"] = args.seed
     except (TypeError, ValueError) as exc:   # ConfigError, or a wrong type
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     if args.output is not None:
         cfg.output_dir = args.output
-    if args.seed is not None:
-        cfg.solver = replace(cfg.solver, seed=args.seed)
-        cfg.raw.setdefault("solver", {})["seed"] = args.seed
 
     if args.verbose:
         echo = dict(cfg.raw)
@@ -315,11 +322,9 @@ def main(argv=None):
                                      "L": cfg.grid.L}}
         print(json.dumps(echo, indent=2, sort_keys=True))
 
+    # parse_config raises every ConfigError, before any directory exists.
     try:
         return dispatch(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # dispatch failures map to exit 1 with context
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -2,26 +2,38 @@
 Phi(-Delta) on a ball with Dirichlet exterior condition.
 
 Both take one single-vector LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23,
-2001) whose matvec is one rfftn/irfftn pair plus a pointwise factor.  The
-basis [x, w, p] is kept orthonormal (Hetmaniuk & Lehoucq, J. Comput. Phys.
-218, 2006), so each Rayleigh-Ritz step is a plain eigh of the 3 x 3 matrix
-S^T H S with no Gram matrix to factor.  The basis and its images are the
-rows of one preallocated block, and the matvec and the preconditioner
-write into those rows through out= transforms and one scratch array, so
-an iteration allocates no grid-sized array.
+2001).  The basis [x, w, p] is kept orthonormal (Hetmaniuk & Lehoucq,
+J. Comput. Phys. 218, 2006), so each Rayleigh-Ritz step is a plain eigh of
+the 3 x 3 matrix S^T H S with no Gram matrix to factor.  The basis and its
+images are the rows of one preallocated block, and the matvec and the
+preconditioner write into those rows through out= transforms and one
+scratch array, so an iteration allocates no vector-sized array.  LOBPCG
+does not depend on the orthonormal basis it runs in, so each solve picks
+the one where its step is cheapest:
 
-Potential problems solve H on the full grid, with c = 1 + max(0, -min V),
-t0 the diagonal of Phi(-Delta) and chi = 1[V_+ <= t0].  V_+ is the part of
-V above max(0, min V), so a constant added to V >= 0, which moves no
-eigenvector, moves no point out of chi.  The preconditioner has two blocks
-whose diagonals are about that of (H + c)^(-1):
-  - inner, chi D (c + Phi(-Delta))^(-1) D chi, another pair, with the Jacobi
+  - potentials with V_+ = 0 (wells, constants and wells shifted down) run
+    on the modes, x~ = sqrt(w_k / N) rfftn(x) viewed as reals, whose
+    Euclidean norm is the grid 2-norm (SpectralOperator.to_modes).  H x~
+    is Phi x~ plus the modes of V irfftn(x~), one rfftn/irfftn pair; the
+    preconditioner (c + Phi)^(-1) is a product.  2 transforms per step.
+  - other potentials run on the grid, where H u is one pair and the split
+    preconditioner below another: 4 transforms per step.
+  - a ball runs on the grid, which keeps its exact zeros outside B: 4
+    transforms per step.
+
+c = 1 + max(0, -min V), t0 is the diagonal of Phi(-Delta) and
+chi = 1[V_+ <= t0].  V_+ is the part of V above max(0, min V), so a
+constant added to V >= 0, which moves no eigenvector, moves no point out
+of chi.  The preconditioner has two blocks whose diagonals are about that
+of (H + c)^(-1):
+  - inner, chi D (c + Phi(-Delta))^(-1) D chi, a pair, with the Jacobi
     scaling D = sqrt((c + t0) / (c + t0 + V_+));
   - outer, the exact diagonal (1 - chi) / (c + t0 + V_+), where V_+ > t0
     makes H nearly diagonal and the Fourier inverse would smear over points.
-For wells and constants V_+ = 0, so chi = D = 1 and the preconditioner is
-(c + Phi(-Delta))^(-1).
-The start vector is the seed's uniform field times e^(-(V - min V)).
+Where V_+ = 0, chi = D = 1 and it is (c + Phi(-Delta))^(-1), diagonal on
+the modes.  The start vector is the seed's uniform field times
+e^(-(V - min V)), transformed once on the modes; the result is turned back
+into a grid field once.
 
 A ball B solves chi Phi(-Delta) chi, chi = 1_B, with the preconditioner
 chi (1 + Phi(-Delta))^(-1) chi and the start chi, so every iterate is
@@ -31,8 +43,10 @@ lambda is the Rayleigh quotient of the returned phi, and converged means the
 Fourier-route residual ||(H - lambda) phi||_2 (restricted to B for a ball)
 is at most max(tol, 100 eps ||H||), with ||H|| <= max Phi + max |V|:
 absolute, so lambda = 0 is covered.  LOBPCG is asked for a tenth of that,
-as the recomputed residual can exceed its own.  Each solve evaluates the
-multiplier once and records the threshold and the stop reason in meta.
+as the recomputed residual can exceed its own, and stops early on "floor"
+when its recurrence residual stalls within the threshold.  Each solve
+evaluates the multiplier once and records the threshold and the stop
+reason in meta.
 """
 
 import math
@@ -44,6 +58,9 @@ from .spectral_core import Field, SpectralOperator
 
 # An eigenpair is converged at residual max(tol, this * ||H||).
 _ROUNDOFF_FACTOR = 100.0 * float(np.finfo(float).eps)
+# Steps without a new minimum residual after which a residual within 10
+# times the ask counts as the recurrence's rounding floor.
+_FLOOR_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -57,6 +74,8 @@ class SolverConfig:
             raise ValueError("residual tolerance tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -80,34 +99,45 @@ def _unit(values, cell_volume):
 def _lobpcg(apply_H, precondition, start, tol, max_iters):
     """Lowest eigenpair of H by LOBPCG with one vector, from start.
 
-    apply_H(u, out) and precondition(r, out) write H u and M r into out.
+    apply_H(u, out) and precondition(r, out) write H u and M r into out;
+    start is read before the first apply_H, so it may be the operator's
+    scratch.
     S = [x, w, p] and HS = [H x, H w, H p] are the two halves of one
     preallocated block whose row i pairs S[i] with HS[i], and the residual
-    has a reused buffer, so a step allocates no grid-sized array.  Each step
-    orthogonalizes w = M (H x - lam x) against x and p by two Gram-Schmidt
-    passes and normalizes it; H w is its one matvec.  With c the lowest
-    eigenvector of S^T H S (no p at first), x becomes S c and p becomes
-    S q / |q|, q = e - c (c . e) with e = (0, c1, c2), orthogonal to S c.
-    Returns (a fresh x, lam history, preconditioner applications, stop):
-    "residual" at ||H x - lam x||_2 <= tol, "budget" after max_iters
-    applications, or "breakdown" when w has a zero or non-finite norm.
+    has a reused buffer, so a step allocates no vector-sized array.  Each
+    step orthogonalizes w = M (H x - lam x) against x and p by two
+    Gram-Schmidt passes and normalizes it; H w is its one matvec.  With c
+    the lowest eigenvector of S^T H S (no p at first), x becomes S c and p
+    becomes S q / |q|, q = e - c (c . e) with e = (0, c1, c2), orthogonal
+    to S c.  Returns (a fresh x, lam history, preconditioner applications,
+    stop): "residual" at ||H x - lam x||_2 <= tol; "floor" at a residual
+    <= 10 tol that has set no new minimum for _FLOOR_STEPS steps, where
+    the recurrence's rounding keeps it from reaching tol; "budget" after
+    max_iters applications; or "breakdown" when w has a zero or
+    non-finite norm.
     """
     block = np.empty((3, 2, start.size))
     S, HS = block[:, 0], block[:, 1]
     # Row 0 is the residual and the projections' scratch; both rows are the
     # update's scratch for a vector and its image.
     scratch = np.empty((2, start.size))
-    # The operator takes grid-shaped views of the flat rows.
+    # The operator takes views of the flat rows shaped like start.
     x, w, Hx, Hw, r = (row.reshape(start.shape)
                        for row in (S[0], S[1], HS[0], HS[1], scratch[0]))
     np.divide(start, math.sqrt(np.vdot(start, start)), out=x)
     apply_H(x, Hx)
     lam = float(np.vdot(x, Hx))
     history, iters, m = [lam], 0, 2
+    best, best_at = math.inf, 0
     while True:
         np.subtract(Hx, np.multiply(x, lam, out=r), out=r)
-        if math.sqrt(np.vdot(r, r)) <= tol:
+        norm_r = math.sqrt(np.vdot(r, r))
+        if norm_r <= tol:
             return x.copy(), history, iters, "residual"
+        if norm_r < best:
+            best, best_at = norm_r, iters
+        elif norm_r <= 10.0 * tol and iters - best_at >= _FLOOR_STEPS:
+            return x.copy(), history, iters, "floor"
         if iters == max_iters:
             return x.copy(), history, iters, "budget"
         precondition(r, w)
@@ -140,14 +170,18 @@ def _lobpcg(apply_H, precondition, start, tol, max_iters):
 
 
 def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
-           mask=None):
+           mask=None, to_grid=None):
     """One LOBPCG solve from start and its check: threshold
     max(tol, 100 eps (max Phi + v_max)), LOBPCG at a tenth of it, and the
-    unit phi's Rayleigh quotient and Fourier-route residual (inside mask)."""
+    unit phi's Rayleigh quotient and Fourier-route residual (inside mask).
+    to_grid maps LOBPCG's x to its grid values when the loop runs on
+    another basis."""
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + v_max))
     x, history, iters, stop = _lobpcg(apply_H, precondition, start,
                                       0.1 * threshold, cfg.max_iters)
+    if to_grid is not None:
+        x = to_grid(x)
 
     phi = Field(grid=op.grid, values=_unit(x, op.cell_volume))
     lam = op.form(phi, phi, potential).total
@@ -176,39 +210,58 @@ def ground_state(symbol, potential, cfg):
     shape, size = grid.shape, V.size
     v_min = float(np.min(V))
     c = 1.0 + max(0.0, -v_min)
-    t0 = float(np.sum(op.weighted_multiplier)) / size
-    # None where V_+ = 0 (D = 1), saving full-grid arrays and a copy per
-    # call.  Points with V_+ > t0 leave the Fourier block for the diagonal.
-    jacobi = outer = None
-    floor = max(v_min, 0.0)
-    if np.max(V) > floor:
-        v_plus = np.maximum(V - floor, 0.0)
-        diagonal = c + t0 + v_plus
-        inner = v_plus <= t0
-        jacobi = np.where(inner, np.sqrt((c + t0) / diagonal), 0.0)
-        outer = np.where(inner, 0.0, 1.0 / diagonal)
     inverse = 1.0 / (c + op.multiplier)
-    # V u in apply_H, the Jacobi and outer products in precondition; neither
-    # keeps it across calls.
+    # e^(v_min - V) for the start, then V u in apply_H, the Jacobi and
+    # outer products in precondition and, on the modes, phi; nothing keeps
+    # it across calls.
     scratch = np.empty(shape)
+    start = np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=shape)
+    with np.errstate(under="ignore"):
+        start *= np.exp(np.subtract(v_min, V, out=scratch), out=scratch)
+    meta = {"potential": getattr(potential, "meta", {})}
+    v_max = float(np.max(np.abs(V)))
+    floor = max(v_min, 0.0)
+
+    if np.max(V) <= floor:
+        # V_+ = 0: the loop runs on the modes, where the preconditioner is
+        # diagonal and H u takes one transform pair.  The start's modes live
+        # in the spectrum buffer, which _lobpcg reads before its first
+        # matvec overwrites it, and the grid start is freed.
+        modes = op.to_modes(start, op.spectrum)
+        del start
+
+        def apply_H(u, out):
+            u, out = u.view(complex), out.view(complex)
+            op.from_modes(u, scratch)
+            np.multiply(scratch, V, out=scratch)
+            op.to_modes(scratch, out)
+            out += np.multiply(op.multiplier, u, out=op.spectrum)
+
+        def precondition(r, out):
+            np.multiply(r.view(complex), inverse, out=out.view(complex))
+
+        return _solve(op, apply_H, precondition, modes.view(float), v_max, cfg,
+                      meta, potential,
+                      to_grid=lambda x: op.from_modes(x.view(complex), scratch))
+
+    # Points with V_+ > t0 leave the Fourier block for the diagonal.
+    t0 = float(np.sum(op.weighted_multiplier)) / size
+    v_plus = np.maximum(V - floor, 0.0)
+    diagonal = c + t0 + v_plus
+    inner = v_plus <= t0
+    jacobi = np.where(inner, np.sqrt((c + t0) / diagonal), 0.0)
+    outer = np.where(inner, 0.0, 1.0 / diagonal)
 
     def apply_H(u, out):
         op.filter(u, op.multiplier, out)
         out += np.multiply(V, u, out=scratch)
 
     def precondition(r, out):
-        if jacobi is None:
-            op.filter(r, inverse, out)
-        else:
-            op.filter(np.multiply(jacobi, r, out=scratch), inverse, out)
-            out *= jacobi
-            out += np.multiply(outer, r, out=scratch)
+        op.filter(np.multiply(jacobi, r, out=scratch), inverse, out)
+        out *= jacobi
+        out += np.multiply(outer, r, out=scratch)
 
-    with np.errstate(under="ignore"):
-        start = (np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=shape)
-                 * np.exp(v_min - V))
-    return _solve(op, apply_H, precondition, start, float(np.max(np.abs(V))),
-                  cfg, {"potential": getattr(potential, "meta", {})}, potential)
+    return _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential)
 
 
 def dirichlet_ground_state(symbol, radius, grid, cfg):

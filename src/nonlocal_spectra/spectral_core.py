@@ -7,9 +7,10 @@ weight h^d.  Fourier-side operations use the real-to-real transform path
 
 SpectralOperator(symbol, grid) is Phi(-Delta) on one grid: it evaluates
 the multiplier Phi(|xi|^2) once and provides apply, form, seminorm and
-residual, plus the unchecked array-level filter that the eigensolver's
-matvec and preconditioner use.  The module-level apply_multiplier,
-dirichlet_form and seminorm_fourier are one-shot calls into it.
+residual, plus the unchecked array-level filter, to_modes and from_modes
+that the eigensolver's matvec and preconditioner use.  The module-level
+apply_multiplier, dirichlet_form and seminorm_fourier are one-shot calls
+into it.
 
 Two independent routes to the kinetic seminorm are provided:
 
@@ -35,7 +36,7 @@ radial quadrature of the second difference u(x+r) - 2u(x) + u(x-r).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -178,7 +179,8 @@ class SpectralOperator:
         self.cell_volume = grid.cell_volume
         self.measure = grid.cell_volume / grid.n ** grid.d
         self.axes = tuple(range(grid.d))
-        self._spectrum = np.empty(self.multiplier.shape, dtype=complex)
+        # Scratch that filter and from_modes overwrite on every call.
+        self.spectrum = np.empty(self.multiplier.shape, dtype=complex)
 
     def filter(self, values, factor, out=None):
         """irfftn(factor * rfftn(values)): one forward, one inverse transform.
@@ -188,9 +190,45 @@ class SpectralOperator:
         grid-sized array in d = 1; in d >= 2 irfftn's axis passes take one
         spectrum-sized temporary.
         """
-        spec = np.fft.rfftn(values, out=self._spectrum)
+        spec = np.fft.rfftn(values, out=self.spectrum)
         spec *= factor
         return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes, out=out)
+
+    def to_modes(self, values, out):
+        """sqrt(w_k / N) rfftn(values), written into the complex array out.
+
+        w_k is the multiplicity of rfftn mode k in the full spectrum: 1 on
+        the planes k_d = 0 and k_d = n/2, 2 elsewhere.  N is the number of
+        grid points.  By Parseval the real view of out then has the
+        Euclidean norm of values.  In d >= 2 those planes hold each mode k
+        and its mirror -k, conjugate only to rounding after the transform;
+        they are replaced by their Hermitian part, which is exactly
+        conjugate.  Real combinations of such spectra stay exactly
+        conjugate, so no component that irfftn cannot see ever appears.
+        """
+        n = self.grid.n
+        np.fft.rfftn(values, out=out)
+        out *= math.sqrt(2.0 / n ** self.grid.d)
+        planes = out[..., ::n // 2]
+        if self.grid.d > 1:
+            planes += np.conj(planes[self._mirror])
+            planes *= 0.5
+        planes *= math.sqrt(0.5)
+        return out
+
+    def from_modes(self, modes, out):
+        """The grid field whose to_modes is modes, written into out; modes
+        are rescaled in the operator's spectrum buffer."""
+        n = self.grid.n
+        spec = np.multiply(modes, math.sqrt(0.5 * n ** self.grid.d),
+                           out=self.spectrum)
+        spec[..., ::n // 2] *= math.sqrt(2.0)
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes, out=out)
+
+    @cached_property
+    def _mirror(self):
+        """Index of -k on the first d - 1 axes of a plane of modes."""
+        return np.ix_(*[-np.arange(self.grid.n) % self.grid.n] * (self.grid.d - 1))
 
     def apply(self, u):
         """Phi(-Delta) u as a Field."""

@@ -286,6 +286,27 @@ class TestDispatch:
         assert err.startswith("config error") and re.search(match, err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutation, flags, match", [
+        ({"command": "dirichlet-eig", "potential": None, "ball_radius": 100},
+         [], "ball radius"),
+        ({"command": "anharmonic-limit", "potential": None, "k_list": [1],
+          "grid": {"d": 1, "n": 64, "L": 2.0}}, [], "ball radius 1.0"),
+        ({"solver": {"seed": -1}}, [], "seed must be >= 0"),
+        ({}, ["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
+            "negative-seed-flag"])
+    def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
+                                            flags, match):
+        out = tmp_path / "run"
+        payload = {key: value for key, value in
+                   dict(BASE, output_dir=str(out), **mutation).items()
+                   if value is not None}
+        assert main(["--config", str(write_config(tmp_path, payload)),
+                     *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and re.search(match, err)
+        assert not out.exists()
+
     def test_wrongly_typed_section_is_a_config_error(self, tmp_path, capsys):
         for mutation in ({"potential": [1]}, {"symbol": {"m": "heavy"}}):
             bad = dict(BASE, **mutation)

@@ -473,6 +473,26 @@ class TestSpectralOperatorOracle:
         assert op.residual(u, lam, V, mask) == pytest.approx(expect_masked,
                                                              rel=1e-12)
 
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 16)])
+    def test_modes_are_an_isometry_with_exactly_conjugate_planes(self, d, n):
+        grid = Grid(d=d, n=n, L=6.0)
+        op = SpectralOperator(BernsteinSymbol.relativistic(0.0, 1.0), grid)
+        rng = np.random.default_rng(d)
+        u, v = rng.standard_normal((2,) + grid.shape)
+        mu, mv = (op.to_modes(w, np.empty(op.multiplier.shape, dtype=complex))
+                  for w in (u, v))
+        # The real views' dot product is the grid one.
+        assert np.vdot(mu.view(float), mv.view(float)) == pytest.approx(
+            float(np.vdot(u, v)), rel=1e-13)
+        assert np.vdot(mu.view(float), mu.view(float)) == pytest.approx(
+            float(np.vdot(u, u)), rel=1e-14)
+        # The planes k_d = 0 and n/2 hold k and -k: exactly conjugate.
+        planes = mu[..., ::n // 2]
+        mirror = np.ix_(*[-np.arange(n) % n] * (d - 1))
+        assert np.array_equal(planes, np.conj(planes[mirror]))
+        back = op.from_modes(mu, np.empty(grid.shape))
+        assert np.abs(back - u).max() <= 1e-14 * np.abs(u).max()
+
 
 class TestPointwiseNonlocal:
     def test_constant_vanishes(self, s01):
