@@ -1,16 +1,19 @@
 """Command-line front end: parse a JSON run configuration, dispatch one
 experiment, and write machine-readable artifacts plus a manifest.
 
-Unknown configuration keys are rejected outright: a silent typo in an
-epsilon schedule would invalidate an experiment, so strictness wins over
-convenience.  CSV cells use shortest round-trip float formatting, making
-repeated runs of the same configuration byte-identical.
+parse_config turns each value into what the library takes, so the
+library's own constructors and validators check it once and an invalid
+configuration exits 1 before any output directory exists.  Unknown keys,
+and non-integral values of integer keys, are rejected outright: a silent
+typo in an epsilon schedule would invalidate an experiment, so strictness
+wins over convenience.  CSV cells use shortest round-trip float
+formatting, making repeated runs of the same configuration byte-identical.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,22 +24,24 @@ from .eigensolver import SolverConfig, dirichlet_ground_state, ground_state
 from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
                           embedding_tail_check, monotonicity_check,
                           random_band_limited, stability_sweep, symmetry_check,
-                          validate_eps_schedule)
+                          validate_eps_schedule, validate_k_list)
 from .potentials import WellSpec, anharmonic, mollified_well, sharp_well
-from .spectral_core import Grid
+from .spectral_core import Grid, check_gagliardo_order
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require_keys(section, data, allowed, required=()):
+def _section(section, data, allowed, required=()):
+    """A copy of data, which holds only allowed and all required keys."""
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
     missing = set(required) - set(data)
     if missing:
         raise ConfigError(f"missing key(s) in {section}: {sorted(missing)}")
+    return dict(data)
 
 
 @dataclass
@@ -65,135 +70,136 @@ _COMMAND_KEYS = {
                         "eps_schedule": [0.4, 0.2, 0.1, 0.05]},
     "anharmonic-limit": {"k_list": [1, 2, 4, 8, 16]},
     "monotonicity": {"potential": None, "rotations": 0},
-    "antisym-check": {"mu": 0.0},
+    "antisym-check": {},
     "embedding-check": {"num_fields": 20, "kmax_frac": 0.25, "s": None},
 }
 COMMANDS = tuple(_COMMAND_KEYS)
 
 
-def _parse_potential(command, pot_raw, grid):
-    """The well or anharmonic potential with its defaults filled in."""
+def _integer(key, value):
+    """value as an int: 256.0 passes, and 16.9 is an error, not 16."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _resolve_potential(command, pot_raw, grid):
+    """The sampled PotentialField, defaults filled in; for stability-sweep
+    the WellSpec, whose eps values come from eps_schedule."""
     if not pot_raw:
         raise ConfigError(f"command {command!r} requires a potential")
     kind = pot_raw.get("kind")
     keys = {"well": ("a", "v", "eps"), "anharmonic": ("k",)}.get(kind)
     if keys is None:
         raise ConfigError(f"unknown potential kind {kind!r}")
-    _require_keys("potential", pot_raw, ("kind",) + keys)
+    pot_raw = _section("potential", pot_raw, ("kind",) + keys)
     if command == "stability-sweep" and (kind != "well" or "eps" in pot_raw):
         raise ConfigError("stability-sweep requires a well potential without "
                           "eps; its eps values come from eps_schedule")
-    if kind == "well":
-        a = float(pot_raw.get("a", 1.0))
-        v = float(pot_raw.get("v", 4.0))
-        eps = float(pot_raw.get("eps", 0.0))
-        if not (a > 0 and v > 0 and eps >= 0):
-            raise ConfigError("well invariant violated: a > 0, v > 0, "
-                              "eps >= 0")
-        if not a + eps < grid.L / 2.0:
-            raise ConfigError(f"box too small: a + eps = {a + eps} must "
-                              f"be < L/2 = {grid.L / 2.0}")
-        return {"kind": kind, "a": a, "v": v, "eps": eps}
-    k = int(pot_raw.get("k", 1))
-    if k < 1:
-        raise ConfigError("anharmonic invariant violated: k >= 1")
-    return {"kind": kind, "k": k}
+    if kind == "anharmonic":
+        return anharmonic(pot_raw.get("k", 1), grid)
+    spec = WellSpec(a=pot_raw.get("a", 1.0), v=pot_raw.get("v", 4.0),
+                    eps=pot_raw.get("eps", 0.0))
+    if command == "stability-sweep":
+        return spec
+    return (mollified_well if spec.eps > 0.0 else sharp_well)(spec, grid)
 
 
-def parse_config(path):
-    """Load, validate and resolve a run configuration file, defaults
-    included; a key the command does not read is an error."""
+def _resolve_kernel(kernel):
+    """The kernel id, its radii as a geomspace array, and t."""
+    kernel = _section("kernel", kernel, ("id", "radii", "t"), required=(
+        "id", "t") if kernel.get("id") == "heat" else ("id",))
+    if kernel["id"] not in KERNEL_IDS:
+        raise ConfigError(f"unknown kernel id {kernel['id']!r}; expected "
+                          f"one of {KERNEL_IDS}")
+    if kernel["id"] == "heat" and not float(kernel["t"]) > 0.0:
+        raise ConfigError("a heat table needs t > 0")
+    radii = _section("kernel radii", kernel.get("radii", {
+        "start": 0.1, "stop": 10.0, "num": 50}), ("start", "stop", "num"),
+        required=("start", "stop", "num"))
+    start, stop = float(radii["start"]), float(radii["stop"])
+    num = _integer("kernel radii num", radii["num"])
+    if not (0.0 < start < stop and num >= 1):
+        raise ConfigError("kernel radii need 0 < start < stop and num >= 1")
+    return {"id": kernel["id"], "radii": np.geomspace(start, stop, num),
+            "t": kernel.get("t")}
+
+
+def parse_config(path, seed=None):
+    """Load a run configuration file and resolve it, defaults included,
+    into what dispatch passes to the library; seed replaces the solver
+    seed.  A key the command does not read, or a value the library's own
+    check rejects, is a ConfigError."""
     try:
         raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: "
                           f"{exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the config must be a JSON object, not "
+                          f"{type(raw).__name__}")
 
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
                           f"{COMMANDS}")
-    _require_keys("top level", raw,
-                  _SHARED_KEYS + tuple(_COMMAND_KEYS[command]),
-                  required=("command", "grid"))
-
-    sym_raw = dict(raw.get("symbol", {}))
-    _require_keys("symbol", sym_raw, ("m", "alpha"))
-    m = float(sym_raw.get("m", 0.0))
-    alpha = float(sym_raw.get("alpha", 1.0))
-    if not 0.0 < alpha < 2.0:
-        raise ConfigError(f"symbol invariant violated: alpha in (0,2), "
-                          f"got {alpha}")
-    if m < 0.0:
-        raise ConfigError(f"symbol invariant violated: m >= 0, got {m}")
-    symbol = BernsteinSymbol.relativistic(m, alpha)
-
-    grid_raw = dict(raw["grid"])
-    _require_keys("grid", grid_raw, ("d", "n", "L"), required=("d", "n", "L"))
+    _section("top level", raw, _SHARED_KEYS + tuple(_COMMAND_KEYS[command]),
+             required=("command", "grid"))
     try:
-        grid = Grid(d=int(grid_raw["d"]), n=int(grid_raw["n"]),
-                    L=float(grid_raw["L"]))
-    except ValueError as exc:
-        raise ConfigError(f"grid invariant violated: {exc}") from None
+        if seed is not None:
+            raw.setdefault("solver", {})["seed"] = seed
+        sym_raw = _section("symbol", raw.get("symbol", {}), ("m", "alpha"))
+        symbol = BernsteinSymbol.relativistic(sym_raw.get("m", 0.0),
+                                              sym_raw.get("alpha", 1.0))
+        grid_raw = _section("grid", raw["grid"], ("d", "n", "L"),
+                            required=("d", "n", "L"))
+        grid = Grid(d=_integer("d", grid_raw["d"]),
+                    n=_integer("n", grid_raw["n"]), L=float(grid_raw["L"]))
+        sol_raw = _section("solver", raw.get("solver", {}), _SOLVER_KEYS)
+        solver = SolverConfig(tol=float(sol_raw.get("tol", SolverConfig.tol)),
+                              **{key: _integer(key, sol_raw[key]) for key
+                                 in ("max_iters", "seed") if key in sol_raw})
 
-    sol_raw = dict(raw.get("solver", {}))
-    _require_keys("solver", sol_raw, _SOLVER_KEYS)
-    casts = {"tol": float, "max_iters": int, "seed": int}
-    try:
-        solver = SolverConfig(**{key: cast(sol_raw[key])
-                                 for key, cast in casts.items() if key in sol_raw})
-    except ValueError as exc:
-        raise ConfigError(f"solver invariant violated: {exc}") from None
-
-    extras = {key: raw.get(key, default)
-              for key, default in _COMMAND_KEYS[command].items()}
-    if "potential" in extras:
-        extras["potential"] = _parse_potential(
-            command, dict(extras["potential"] or {}), grid)
-    if "kernel" in extras:
-        kernel = extras["kernel"] = dict(extras["kernel"])
-        _require_keys("kernel", kernel, ("id", "radii", "t"),
-                      required=("id", "t") if kernel.get("id") == "heat" else ("id",))
-        if kernel["id"] not in KERNEL_IDS:
-            raise ConfigError(f"unknown kernel id {kernel['id']!r}; expected "
-                              f"one of {KERNEL_IDS}")
-        if kernel["id"] == "heat" and not float(kernel["t"]) > 0.0:
-            raise ConfigError("a heat table needs t > 0")
-        radii = kernel.get("radii", {"start": 0.1, "stop": 10.0, "num": 50})
-        _require_keys("kernel radii", radii, ("start", "stop", "num"),
-                      required=("start", "stop", "num"))
-        radii = kernel["radii"] = {"start": float(radii["start"]),
-                                   "stop": float(radii["stop"]),
-                                   "num": int(radii["num"])}
-        if not (0.0 < radii["start"] < radii["stop"] and radii["num"] >= 1):
-            raise ConfigError("kernel radii need 0 < start < stop and num >= 1")
-        kernel.setdefault("t", None)
-    # The Dirichlet ball must fit in the box: dirichlet-eig's, or the unit
-    # ball that anharmonic-limit's potentials approach.
-    if command in ("dirichlet-eig", "anharmonic-limit"):
-        radius = float(extras.get("ball_radius", 1.0))
-        if not 0.0 < radius < grid.L / 2.0:
-            raise ConfigError(f"ball radius {radius} must lie in "
-                              f"(0, L/2 = {grid.L / 2.0})")
-    if "eps_schedule" in extras:
-        try:
-            validate_eps_schedule(extras["eps_schedule"], grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        extras = {key: raw.get(key, default)
+                  for key, default in _COMMAND_KEYS[command].items()}
+        if "potential" in extras:
+            extras["potential"] = _resolve_potential(
+                command, dict(extras["potential"] or {}), grid)
+        if "kernel" in extras:
+            extras["kernel"] = _resolve_kernel(dict(extras["kernel"]))
+        if "rotations" in extras:
+            extras["rotations"] = _integer("rotations", extras["rotations"])
+        # The Dirichlet ball must fit in the box: dirichlet-eig's, or the
+        # unit ball that anharmonic-limit's potentials approach.
+        if command in ("dirichlet-eig", "anharmonic-limit"):
+            radius = extras.get("ball_radius", 1.0)
+            if not 0.0 < radius < grid.L / 2.0:
+                raise ConfigError(f"ball radius {radius} must lie in "
+                                  f"(0, L/2 = {grid.L / 2.0})")
+        if "eps_schedule" in extras:
+            extras["eps_schedule"] = validate_eps_schedule(
+                extras["eps_schedule"], grid, extras["potential"])
+        if "k_list" in extras:
+            extras["k_list"] = validate_k_list(extras["k_list"])
+        if command == "embedding-check":
+            if extras["s"] is not None:   # alpha/2 always passes
+                check_gagliardo_order(extras["s"])
+            num = extras["num_fields"] = _integer("num_fields",
+                                                  extras["num_fields"])
+            if num < 1:
+                raise ConfigError(f"num_fields must be >= 1, got {num}")
+    except (OverflowError, TypeError, ValueError) as exc:  # wrong JSON types
+        raise ConfigError(str(exc)) from None
 
     return RunConfig(command=command, symbol=symbol, grid=grid, solver=solver,
                      extras=extras,
                      output_dir=raw.get("output_dir", "out"), raw=raw)
 
 
-def _build_potential(pot, grid):
-    if pot["kind"] == "anharmonic":
-        return anharmonic(pot["k"], grid)
-    spec = WellSpec(a=pot["a"], v=pot["v"], eps=pot["eps"])
-    return (mollified_well if spec.eps > 0.0 else sharp_well)(spec, grid)
-
-
 def _write_eigenresult(out, result):
+    """result.json, the field and its radial profile; the exit status."""
     payload = {"lambda": result.lam, "residual": result.residual,
                "iters": result.iters, "converged": result.converged,
                "method": result.method, "stop": result.meta["stop"],
@@ -202,6 +208,7 @@ def _write_eigenresult(out, result):
     io_utils.write_json(out / "result.json", payload)
     io_utils.write_field(out / "phi", result.phi)
     io_utils.write_radial_profile(result.phi, out / "profile.csv")
+    return 0 if result.converged else 2
 
 
 def _write_sequence_report(out, report, param):
@@ -213,72 +220,62 @@ def _write_sequence_report(out, report, param):
 
 
 def dispatch(cfg):
-    """Run one configured command; returns the process exit status."""
+    """Run one resolved command and write its artifacts; returns the
+    process exit status."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     extras = cfg.extras
     status = 0
 
     if cfg.command == "kernel-table":
-        kernel, radii = extras["kernel"], extras["kernel"]["radii"]
-        table = build_kernel_table(
-            cfg.symbol, kernel["id"], cfg.grid.d,
-            np.geomspace(radii["start"], radii["stop"], radii["num"]), t=kernel["t"])
+        kernel = extras["kernel"]
+        table = build_kernel_table(cfg.symbol, kernel["id"], cfg.grid.d,
+                                   kernel["radii"], t=kernel["t"])
         io_utils.write_kernel_table(table, out / "table")
 
     elif cfg.command in ("ground-state", "monotonicity"):
-        result = ground_state(cfg.symbol,
-                              _build_potential(extras["potential"], cfg.grid),
-                              cfg.solver)
-        _write_eigenresult(out, result)
+        result = ground_state(cfg.symbol, extras["potential"], cfg.solver)
+        status = _write_eigenresult(out, result)
         if cfg.command == "monotonicity":
             report = monotonicity_check(result)
-            sym = symmetry_check(result, rotations=int(extras["rotations"]))
+            sym = symmetry_check(result, rotations=extras["rotations"])
             payload = report.to_json_dict()
             payload["symmetry_defect"] = sym["exact"]
             payload["symmetry"] = sym
             io_utils.write_json(out / "report.json", payload)
             io_utils.write_csv(out / "report.csv", ["r", "chi(r)"],
                                report.csv_columns())
-        if not result.converged:
-            status = 2
 
     elif cfg.command == "dirichlet-eig":
-        result = dirichlet_ground_state(cfg.symbol,
-                                        float(extras["ball_radius"]), cfg.grid,
-                                        cfg.solver)
-        _write_eigenresult(out, result)
-        if not result.converged:
-            status = 2
+        result = dirichlet_ground_state(cfg.symbol, extras["ball_radius"],
+                                        cfg.grid, cfg.solver)
+        status = _write_eigenresult(out, result)
 
     elif cfg.command == "stability-sweep":
-        pot = extras["potential"]
-        report = stability_sweep(cfg.symbol, WellSpec(a=pot["a"], v=pot["v"]),
+        report = stability_sweep(cfg.symbol, extras["potential"],
                                  extras["eps_schedule"], cfg.grid, cfg.solver)
         status = _write_sequence_report(out, report, "eps")
 
     elif cfg.command == "anharmonic-limit":
-        report = anharmonic_to_dirichlet(
-            cfg.symbol, [int(k) for k in extras["k_list"]], cfg.grid,
-            cfg.solver)
+        report = anharmonic_to_dirichlet(cfg.symbol, extras["k_list"],
+                                         cfg.grid, cfg.solver)
         status = _write_sequence_report(out, report, "k")
 
     elif cfg.command == "antisym-check":
+        # w(y) = y e^(-y^2) is antisymmetric about the plane mu = 0 only.
         check = antisymmetric_minimum_check(
-            cfg.symbol, lambda y: y * np.exp(-y * y), float(extras["mu"]))
+            cfg.symbol, lambda y: y * np.exp(-y * y), 0.0)
         io_utils.write_json(out / "report.json", check.to_json_dict())
-        if not (check.sign_ok and check.bounds_ok):
-            status = 2
+        status = 0 if check.sign_ok and check.bounds_ok else 2
 
     elif cfg.command == "embedding-check":
         fields = [random_band_limited(cfg.grid, cfg.solver.seed + i,
-                                      float(extras["kmax_frac"]))
-                  for i in range(int(extras["num_fields"]))]
+                                      extras["kmax_frac"])
+                  for i in range(extras["num_fields"])]
         flags, c_low = embedding_tail_check(cfg.symbol, fields, s=extras["s"])
         payload = {"passes": flags, "all_pass": all(flags), "c_low": c_low}
         io_utils.write_json(out / "report.json", payload)
-        if not all(flags):
-            status = 2
+        status = 0 if all(flags) else 2
 
     artifacts = sorted(f.name for f in out.iterdir()
                        if f.is_file() and f.name != "manifest.json")
@@ -303,11 +300,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.solver = replace(cfg.solver, seed=args.seed)
-            cfg.raw.setdefault("solver", {})["seed"] = args.seed
-    except (TypeError, ValueError) as exc:   # ConfigError, or a wrong type
+        cfg = parse_config(args.config, seed=args.seed)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -322,7 +316,8 @@ def main(argv=None):
                                      "L": cfg.grid.L}}
         print(json.dumps(echo, indent=2, sort_keys=True))
 
-    # parse_config raises every ConfigError, before any directory exists.
+    # parse_config has rejected every invalid configuration, before any
+    # directory exists; what dispatch raises is a failure of the run.
     try:
         return dispatch(cfg)
     except Exception as exc:  # dispatch failures map to exit 1 with context

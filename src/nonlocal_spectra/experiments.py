@@ -17,10 +17,12 @@ from .bernstein_kernels import (BernsteinSymbol, massless_constant,
 from .eigensolver import dirichlet_ground_state, ground_state
 from .io_utils import radial_profile
 from .potentials import (PotentialField, WellSpec, anharmonic,
-                         mollified_well, reflected_values, sharp_well)
+                         anharmonic_exponent, check_fits, mollified_well,
+                         reflected_values, sharp_well)
 from .special_functions import REL_TOL, bessel_k
 from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
-                            pointwise_nonlocal, seminorm_fourier)
+                            check_gagliardo_order, pointwise_nonlocal,
+                            seminorm_fourier)
 
 # scipy.integrate and scipy.optimize are imported inside the two functions
 # that use them, so that importing the package, which every CLI call does,
@@ -115,10 +117,11 @@ def _sequence_report(kind, symbol, target, params, potentials, cfg):
                            solutions=sols, target_solution=target.phi)
 
 
-def validate_eps_schedule(eps_schedule, grid):
+def validate_eps_schedule(eps_schedule, grid, well):
     """The schedule as a list, or ValueError unless it decreases strictly
     to a last entry >= 0 and every positive entry is at least the
-    resolvable floor 2h.
+    resolvable floor 2h; BoxTooSmallError unless the widest well of the
+    sweep, a + eps_0, fits inside the box.
 
     eps = 0 stands for the sharp well itself, so the floor applies to
     actual mollifiers only.
@@ -132,19 +135,21 @@ def validate_eps_schedule(eps_schedule, grid):
     if positive and positive[-1] < 2.0 * grid.h:
         raise ValueError(f"smallest eps {positive[-1]} is below the "
                          f"resolvable floor 2h = {2.0 * grid.h}")
+    check_fits(well.a + (eps[0] if eps else 0.0), grid)
     return eps
 
 
 def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     """Mollified-well eigenvalues against the sharp-well target.
 
-    eps_schedule must pass validate_eps_schedule; an eps = 0 entry reuses
-    the sharp target.  The convergence verdict needs every solve converged
-    (the n-doubling rerun of the target and the Dirichlet ball of radius a
-    included) and compares the final gap against 10x solver tolerance plus
-    10x the discretization floor |lambda(n) - lambda(2n)| of the target.
+    eps_schedule must pass validate_eps_schedule, checked before any
+    solve; an eps = 0 entry reuses the sharp target.  The convergence
+    verdict needs every solve converged (the n-doubling rerun of the target
+    and the Dirichlet ball of radius a included) and compares the final gap
+    against 10x solver tolerance plus 10x the discretization floor
+    |lambda(n) - lambda(2n)| of the target.
     """
-    eps = validate_eps_schedule(eps_schedule, grid)
+    eps = validate_eps_schedule(eps_schedule, grid, well)
     sharp = WellSpec(a=well.a, v=well.v)
     target = ground_state(symbol, sharp_well(sharp, grid), cfg)
     fine = ground_state(symbol, sharp_well(
@@ -180,11 +185,19 @@ def uniform_shift_sweep(symbol, well, k_list, grid, cfg):
                             shifted, cfg)
 
 
-def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
-    """Anharmonic |x|^(2k) eigenvalues against the Dirichlet value of B_1."""
-    k_list = list(k_list)
-    if any(b <= a for a, b in zip(k_list, k_list[1:])):
+def validate_k_list(k_list):
+    """The exponents as ints, or ValueError unless each is an integer >= 1
+    (anharmonic_exponent) and they increase strictly."""
+    ks = [anharmonic_exponent(k) for k in k_list]
+    if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be increasing")
+    return ks
+
+
+def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
+    """Anharmonic |x|^(2k) eigenvalues against the Dirichlet value of B_1;
+    k_list must pass validate_k_list, checked before any solve."""
+    k_list = validate_k_list(k_list)
     target = dirichlet_ground_state(symbol, 1.0, grid, cfg)
     pots = [anharmonic(k, grid) for k in k_list]
     report = _sequence_report("anharmonic", symbol, target, k_list, pots, cfg)
@@ -484,16 +497,16 @@ def embedding_tail_check(symbol, fields, s=None):
     """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2
     for each field; returns (one flag per field, C_low).
 
-    s defaults to alpha/2.  C_low is the verified kernel lower-bound
-    constant; the factor 2 (rather than 1) accounts for the 1/2 in the
-    definition of [u]_Phi^2.  The Gagliardo side is computed spectrally
-    through the exact massless proportionality
+    s defaults to alpha/2 and must pass check_gagliardo_order.  C_low is
+    the verified kernel lower-bound constant; the factor 2 (rather than 1)
+    accounts for the 1/2 in the definition of [u]_Phi^2.  The Gagliardo
+    side is computed spectrally through the exact massless proportionality
     [[u]]_s^2 = (2/c(d,2s)) [u]_{Phi_{0,2s}}^2, with Phi_{0,2s}(z) = z^s.
     """
-    if s is None:
-        s = symbol.alpha / 2.0
-    if isinstance(fields, Field):
-        fields = [fields]
+    s = check_gagliardo_order(symbol.alpha / 2.0 if s is None else s)
+    fields = [fields] if isinstance(fields, Field) else list(fields)
+    if not fields:
+        raise ValueError("embedding_tail_check needs at least one field")
     d = fields[0].grid.d
     c_low = kernel_lower_constant(symbol, d, s)
     frac = BernsteinSymbol.relativistic(0.0, 2.0 * s)

@@ -28,6 +28,13 @@ class BoxTooSmallError(ValueError):
     """The requested potential does not fit inside the periodic box."""
 
 
+def check_fits(extent, grid, what="a + eps"):
+    """BoxTooSmallError unless the support radius extent is below L/2."""
+    if not extent < grid.L / 2.0:
+        raise BoxTooSmallError(f"{what} = {extent} does not fit in "
+                               f"[-L/2, L/2) with L={grid.L}")
+
+
 @dataclass(frozen=True)
 class WellSpec:
     """Spherical well of radius a, depth v, mollification width eps.
@@ -42,8 +49,9 @@ class WellSpec:
     def __post_init__(self):
         if not self.a > 0:
             raise ValueError("well radius a must be > 0")
-        if not self.v > 0:
-            raise ValueError("well depth v must be > 0")
+        if not 0 < self.v < np.inf:
+            raise ValueError(f"well depth v must be finite and > 0, "
+                             f"got {self.v}")
         if self.eps < 0:
             raise ValueError("mollification width eps must be >= 0")
 
@@ -75,9 +83,7 @@ def sharp_well(spec, grid):
     """V = -v 1_{B_a} sampled at grid points (|x| <= a decides membership)."""
     if spec.eps != 0.0:
         raise ValueError("sharp_well requires eps = 0; use mollified_well")
-    if not spec.a < grid.L / 2.0:
-        raise BoxTooSmallError(f"well radius a={spec.a} does not fit in "
-                               f"[-L/2, L/2) with L={grid.L}")
+    check_fits(spec.a, grid, "well radius a")
     values = np.where(grid.radius() <= spec.a, -spec.v, 0.0)
     meta = {"kind": "sharp_well", "a": spec.a, "v": spec.v, "eps": 0.0}
     return PotentialField(field=Field(grid=grid, values=values), meta=meta)
@@ -92,9 +98,7 @@ def mollified_well(spec, grid):
     """
     if not spec.eps > 0.0:
         raise ValueError("mollified_well requires eps > 0; use sharp_well")
-    if not spec.a + spec.eps < grid.L / 2.0:
-        raise BoxTooSmallError(f"a + eps = {spec.a + spec.eps} does not fit in "
-                               f"[-L/2, L/2) with L={grid.L}")
+    check_fits(spec.a + spec.eps, grid)
     r = grid.radius()
     scale = 2.0 / spec.eps
     rho = _bump(scale * r)
@@ -117,16 +121,23 @@ def mollified_well(spec, grid):
     return PotentialField(field=Field(grid=grid, values=-spec.v * eta), meta=meta)
 
 
+def anharmonic_exponent(k):
+    """k as an int, or ValueError unless it is an integer >= 1 (2.0 is)."""
+    if not (float(k).is_integer() and k >= 1):
+        raise ValueError(f"anharmonic exponent k must be an integer >= 1, "
+                         f"got {k!r}")
+    return int(k)
+
+
 def anharmonic(k, grid):
     """Anharmonic oscillator V(x) = min(|x|^(2k), ANHARMONIC_CAP)."""
-    if int(k) != k or k < 1:
-        raise ValueError("anharmonic exponent k must be an integer >= 1")
+    k = anharmonic_exponent(k)
     cap = ANHARMONIC_CAP
     with np.errstate(over="ignore"):
-        values = grid.radius() ** (2 * int(k))
+        values = grid.radius() ** (2 * k)
     clamped = bool(np.any(values > cap))
     values = np.minimum(values, cap)
-    meta = {"kind": "anharmonic", "k": int(k), "clamped": clamped, "cap": cap}
+    meta = {"kind": "anharmonic", "k": k, "clamped": clamped, "cap": cap}
     return PotentialField(field=Field(grid=grid, values=values), meta=meta)
 
 
@@ -146,10 +157,8 @@ def reflect_potential(potential, mu):
     grid = potential.grid
     meta = potential.meta
     if "a" in meta:
-        extent = meta.get("a", 0.0) + meta.get("eps", 0.0)
-        if not abs(2.0 * mu) + extent < grid.L / 2.0:
-            raise BoxTooSmallError("reflected support leaves the box: "
-                                   f"|2 mu| + a + eps >= L/2 (mu={mu})")
+        check_fits(abs(2.0 * mu) + meta["a"] + meta.get("eps", 0.0), grid,
+                   "reflected extent |2 mu| + a + eps")
     values = reflected_values(potential, mu)
     new_meta = dict(meta)
     new_meta.update({"kind": f"reflected({meta.get('kind', '?')})", "mu": mu})

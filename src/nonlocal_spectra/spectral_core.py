@@ -67,8 +67,9 @@ class Grid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not self.L > 0:
-            raise ValueError(f"box side must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"box side must be finite and positive, "
+                             f"got {self.L}")
 
     @property
     def h(self):
@@ -452,6 +453,13 @@ def seminorm_direct(symbol, field):
     return math.sqrt(max(_direct_core(field, symbol, images), 0.0))
 
 
+def check_gagliardo_order(s):
+    """s, or ValueError unless the Gagliardo order s lies in (0, 1)."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"gagliardo order s must lie in (0,1), got {s}")
+    return s
+
+
 def gagliardo_seminorm(s, field):
     """Gagliardo seminorm [[u]]_s of order s in (0,1) (direct route).
 
@@ -459,8 +467,7 @@ def gagliardo_seminorm(s, field):
     so the massless ratio [u]_{Phi_{0,alpha}} / [[u]]_{alpha/2} =
     sqrt(c(d,alpha)/2) is reproduced exactly.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"gagliardo order s must lie in (0,1), got {s}")
+    check_gagliardo_order(s)
     return math.sqrt(2.0 / massless_constant(field.grid.d, 2.0 * s)) \
         * seminorm_direct(BernsteinSymbol.relativistic(0.0, 2.0 * s), field)
 

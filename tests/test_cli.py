@@ -11,6 +11,7 @@ import nonlocal_spectra
 from nonlocal_spectra.cli import ConfigError, main, parse_config
 from nonlocal_spectra.eigensolver import SolverConfig
 from nonlocal_spectra.io_utils import read_field
+from nonlocal_spectra.potentials import WellSpec
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -19,6 +20,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return path
 
 
+SMALL_GRID = {"d": 1, "n": 256, "L": 16.0}
 BASE = {
     "command": "ground-state",
     "symbol": {"m": 0.0, "alpha": 1.0},
@@ -34,21 +36,24 @@ class TestParseConfig:
         assert cfg.command == "ground-state"
         assert cfg.solver == SolverConfig(tol=1e-9, max_iters=4000, seed=5)
         assert cfg.grid.n == 256
-        assert cfg.extras == {"potential": {"kind": "well", "a": 1.0,
-                                            "v": 4.0, "eps": 0.0}}
+        assert list(cfg.extras) == ["potential"]
+        assert cfg.extras["potential"].meta == {"kind": "sharp_well", "a": 1.0,
+                                                "v": 4.0, "eps": 0.0}
         sweep = parse_config(write_config(tmp_path, dict(
             BASE, command="stability-sweep",
             grid={"d": 1, "n": 2048, "L": 32.0})))
         assert sweep.extras["eps_schedule"] == [0.4, 0.2, 0.1, 0.05]
+        assert sweep.extras["potential"] == WellSpec(a=1.0, v=4.0)
 
     def test_alpha_range_named_in_error(self, tmp_path):
         bad = dict(BASE, symbol={"alpha": 2.5})
-        with pytest.raises(ConfigError, match="alpha in \\(0,2\\)"):
+        with pytest.raises(ConfigError, match="alpha must lie in \\(0, 2\\)"):
             parse_config(write_config(tmp_path, bad))
 
     def test_box_too_small(self, tmp_path):
         bad = dict(BASE, potential={"kind": "well", "a": 16.0, "v": 1.0})
-        with pytest.raises(ConfigError, match="box too small"):
+        with pytest.raises(ConfigError,
+                           match="well radius a = 16.0 does not fit in"):
             parse_config(write_config(tmp_path, bad))
 
     def test_unknown_keys_rejected_everywhere(self, tmp_path):
@@ -221,7 +226,6 @@ class TestDispatch:
         payload = {"command": "antisym-check",
                    "symbol": {"m": 1.0, "alpha": 1.0},
                    "grid": {"d": 1, "n": 256, "L": 32.0},
-                   "mu": 0.0,
                    "output_dir": str(tmp_path / "anti")}
         assert main(["--config", str(write_config(tmp_path, payload))]) == 0
         rep = json.loads((tmp_path / "anti" / "report.json").read_text())
@@ -293,8 +297,38 @@ class TestDispatch:
           "grid": {"d": 1, "n": 64, "L": 2.0}}, [], "ball radius 1.0"),
         ({"solver": {"seed": -1}}, [], "seed must be >= 0"),
         ({}, ["--seed", "-1"], "seed must be >= 0"),
+        ({"command": "stability-sweep", "grid": SMALL_GRID,
+          "potential": {"kind": "well", "a": 7.8, "v": 4.0},
+          "eps_schedule": [0.4, 0.2]}, [], "a \\+ eps = 8.2 does not fit"),
+        ({"command": "anharmonic-limit", "potential": None, "grid": SMALL_GRID,
+          "k_list": [2, 1]}, [], "k_list must be increasing"),
+        ({"command": "anharmonic-limit", "potential": None, "grid": SMALL_GRID,
+          "k_list": [1.5, 2]}, [], "k must be an integer >= 1, got 1.5"),
+        ({"grid": SMALL_GRID, "potential": {"kind": "anharmonic", "k": 1.7}},
+         [], "k must be an integer >= 1, got 1.7"),
+        ({"command": "antisym-check", "potential": None, "grid": SMALL_GRID,
+          "mu": 0.5}, [], "unknown key.*'mu'"),
+        ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
+          "num_fields": 0}, [], "num_fields must be >= 1"),
+        ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
+          "s": 1.5}, [], "order s must lie in \\(0,1\\), got 1.5"),
+        ({"grid": dict(SMALL_GRID, n=16.9)}, [],
+         "n must be an integer, got 16.9"),
+        ({"grid": dict(SMALL_GRID, n=10 ** 400)}, [], "too large"),
+        ({"grid": dict(SMALL_GRID, L=float("inf"))}, [],
+         "box side must be finite"),
+        ({"potential": {"kind": "well", "v": float("inf")}}, [],
+         "well depth v must be finite"),
+        ({"solver": dict(BASE["solver"], max_iters=10.7)}, [],
+         "max_iters must be an integer, got 10.7"),
+        ({"command": "monotonicity", "rotations": 1.5}, [],
+         "rotations must be an integer, got 1.5"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
-            "negative-seed-flag"])
+            "negative-seed-flag", "sweep-well-leaves-the-box",
+            "decreasing-k_list", "fractional-k_list", "fractional-k",
+            "antisym-mu", "no-embedding-fields", "embedding-order-above-1",
+            "fractional-n", "huge-n", "infinite-box", "infinite-well-depth",
+            "fractional-max_iters", "fractional-rotations"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"
@@ -306,6 +340,14 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("config error") and re.search(match, err)
         assert not out.exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        payload = dict(BASE, grid={"d": 1.0, "n": 256.0, "L": 32.0},
+                       solver={"tol": 1e-9, "max_iters": 4000.0, "seed": 5.0})
+        cfg = parse_config(write_config(tmp_path, payload))
+        assert (cfg.grid.d, cfg.grid.n) == (1, 256)
+        assert cfg.solver == SolverConfig(tol=1e-9, max_iters=4000, seed=5)
+        assert type(cfg.grid.n) is int and type(cfg.solver.seed) is int
 
     def test_wrongly_typed_section_is_a_config_error(self, tmp_path, capsys):
         for mutation in ({"potential": [1]}, {"symbol": {"m": "heavy"}}):
@@ -371,3 +413,21 @@ def test_import_leaves_quadrature_and_optimizer_unloaded(tmp_path):
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]"],
+                         ids=["missing-file", "top-level-array"])
+def test_entry_point_rejects_malformed_file(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    src = str(Path(nonlocal_spectra.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-m", "nonlocal_spectra.cli",
+                          "--config", str(path), "--output",
+                          str(tmp_path / "run")],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 1
+    assert run.stderr.startswith("config error")
+    assert "Traceback" not in run.stderr and run.stderr.count("\n") == 1
+    assert not (tmp_path / "run").exists()

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nonlocal_spectra import experiments
 from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
 from nonlocal_spectra.eigensolver import SolverConfig, ground_state
 from nonlocal_spectra.experiments import (antisym_constant_c1,
@@ -20,13 +21,26 @@ from nonlocal_spectra.experiments import (antisym_constant_c1,
                                           random_band_limited,
                                           stability_sweep, symmetry_check,
                                           uniform_shift_sweep)
-from nonlocal_spectra.potentials import (WellSpec, reflect_potential,
-                                         reflected_values, sharp_well)
+from nonlocal_spectra.potentials import (BoxTooSmallError, WellSpec,
+                                         reflect_potential, reflected_values,
+                                         sharp_well)
 from nonlocal_spectra.spectral_core import Field, Grid, field_from_function
 
 GRID = Grid(d=1, n=1024, L=32.0)
 CFG = SolverConfig(tol=1e-12, max_iters=30000, seed=11)
 WELL = WellSpec(a=1.0, v=4.0)
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Calls of the two eigensolvers the sequence drivers use, by name."""
+    counts = {"ground_state": 0, "dirichlet_ground_state": 0}
+    for name in counts:
+        def counted(*args, _name=name, _solve=getattr(experiments, name)):
+            counts[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +72,15 @@ class TestStabilitySweep:
             stability_sweep(s01, WELL, [0.2, GRID.h], GRID, CFG)
         with pytest.raises(ValueError, match="entries must be >= 0"):
             stability_sweep(s01, WELL, [0.2, -0.1], GRID, CFG)
+
+    def test_widest_well_checked_before_any_solve(self, s01, solve_counts):
+        # a + eps_0 = 16.2 leaves [-16, 16); the sharp well, its 2n rerun
+        # and the ball of radius a = 15.8 would all fit.
+        with pytest.raises(BoxTooSmallError, match="a \\+ eps = 16.2"):
+            stability_sweep(s01, WellSpec(a=15.8, v=4.0), [0.4, 0.2], GRID,
+                            CFG)
+        assert solve_counts == {"ground_state": 0,
+                                "dirichlet_ground_state": 0}
 
     def test_json_and_csv_shapes(self, sweep):
         payload = sweep.to_json_dict()
@@ -109,6 +132,16 @@ class TestAnharmonicToDirichlet:
     def test_k_list_must_increase(self, s01):
         with pytest.raises(ValueError):
             anharmonic_to_dirichlet(s01, [4, 2], GRID, CFG)
+
+    @pytest.mark.parametrize("k_list, match", [
+        ([1.5, 2], "integer >= 1, got 1.5"), ([0, 2], "integer >= 1, got 0"),
+        ([2, 2], "increasing")])
+    def test_k_list_checked_before_any_solve(self, s01, solve_counts, k_list,
+                                             match):
+        with pytest.raises(ValueError, match=match):
+            anharmonic_to_dirichlet(s01, k_list, GRID, CFG)
+        assert solve_counts == {"ground_state": 0,
+                                "dirichlet_ground_state": 0}
 
 
 class TestOperatorImageConvergence:
@@ -278,6 +311,15 @@ class TestEmbeddingTail:
     def test_constant_field_trivial(self, s11):
         u = Field(grid=GRID, values=np.ones(GRID.shape))
         assert embedding_tail_check(s11, u)[0] == [True]
+
+    @pytest.mark.parametrize("fields, s, match", [
+        ([], None, "at least one field"),
+        (None, 1.5, "order s must lie in \\(0,1\\), got 1.5"),
+        (None, 0.0, "order s must lie in \\(0,1\\), got 0.0")])
+    def test_inputs_rejected(self, s11, fields, s, match):
+        u = Field(grid=GRID, values=np.ones(GRID.shape))
+        with pytest.raises(ValueError, match=match):
+            embedding_tail_check(s11, [u] if fields is None else fields, s=s)
 
     def test_gaussian_and_random_fields(self, s01, s11):
         fields = [random_band_limited(GRID, seed) for seed in range(20)]

@@ -184,8 +184,13 @@ class TestAnharmonic:
         assert pot.values.max() <= 1e300
 
     def test_k_validated(self, grid):
-        with pytest.raises(ValueError):
-            anharmonic(0, grid)
+        for k in (0, 1.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                anharmonic(k, grid)
+        # An integral float is the integer itself, not a truncation.
+        assert anharmonic(2.0, grid).meta["k"] == 2
+        assert np.array_equal(anharmonic(2.0, grid).values,
+                              anharmonic(2, grid).values)
 
 
 class TestReflectPotential:
