@@ -105,12 +105,10 @@ def relativistic_prefactor(d, alpha, mass_factor):
 
 def j_massless(d, alpha, r):
     """Massless jump kernel j_{0,alpha}(r); exact closed form, r may be an array."""
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("j_massless requires r > 0")
-    out = massless_constant(d, alpha) * r ** (-(d + alpha))
+    out = massless_constant(d, alpha) * r ** (-(d + alpha))  # checks d, alpha
     return float(out) if out.ndim == 0 else out
 
 
@@ -442,8 +440,6 @@ def heat_kernel_profile(symbol, d, t, radii):
     d = 2 the P panel terms of each node are summed pairwise: in panel
     order their rounding reached 34 eps S.
     """
-    if not t > 0:
-        raise ValueError("heat_kernel requires t > 0")
     if d not in (1, 2, 3):
         raise ValueError("the heat kernel is restricted to d <= 3")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -521,12 +517,6 @@ def heat_kernel_profile(symbol, d, t, radii):
         raise QuadratureError("heat kernel quadrature did not converge",
                               value=fine, error_estimate=estimate)
     return fine, estimate
-
-
-def heat_kernel(symbol, d, t, x):
-    """Heat kernel p_t(x) of Phi(-Delta) at a single point x (d <= 3)."""
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    return float(heat_kernel_profile(symbol, d, t, [r])[0][0])
 
 
 def resolvent_kernel(symbol, d, radii):
@@ -625,6 +615,20 @@ def second_moment_decay(symbol, d, r_list):
 KERNEL_IDS = ("j", "sigma", "j_prime", "heat", "resolvent")
 
 
+def validate_kernel_request(kernel_id, radii, t=None):
+    """The radii as a float array, or ValueError unless kernel_id is one of
+    KERNEL_IDS, a heat table has t > 0 and the radii increase in (0, inf)."""
+    if kernel_id not in KERNEL_IDS:
+        raise ValueError(f"unknown kernel id {kernel_id!r}, not in {KERNEL_IDS}")
+    if kernel_id == "heat" and not (t is not None and t > 0.0):
+        raise ValueError(f"a heat table needs t > 0, got {t!r}")
+    radii = np.asarray(radii, dtype=float)
+    if not (radii.ndim == 1 and radii.size and 0.0 < radii[0]
+            and radii[-1] < np.inf and np.all(np.diff(radii) > 0.0)):
+        raise ValueError("radii must be nonempty and increase within (0, inf)")
+    return radii
+
+
 @dataclass
 class KernelTable:
     """Radial samples of one kernel with per-entry error estimates."""
@@ -637,14 +641,9 @@ class KernelTable:
     params: dict
 
     def __post_init__(self):
-        if self.kernel_id not in KERNEL_IDS:
-            raise ValueError(f"unknown kernel_id {self.kernel_id!r}")
         self.radii = np.asarray(self.radii, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.error_estimates = np.asarray(self.error_estimates, dtype=float)
-        if self.radii.ndim != 1 or np.any(np.diff(self.radii) <= 0) \
-                or np.any(self.radii <= 0):
-            raise ValueError("radii must be strictly increasing and positive")
         if len(self.values) != len(self.radii):
             raise ValueError("values and radii length mismatch")
         if self.kernel_id == "j":
@@ -656,7 +655,7 @@ class KernelTable:
 
 def build_kernel_table(symbol, kernel_id, d, radii, t=None):
     """Sample one radial kernel on the given radii into a KernelTable."""
-    radii = np.asarray(radii, dtype=float)
+    radii = validate_kernel_request(kernel_id, radii, t)
     params = {"alpha": symbol.alpha,
               "m": symbol.m,
               "t": t,
@@ -670,12 +669,8 @@ def build_kernel_table(symbol, kernel_id, d, radii, t=None):
         values = np.atleast_1d(j_prime_massive(d, symbol.alpha, symbol.m, radii))
         errs = np.abs(values) * KV_REL_ERR
     elif kernel_id == "heat":
-        if t is None:
-            raise ValueError("heat table requires t")
         values, errs = heat_kernel_profile(symbol, d, t, radii)
-    elif kernel_id == "resolvent":
-        values, errs = resolvent_kernel(symbol, d, radii)
     else:
-        raise ValueError(f"unknown kernel_id {kernel_id!r}")
+        values, errs = resolvent_kernel(symbol, d, radii)
     return KernelTable(kernel_id=kernel_id, dimension=d, radii=radii,
                        values=values, error_estimates=errs, params=params)

@@ -19,13 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import io_utils
-from .bernstein_kernels import KERNEL_IDS, BernsteinSymbol, build_kernel_table
+from .bernstein_kernels import (BernsteinSymbol, build_kernel_table,
+                                validate_kernel_request)
 from .eigensolver import SolverConfig, dirichlet_ground_state, ground_state
 from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
-                          embedding_tail_check, monotonicity_check,
-                          random_band_limited, stability_sweep, symmetry_check,
+                          check_band_fraction, embedding_tail_check,
+                          monotonicity_check, random_band_limited,
+                          stability_sweep, symmetry_check,
                           validate_eps_schedule, validate_k_list)
-from .potentials import WellSpec, anharmonic, mollified_well, sharp_well
+from .potentials import (WellSpec, anharmonic, check_fits, mollified_well,
+                         sharp_well)
 from .spectral_core import Grid, check_gagliardo_order
 
 
@@ -107,22 +110,15 @@ def _resolve_potential(command, pot_raw, grid):
 
 def _resolve_kernel(kernel):
     """The kernel id, its radii as a geomspace array, and t."""
-    kernel = _section("kernel", kernel, ("id", "radii", "t"), required=(
-        "id", "t") if kernel.get("id") == "heat" else ("id",))
-    if kernel["id"] not in KERNEL_IDS:
-        raise ConfigError(f"unknown kernel id {kernel['id']!r}; expected "
-                          f"one of {KERNEL_IDS}")
-    if kernel["id"] == "heat" and not float(kernel["t"]) > 0.0:
-        raise ConfigError("a heat table needs t > 0")
+    kernel = _section("kernel", kernel, ("id", "radii", "t"), required=("id",))
     radii = _section("kernel radii", kernel.get("radii", {
         "start": 0.1, "stop": 10.0, "num": 50}), ("start", "stop", "num"),
         required=("start", "stop", "num"))
-    start, stop = float(radii["start"]), float(radii["stop"])
-    num = _integer("kernel radii num", radii["num"])
-    if not (0.0 < start < stop and num >= 1):
-        raise ConfigError("kernel radii need 0 < start < stop and num >= 1")
-    return {"id": kernel["id"], "radii": np.geomspace(start, stop, num),
-            "t": kernel.get("t")}
+    radii = np.geomspace(float(radii["start"]), float(radii["stop"]),
+                         _integer("kernel radii num", radii["num"]))
+    t = kernel.get("t")
+    return {"id": kernel["id"], "t": t,
+            "radii": validate_kernel_request(kernel["id"], radii, t)}
 
 
 def parse_config(path, seed=None):
@@ -174,10 +170,7 @@ def parse_config(path, seed=None):
         # The Dirichlet ball must fit in the box: dirichlet-eig's, or the
         # unit ball that anharmonic-limit's potentials approach.
         if command in ("dirichlet-eig", "anharmonic-limit"):
-            radius = extras.get("ball_radius", 1.0)
-            if not 0.0 < radius < grid.L / 2.0:
-                raise ConfigError(f"ball radius {radius} must lie in "
-                                  f"(0, L/2 = {grid.L / 2.0})")
+            check_fits(extras.get("ball_radius", 1.0), grid, "ball radius")
         if "eps_schedule" in extras:
             extras["eps_schedule"] = validate_eps_schedule(
                 extras["eps_schedule"], grid, extras["potential"])
@@ -186,6 +179,7 @@ def parse_config(path, seed=None):
         if command == "embedding-check":
             if extras["s"] is not None:   # alpha/2 always passes
                 check_gagliardo_order(extras["s"])
+            check_band_fraction(extras["kmax_frac"])
             num = extras["num_fields"] = _integer("num_fields",
                                                   extras["num_fields"])
             if num < 1:

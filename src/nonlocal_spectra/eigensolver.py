@@ -54,6 +54,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .potentials import check_fits
 from .spectral_core import Field, SpectralOperator
 
 # An eigenpair is converged at residual max(tol, this * ||H||).
@@ -270,8 +271,7 @@ def dirichlet_ground_state(symbol, radius, grid, cfg):
 
     phi is exactly 0 outside the ball, positive in sum and of unit L^2 norm.
     """
-    if not 0.0 < radius < grid.L / 2.0:
-        raise ValueError(f"ball radius {radius} does not fit in the box")
+    check_fits(radius, grid, "ball radius")
     chi = (grid.radius() <= radius).astype(float)
     op = SpectralOperator(symbol, grid)
     inverse = 1.0 / (1.0 + op.multiplier)

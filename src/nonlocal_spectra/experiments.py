@@ -1,6 +1,7 @@
-"""Experiment drivers: eigenvalue stability under potential sequences,
-operator-image convergence, symmetry and radial monotonicity of ground
-states, antisymmetric-minimum estimates, and the seminorm embedding bound.
+"""Experiment drivers: eigenvalue stability under potential sequences, with
+the operator-image convergence of the stability sweep, symmetry and radial
+monotonicity of ground states, antisymmetric-minimum estimates, and the
+seminorm embedding bound.
 
 Every driver is deterministic given (config, seed): rerunning produces
 bit-identical reports.
@@ -16,11 +17,11 @@ from .bernstein_kernels import (BernsteinSymbol, massless_constant,
                                 relativistic_prefactor, sphere_surface)
 from .eigensolver import dirichlet_ground_state, ground_state
 from .io_utils import radial_profile
-from .potentials import (PotentialField, WellSpec, anharmonic,
-                         anharmonic_exponent, check_fits, mollified_well,
-                         reflected_values, sharp_well)
+from .potentials import (WellSpec, anharmonic, anharmonic_exponent,
+                         check_fits, mollified_well, reflected_values,
+                         sharp_well)
 from .special_functions import REL_TOL, bessel_k
-from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
+from .spectral_core import (Field, Grid, SpectralOperator, _freq_sq_rfft,
                             check_gagliardo_order, pointwise_nonlocal,
                             seminorm_fourier)
 
@@ -29,9 +30,16 @@ from .spectral_core import (Field, Grid, _freq_sq_rfft, apply_multiplier,
 # does not load them.
 
 
+def check_band_fraction(kmax_frac):
+    """ValueError unless kmax_frac >= 0 (NaN is not)."""
+    if not kmax_frac >= 0.0:
+        raise ValueError(f"kmax_frac must be >= 0, got {kmax_frac!r}")
+
+
 def random_band_limited(grid, seed, kmax_frac=0.25):
     """Deterministic random real field with spectrum confined below
-    kmax_frac * Nyquist; used as generic test data."""
+    kmax_frac * Nyquist, checked by check_band_fraction; generic test data."""
+    check_band_fraction(kmax_frac)
     rng = np.random.default_rng(seed)
     spec_shape = (grid.n,) * (grid.d - 1) + (grid.n // 2 + 1,)
     spec = rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
@@ -65,8 +73,9 @@ class StabilityReport:
     minmax_margins: list = None
     lam_dirichlet: float = None
     clamped: bool = False
+    image_gaps: list = None
+    triangle_bounds: list = None
     solutions: list = dataclass_field(default=None, repr=False)
-    target_solution: object = dataclass_field(default=None, repr=False)
 
     @property
     def gaps(self):
@@ -78,6 +87,9 @@ class StabilityReport:
         return all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def to_json_dict(self):
+        image = {} if self.image_gaps is None else {  # stability sweeps
+            "image_gaps": self.image_gaps,
+            "triangle_bounds": self.triangle_bounds}
         return {"kind": self.kind, "params": list(self.params),
                 "lambda": list(self.lam_list), "lambda_target": self.lam_target,
                 "gaps": self.gaps, "l2_gaps": list(self.l2_gaps),
@@ -88,7 +100,7 @@ class StabilityReport:
                 "discretization_floor": self.discretization_floor,
                 "minmax_margins": self.minmax_margins,
                 "lambda_dirichlet": self.lam_dirichlet,
-                "clamped": self.clamped}
+                "clamped": self.clamped, **image}
 
     def csv_columns(self):
         return self.params, self.lam_list, self.gaps, self.l2_gaps
@@ -114,7 +126,7 @@ def _sequence_report(kind, symbol, target, params, potentials, cfg):
                            lam_target=target.lam, l2_gaps=l2s,
                            converged=converged,
                            target_residual=target.residual, residuals=resids,
-                           solutions=sols, target_solution=target.phi)
+                           solutions=sols)
 
 
 def validate_eps_schedule(eps_schedule, grid, well):
@@ -147,18 +159,20 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     verdict needs every solve converged (the n-doubling rerun of the target
     and the Dirichlet ball of radius a included) and compares the final gap
     against 10x solver tolerance plus 10x the discretization floor
-    |lambda(n) - lambda(2n)| of the target.
+    |lambda(n) - lambda(2n)| of the target.  The report also carries each
+    eps's operator-image gap and its triangle bound.
     """
     eps = validate_eps_schedule(eps_schedule, grid, well)
     sharp = WellSpec(a=well.a, v=well.v)
-    target = ground_state(symbol, sharp_well(sharp, grid), cfg)
+    V = sharp_well(sharp, grid)
+    target = ground_state(symbol, V, cfg)
     fine = ground_state(symbol, sharp_well(
         sharp, Grid(d=grid.d, n=2 * grid.n, L=grid.L)), cfg)
     dirichlet = dirichlet_ground_state(symbol, well.a, grid, cfg)
-    report = _sequence_report(
-        "mollified-well", symbol, target, eps,
-        (mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
-         if e > 0.0 else None for e in eps), cfg)
+    pots = [mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
+            if e > 0.0 else None for e in eps]
+    report = _sequence_report("mollified-well", symbol, target, eps, pots,
+                              cfg)
     floor = abs(target.lam - fine.lam)
     gaps = report.gaps
     report.converged = (report.converged and fine.converged
@@ -169,20 +183,24 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     report.lam_dirichlet = dirichlet.lam
     report.minmax_margins = [dirichlet.lam - (lam + well.v)
                              for lam in report.lam_list]
+    # Criterion 9.  By the two eigen-equations, ||Phi(-Delta) (phi_eps -
+    # phi)||_2 <= |lam_eps| ||phi_eps - phi|| + |lam_eps - lam| +
+    # ||V_eps phi_eps - V phi|| + the residual norms of both solves.
+    op, phi = SpectralOperator(symbol, grid), target.phi
+    image = op.apply(phi).values
+    report.image_gaps, report.triangle_bounds = [], []
+    for phi_e, V_e, lam_e, res_e in zip(report.solutions, pots,
+                                        report.lam_list, report.residuals):
+        V_e = V if V_e is None else V_e
+        report.image_gaps.append(Field(grid=grid, values=op.apply(
+            phi_e).values - image).l2_norm())
+        dphi = Field(grid=grid, values=phi_e.values - phi.values).l2_norm()
+        vgap = Field(grid=grid, values=V_e.values * phi_e.values
+                     - V.values * phi.values).l2_norm()
+        report.triangle_bounds.append(
+            abs(lam_e) * dphi + abs(lam_e - target.lam) + vgap + res_e
+            + target.residual + 1e-8)
     return report
-
-
-def uniform_shift_sweep(symbol, well, k_list, grid, cfg):
-    """V_k = V - v/k: uniform convergence with exactly predictable spectrum
-    (the operator is shifted by a scalar, so lambda_k = lambda - v/k)."""
-    base_pot = sharp_well(WellSpec(a=well.a, v=well.v), grid)
-    target = ground_state(symbol, base_pot, cfg)
-    shifted = (PotentialField(
-        field=Field(grid=grid, values=base_pot.values - well.v / k),
-        meta={"kind": "shifted_well", "a": well.a, "v": well.v,
-              "shift": well.v / k}) for k in k_list)
-    return _sequence_report("constant-shift", symbol, target, k_list,
-                            shifted, cfg)
 
 
 def validate_k_list(k_list):
@@ -204,53 +222,6 @@ def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
     report.lam_dirichlet = target.lam
     report.clamped = any(pot.meta["clamped"] for pot in pots)
     return report
-
-
-@dataclass
-class OperatorImageReport:
-    eps_list: list
-    image_gaps: list
-    triangle_bounds: list
-    bound_ok: bool
-    monotone: bool
-
-    def to_json_dict(self):
-        return {"eps": list(self.eps_list), "image_gaps": list(self.image_gaps),
-                "triangle_bounds": list(self.triangle_bounds),
-                "bound_ok": self.bound_ok, "monotone": self.monotone}
-
-
-def operator_image_convergence(symbol, well, report):
-    """|| Phi(-Delta) phi_eps - Phi(-Delta) phi ||_2 along the schedule of
-    a stability_sweep report, whose eps, grid and fields it reads.
-
-    The triangle bound follows from the two eigen-equations:
-    Phi(-Delta) phi_eps = lam_eps phi_eps - V_eps phi_eps + r_eps, so the
-    image gap is bounded by |lam_eps| ||phi_eps - phi|| + |lam_eps - lam| +
-    ||V_eps phi_eps - V phi|| plus the two computable residual norms.
-    """
-    target_phi = report.target_solution
-    grid = target_phi.grid
-    H_target = apply_multiplier(symbol, target_phi)
-    V_target = sharp_well(WellSpec(a=well.a, v=well.v), grid)
-    gaps, bounds = [], []
-    for e, phi_e, lam_e, res_e in zip(report.params, report.solutions,
-                                      report.lam_list, report.residuals):
-        H_e = apply_multiplier(symbol, phi_e)
-        gap = Field(grid=grid, values=H_e.values - H_target.values).l2_norm()
-        pot_e = mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid) \
-            if e > 0 else V_target
-        dphi = Field(grid=grid, values=phi_e.values - target_phi.values).l2_norm()
-        vgap = Field(grid=grid, values=pot_e.values * phi_e.values
-                     - V_target.values * target_phi.values).l2_norm()
-        bound = (abs(lam_e) * dphi + abs(lam_e - report.lam_target) + vgap
-                 + res_e + report.target_residual + 1e-8)
-        gaps.append(gap)
-        bounds.append(bound)
-    return OperatorImageReport(
-        eps_list=list(report.params), image_gaps=gaps, triangle_bounds=bounds,
-        bound_ok=all(g <= b for g, b in zip(gaps, bounds)),
-        monotone=all(b < a for a, b in zip(gaps, gaps[1:])))
 
 
 # ---------------------------------------------------------------------------

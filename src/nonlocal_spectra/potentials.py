@@ -1,5 +1,5 @@
 """Potential constructors: spherical wells, mollified wells, anharmonic
-oscillators, and moving-plane reflections.
+oscillators, and the moving-plane reflection of a field.
 
 The mollified well is V_eps = -v eta_eps with eta_eps = rho_{eps/2} * 1_{B_{a+eps/2}},
 where rho is the standard smooth bump
@@ -25,14 +25,15 @@ ANHARMONIC_CAP = 1e6
 
 
 class BoxTooSmallError(ValueError):
-    """The requested potential does not fit inside the periodic box."""
+    """The requested potential or ball does not fit inside the periodic box."""
 
 
 def check_fits(extent, grid, what="a + eps"):
-    """BoxTooSmallError unless the support radius extent is below L/2."""
-    if not extent < grid.L / 2.0:
+    """BoxTooSmallError unless the radius extent (a + eps, a ball's) lies in
+    (0, L/2)."""
+    if not 0.0 < extent < grid.L / 2.0:
         raise BoxTooSmallError(f"{what} = {extent} does not fit in "
-                               f"[-L/2, L/2) with L={grid.L}")
+                               f"(0, L/2) with L={grid.L}")
 
 
 @dataclass(frozen=True)
@@ -57,19 +58,10 @@ class WellSpec:
 
 
 @dataclass
-class PotentialField:
+class PotentialField(Field):
     """A potential sampled on a grid plus its provenance record."""
 
-    field: Field
     meta: dict
-
-    @property
-    def grid(self):
-        return self.field.grid
-
-    @property
-    def values(self):
-        return self.field.values
 
 
 def _bump(r):
@@ -86,7 +78,7 @@ def sharp_well(spec, grid):
     check_fits(spec.a, grid, "well radius a")
     values = np.where(grid.radius() <= spec.a, -spec.v, 0.0)
     meta = {"kind": "sharp_well", "a": spec.a, "v": spec.v, "eps": 0.0}
-    return PotentialField(field=Field(grid=grid, values=values), meta=meta)
+    return PotentialField(grid=grid, values=values, meta=meta)
 
 
 def mollified_well(spec, grid):
@@ -118,7 +110,7 @@ def mollified_well(spec, grid):
     eta[r <= spec.a] = 1.0
     eta[r > spec.a + spec.eps] = 0.0
     meta = {"kind": "mollified_well", "a": spec.a, "v": spec.v, "eps": spec.eps}
-    return PotentialField(field=Field(grid=grid, values=-spec.v * eta), meta=meta)
+    return PotentialField(grid=grid, values=-spec.v * eta, meta=meta)
 
 
 def anharmonic_exponent(k):
@@ -138,28 +130,12 @@ def anharmonic(k, grid):
     clamped = bool(np.any(values > cap))
     values = np.minimum(values, cap)
     meta = {"kind": "anharmonic", "k": k, "clamped": clamped, "cap": cap}
-    return PotentialField(field=Field(grid=grid, values=values), meta=meta)
+    return PotentialField(grid=grid, values=values, meta=meta)
 
 
 def reflected_values(field, mu):
-    """Values of a Field or PotentialField at x^mu = (2 mu - x_1, x'),
-    nearest-grid-point version: exact whenever 2 mu is a multiple of the
-    grid spacing."""
+    """Values of a Field at x^mu = (2 mu - x_1, x'), nearest-grid-point
+    version: exact whenever 2 mu is a multiple of the grid spacing."""
     n = field.grid.n
     shift = int(round(2.0 * mu / field.grid.h))
     return field.values[(shift + n - np.arange(n)) % n, ...]
-
-
-def reflect_potential(potential, mu):
-    """V^mu(x) = V(x^mu) on the grid, through reflected_values."""
-    if mu > 0:
-        raise ValueError("moving-plane offset mu must be <= 0")
-    grid = potential.grid
-    meta = potential.meta
-    if "a" in meta:
-        check_fits(abs(2.0 * mu) + meta["a"] + meta.get("eps", 0.0), grid,
-                   "reflected extent |2 mu| + a + eps")
-    values = reflected_values(potential, mu)
-    new_meta = dict(meta)
-    new_meta.update({"kind": f"reflected({meta.get('kind', '?')})", "mu": mu})
-    return PotentialField(field=Field(grid=grid, values=values), meta=new_meta)

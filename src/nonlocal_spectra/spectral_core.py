@@ -130,10 +130,6 @@ class Field:
     def l2_norm(self):
         return math.sqrt(self.grid.cell_volume * float(np.sum(self.values ** 2)))
 
-    def inner(self, other):
-        _require_same_grid(self.grid, other.grid)
-        return self.grid.cell_volume * float(np.sum(self.values * other.values))
-
 
 def field_from_function(grid, fn):
     """Sample a callable of the space variables onto the grid."""

@@ -19,14 +19,13 @@ import pytest
 from scipy import integrate
 
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
-                                                heat_kernel,
+                                                heat_kernel_profile,
                                                 j_massive, j_massless,
                                                 massless_constant,
                                                 second_moment_decay, sigma)
 from nonlocal_spectra.eigensolver import SolverConfig, ground_state
 from nonlocal_spectra.experiments import (antisymmetric_minimum_check,
                                           anharmonic_to_dirichlet,
-                                          operator_image_convergence,
                                           monotonicity_check,
                                           random_band_limited,
                                           stability_sweep, symmetry_check)
@@ -139,10 +138,11 @@ def test_criterion_05_massless_seminorm_ratio():
 def test_criterion_06_heat_kernel():
     pts = [(0.5, 0.0), (0.5, 0.7), (1.0, 0.0), (1.0, 1.0), (1.0, 2.5),
            (2.0, 0.3), (2.0, 5.0), (0.2, 0.1), (3.0, 1.5), (1.5, 4.0)]
-    worst = max(abs(heat_kernel(S01, 1, t, x)
+    worst = max(abs(heat_kernel_profile(S01, 1, t, [x])[0][0]
                     - t / (math.pi * (t * t + x * x))) for t, x in pts)
-    val, _ = integrate.quad(lambda x: heat_kernel(S11, 1, 0.5, x), 0.0, 60.0,
-                            limit=200)
+    val, _ = integrate.quad(
+        lambda x: heat_kernel_profile(S11, 1, 0.5, [x])[0][0], 0.0, 60.0,
+        limit=200)
     mass_dev = abs(2.0 * val - 1.0)
     ok = worst <= 1e-6 and mass_dev <= 1e-4
     assert report(6, ok, f"Cauchy closed form worst abs error {worst:.2e} "
@@ -174,12 +174,14 @@ def test_criterion_08_spectral_stability(sweep_runs):
                          f"aligned L2 gaps decreasing={l2_decreasing}")
 
 
-def test_criterion_09_operator_image_convergence(sweep_runs):
-    rep = operator_image_convergence(S01, WELL, sweep_runs)
-    ok = rep.monotone and rep.bound_ok
-    assert report(9, ok, f"image gaps {['%.3e' % g for g in rep.image_gaps]} "
-                         f"decreasing={rep.monotone}; identity triangle bound "
-                         f"holds={rep.bound_ok} (1e-8 slack + residuals)")
+def test_criterion_09_operator_image_gaps(sweep_runs):
+    gaps = sweep_runs.image_gaps
+    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
+    bound_ok = all(g <= b for g, b in zip(gaps, sweep_runs.triangle_bounds))
+    ok = monotone and bound_ok
+    assert report(9, ok, f"image gaps {['%.3e' % g for g in gaps]} "
+                         f"decreasing={monotone}; identity triangle bound "
+                         f"holds={bound_ok} (1e-8 slack + residuals)")
 
 
 def test_criterion_10_anharmonic_to_dirichlet():

@@ -10,7 +10,6 @@ from scipy import integrate, special
 from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 BernsteinSymbol, KernelTable,
                                                 build_kernel_table,
-                                                heat_kernel,
                                                 heat_kernel_profile,
                                                 j_massive, j_massless,
                                                 j_prime_massive,
@@ -358,14 +357,19 @@ class TestJPrime:
             < abs(j_prime_massive(1, 1.0, 1.0, 1.0))
 
 
+def heat_at(symbol, d, t, r):
+    """p_t at the single radius r."""
+    return float(heat_kernel_profile(symbol, d, t, [r])[0][0])
+
+
 class TestHeatKernel:
     def test_cauchy_closed_form(self, s01):
         for t, x in [(1.0, 0.0), (1.0, 1.0), (0.5, 0.3), (2.0, 5.0)]:
-            assert heat_kernel(s01, 1, t, x) == pytest.approx(
+            assert heat_at(s01, 1, t, x) == pytest.approx(
                 t / (math.pi * (t * t + x * x)), abs=1e-10)
 
     def test_normalization_massive(self, s11):
-        val, _ = integrate.quad(lambda x: heat_kernel(s11, 1, 0.5, x),
+        val, _ = integrate.quad(lambda x: heat_at(s11, 1, 0.5, x),
                                 0.0, 60.0, limit=200)
         assert 2.0 * val == pytest.approx(1.0, abs=1e-4)
 
@@ -394,7 +398,7 @@ class TestHeatKernel:
         for x in (0.0, 0.5, 1.0, 2.0, 4.0):
             ps, _ = heat_kernel_profile(s11, 1, s, np.abs(x - yg))
             conv = float(np.dot(pt, ps)) * hstep
-            assert conv == pytest.approx(heat_kernel(s11, 1, t + s, x),
+            assert conv == pytest.approx(heat_at(s11, 1, t + s, x),
                                          abs=1e-4)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -411,7 +415,7 @@ class TestHeatKernel:
         prof, _ = heat_kernel_profile(s11, d, t, radii)
         assert prof == pytest.approx(exact, rel=1e-9)
         if d == 3:
-            assert heat_kernel(s11, 3, t, [0.0, 0.0, 0.0]) == pytest.approx(
+            assert heat_at(s11, 3, t, 0.0) == pytest.approx(
                 exact[0], rel=1e-9)
 
     def test_table_error_estimates_bound_cauchy_error(self, s01):
@@ -477,8 +481,7 @@ class TestHeatKernel:
     def test_higher_dimension_mass(self, s11, d):
         surf = 2.0 * math.pi if d == 2 else 4.0 * math.pi
         val, _ = integrate.quad(
-            lambda r: surf * r ** (d - 1) * heat_kernel(s11, d, 0.5,
-                                                        [r] + [0.0] * (d - 1)),
+            lambda r: surf * r ** (d - 1) * heat_at(s11, d, 0.5, r),
             0.0, 50.0, limit=200)
         assert val == pytest.approx(1.0, abs=1e-4)
 
@@ -486,11 +489,16 @@ class TestHeatKernel:
         # t |xi|^0.1 at |xi| = 2^63 is about 7.9, far short of ln(1e18).
         slow = BernsteinSymbol.relativistic(0.0, 0.1)
         with pytest.raises(AssumptionViolationError):
-            heat_kernel(slow, 1, 0.1, 0.0)
+            heat_at(slow, 1, 0.1, 0.0)
 
     def test_domain_error(self, s01):
-        with pytest.raises(ValueError):
-            heat_kernel(s01, 1, 0.0, 0.0)
+        for t in (0.0, -1.0, float("nan"), None):
+            with pytest.raises(ValueError, match="a heat table needs t > 0"):
+                build_kernel_table(s01, "heat", 1, [0.5], t=t)
+        # Asked for directly, a profile at t <= 0 has no frequency cutoff.
+        for t in (0.0, -1.0, float("nan")):
+            with pytest.raises(AssumptionViolationError):
+                heat_kernel_profile(s01, 1, t, [0.5])
 
 
 # G_1 in d = 1 for (m, alpha) at r = 0.3, 1, 4: mpmath sums the integral
@@ -767,13 +775,20 @@ class TestKernelTable:
             assert np.all(np.abs(table.values - ref) <= table.error_estimates)
             assert np.all(table.error_estimates <= 1e-12 * np.abs(table.values))
 
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(ValueError):
-            KernelTable(kernel_id="j", dimension=1, radii=[1.0, 0.5],
-                        values=[1.0, 2.0], error_estimates=[0, 0], params={})
-        with pytest.raises(ValueError):
+    def test_invariant_violations_rejected(self, s11):
+        # Output checks: a j table is non-increasing, a sigma table >= 0.
+        with pytest.raises(ValueError, match="non-increasing"):
             KernelTable(kernel_id="j", dimension=1, radii=[0.5, 1.0],
                         values=[1.0, 2.0], error_estimates=[0, 0], params={})
-        with pytest.raises(ValueError):
-            KernelTable(kernel_id="nope", dimension=1, radii=[0.5, 1.0],
-                        values=[2.0, 1.0], error_estimates=[0, 0], params={})
+        with pytest.raises(ValueError, match="sigma table must be >= 0"):
+            KernelTable(kernel_id="sigma", dimension=1, radii=[0.5, 1.0],
+                        values=[1.0, -1.0], error_estimates=[0, 0], params={})
+        # Request checks, made before any kernel is evaluated.
+        with pytest.raises(ValueError, match="unknown kernel id 'nope'"):
+            build_kernel_table(s11, "nope", 1, [0.5, 1.0])
+        for radii in ([1.0, 0.5], [0.0, 1.0], [-1.0, 1.0], [0.5, 0.5],
+                      [0.5, np.nan], [0.5, np.inf], [np.inf], [],
+                      [[0.5, 1.0]]):
+            with pytest.raises(ValueError, match="radii must be nonempty and "
+                                                 "increase within"):
+                build_kernel_table(s11, "j", 1, radii)

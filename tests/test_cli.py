@@ -181,6 +181,17 @@ class TestDispatch:
         assert csv[0] == "eps,lambda,gap,gap_l2"
         assert len(csv) == 3
 
+    def test_stability_sweep_report_carries_image_gaps(self, tmp_path):
+        payload = dict(BASE, command="stability-sweep",
+                       eps_schedule=[0.5, 0.25, 0.0],
+                       output_dir=str(tmp_path / "sweep"))
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 0
+        rep = json.loads((tmp_path / "sweep" / "report.json").read_text())
+        gaps, bounds = rep["image_gaps"], rep["triangle_bounds"]
+        assert len(gaps) == len(bounds) == 3
+        assert all(g <= b for g, b in zip(gaps, bounds))
+        assert gaps[-1] == 0.0   # eps = 0 is the target itself
+
     def test_result_records_stop_reason_and_threshold(self, tmp_path):
         ball = {key: value for key, value in BASE.items() if key != "potential"}
         ball["command"] = "dirichlet-eig"
@@ -273,12 +284,14 @@ class TestDispatch:
         ({"id": "bessel"}, "unknown kernel id"),
         ({"id": "j", "radii": [2.0, 1.0, 0.5]}, "unknown key.*kernel radii"),
         ({"id": "j", "radii": {"start": 2.0, "stop": 0.5, "num": 5}},
-         "0 < start < stop"),
+         "radii must be nonempty and increase within \\(0, inf\\)"),
+        ({"id": "j", "radii": {"start": 0.1, "stop": 2.0, "num": 0}},
+         "radii must be nonempty"),
         ({"id": "heat", "radii": {"start": 0.1, "stop": 2.0, "num": 5}},
-         "missing key.*'t'"),
+         "a heat table needs t > 0, got None"),
         ({"id": "heat", "t": 0.0}, "t > 0"),
     ], ids=["radii-without-num", "unknown-id", "radii-list", "decreasing-radii",
-            "heat-without-t", "heat-at-t-0"])
+            "no-radii", "heat-without-t", "heat-at-t-0"])
     def test_malformed_kernel_is_a_config_error(self, tmp_path, capsys, kernel,
                                                 match):
         out = tmp_path / "ktab"
@@ -294,7 +307,8 @@ class TestDispatch:
         ({"command": "dirichlet-eig", "potential": None, "ball_radius": 100},
          [], "ball radius"),
         ({"command": "anharmonic-limit", "potential": None, "k_list": [1],
-          "grid": {"d": 1, "n": 64, "L": 2.0}}, [], "ball radius 1.0"),
+          "grid": {"d": 1, "n": 64, "L": 2.0}}, [],
+         "ball radius = 1.0 does not fit"),
         ({"solver": {"seed": -1}}, [], "seed must be >= 0"),
         ({}, ["--seed", "-1"], "seed must be >= 0"),
         ({"command": "stability-sweep", "grid": SMALL_GRID,
@@ -312,6 +326,10 @@ class TestDispatch:
           "num_fields": 0}, [], "num_fields must be >= 1"),
         ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
           "s": 1.5}, [], "order s must lie in \\(0,1\\), got 1.5"),
+        ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
+          "kmax_frac": -1}, [], "kmax_frac must be >= 0, got -1"),
+        ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
+          "kmax_frac": float("nan")}, [], "kmax_frac must be >= 0, got nan"),
         ({"grid": dict(SMALL_GRID, n=16.9)}, [],
          "n must be an integer, got 16.9"),
         ({"grid": dict(SMALL_GRID, n=10 ** 400)}, [], "too large"),
@@ -327,6 +345,7 @@ class TestDispatch:
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
             "antisym-mu", "no-embedding-fields", "embedding-order-above-1",
+            "negative-kmax_frac", "nan-kmax_frac",
             "fractional-n", "huge-n", "infinite-box", "infinite-well-depth",
             "fractional-max_iters", "fractional-rotations"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,

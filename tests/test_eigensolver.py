@@ -26,12 +26,12 @@ CFG = SolverConfig(tol=1e-12, max_iters=20000, seed=3)
 
 
 def zero_potential(grid):
-    return PotentialField(field=Field(grid=grid, values=np.zeros(grid.shape)),
+    return PotentialField(grid=grid, values=np.zeros(grid.shape),
                           meta={"kind": "zero"})
 
 
 def constant_potential(grid, c):
-    return PotentialField(field=Field(grid=grid, values=np.full(grid.shape, c)),
+    return PotentialField(grid=grid, values=np.full(grid.shape, c),
                           meta={"kind": "constant"})
 
 
@@ -77,7 +77,7 @@ class TestGroundState:
 
     def test_rayleigh_consistency(self, s01, well_result):
         pot = sharp_well(WellSpec(a=1.0, v=4.0), GRID)
-        form = dirichlet_form(s01, well_result.phi, well_result.phi, pot.field)
+        form = dirichlet_form(s01, well_result.phi, well_result.phi, pot)
         assert well_result.lam == pytest.approx(form.total, abs=1e-10)
 
     def test_monotone_descent(self, well_result):
@@ -91,14 +91,15 @@ class TestGroundState:
             rng = np.random.default_rng(seed)
             w = Field(grid=GRID, values=rng.uniform(0.1, 1.0, GRID.shape))
             w = Field(grid=GRID, values=w.values / w.l2_norm())
-            probe = dirichlet_form(s01, w, w, pot.field).total
+            probe = dirichlet_form(s01, w, w, pot).total
             assert well_result.lam <= probe + 1e-10
 
     def test_simplicity_two_seeds(self, s01, well_result):
         cfg2 = SolverConfig(tol=1e-13, max_iters=30000, seed=99)
         res2 = ground_state(s01, sharp_well(WellSpec(a=1.0, v=4.0), GRID),
                             cfg2)
-        overlap = abs(well_result.phi.inner(res2.phi))
+        overlap = abs(GRID.cell_volume
+                      * float(np.sum(well_result.phi.values * res2.phi.values)))
         assert overlap == pytest.approx(1.0, abs=1e-6)
 
     def test_non_converged_flagged(self, s01):
@@ -119,9 +120,8 @@ class TestGroundState:
         assert history == [pytest.approx(2.0)]
 
     def test_infinite_potential_rejected(self, s01):
-        bad = PotentialField(
-            field=Field(grid=GRID, values=np.full(GRID.shape, np.inf)),
-            meta={"kind": "bad"})
+        bad = PotentialField(grid=GRID, values=np.full(GRID.shape, np.inf),
+                             meta={"kind": "bad"})
         with pytest.raises(ValueError):
             ground_state(s01, bad, CFG)
 
@@ -255,9 +255,8 @@ class TestFourierResidual:
         u = field_from_function(GRID, lambda x: np.cos(k * x))
         u = Field(grid=GRID, values=u.values / u.l2_norm())
         c = -0.7
-        pot = PotentialField(
-            field=Field(grid=GRID, values=np.full(GRID.shape, c)),
-            meta={"kind": "constant"})
+        pot = PotentialField(grid=GRID, values=np.full(GRID.shape, c),
+                             meta={"kind": "constant"})
         fake = EigenResult(lam=float(s01.evaluate(k * k)) + c, phi=u,
                            residual=0.0, iters=0, history=[], converged=True,
                            method="lobpcg", meta={})
@@ -399,9 +398,8 @@ class TestModeBasis:
         # grid; shifted down it stays on the modes.
         grid = MODE_GRIDS[grid]
         well = sharp_well(WellSpec(a=1.0, v=4.0), grid)
-        shifted = PotentialField(
-            field=Field(grid=grid, values=well.values + shift),
-            meta={"kind": "shifted_well"})
+        shifted = PotentialField(grid=grid, values=well.values + shift,
+                                 meta={"kind": "shifted_well"})
         base, moved = ground_state(s01, well, CFG), ground_state(s01, shifted, CFG)
         assert base.converged and moved.converged
         assert moved.lam - base.lam == pytest.approx(
@@ -563,8 +561,7 @@ class TestPreconditioner:
         # kinetic part unpreconditioned: 133 and 121 iterations against the
         # product rule's 31 and 28.
         well = sharp_well(WellSpec(a=1.0, v=4.0), self.GRID)
-        pot = PotentialField(field=Field(grid=self.GRID,
-                                         values=well.values + shift),
+        pot = PotentialField(grid=self.GRID, values=well.values + shift,
                              meta={"kind": "shifted_well"})
         split, product = self.split_and_product_iters(monkeypatch, s01, pot)
         assert split <= product

@@ -17,12 +17,10 @@ from nonlocal_spectra.experiments import (antisym_constant_c1,
                                           kernel_lower_constant,
                                           monotonicity_check,
                                           moving_plane_min,
-                                          operator_image_convergence,
                                           random_band_limited,
-                                          stability_sweep, symmetry_check,
-                                          uniform_shift_sweep)
-from nonlocal_spectra.potentials import (BoxTooSmallError, WellSpec,
-                                         reflect_potential, reflected_values,
+                                          stability_sweep, symmetry_check)
+from nonlocal_spectra.potentials import (BoxTooSmallError, PotentialField,
+                                         WellSpec, reflected_values,
                                          sharp_well)
 from nonlocal_spectra.spectral_core import Field, Grid, field_from_function
 
@@ -85,18 +83,28 @@ class TestStabilitySweep:
     def test_json_and_csv_shapes(self, sweep):
         payload = sweep.to_json_dict()
         assert len(payload["lambda"]) == 3
+        assert len(payload["image_gaps"]) == len(payload["triangle_bounds"]) == 3
         columns = sweep.csv_columns()
         assert len(columns) == 4 and all(len(c) == 3 for c in columns)
 
 
 class TestUniformShift:
     def test_exact_spectral_shift(self, s01):
-        rep = uniform_shift_sweep(s01, WELL, [1, 2, 4], GRID, CFG)
-        for k, lam in zip(rep.params, rep.lam_list):
-            assert lam == pytest.approx(rep.lam_target - WELL.v / k,
-                                        abs=1e-12)
-        assert all(g < 1e-12 for g in rep.l2_gaps)
-        assert rep.converged
+        # V - v/k shifts the operator by a scalar: lambda_k = lambda - v/k,
+        # with the same ground state up to sign.
+        well = sharp_well(WELL, GRID)
+        target = ground_state(s01, well, CFG)
+        assert target.converged
+        for k in (1, 2, 4):
+            res = ground_state(s01, PotentialField(
+                grid=GRID, values=well.values - WELL.v / k,
+                meta={"kind": "shifted_well", "shift": WELL.v / k}), CFG)
+            assert res.lam == pytest.approx(target.lam - WELL.v / k,
+                                            abs=1e-12)
+            assert min(Field(grid=GRID, values=res.phi.values
+                             - sign * target.phi.values).l2_norm()
+                       for sign in (1.0, -1.0)) < 1e-12
+            assert res.converged
 
 
 class TestAnharmonicToDirichlet:
@@ -129,6 +137,13 @@ class TestAnharmonicToDirichlet:
         rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg)
         assert not rep.converged
 
+    def test_report_json_has_no_image_gaps(self, s01):
+        # Only the stability sweep computes criterion 9's image gaps.
+        cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
+        payload = anharmonic_to_dirichlet(s01, [1], GRID, cfg).to_json_dict()
+        assert "image_gaps" not in payload
+        assert "triangle_bounds" not in payload
+
     def test_k_list_must_increase(self, s01):
         with pytest.raises(ValueError):
             anharmonic_to_dirichlet(s01, [4, 2], GRID, CFG)
@@ -145,16 +160,15 @@ class TestAnharmonicToDirichlet:
 
 
 class TestOperatorImageConvergence:
-    def test_gaps_decrease_and_identity_bound(self, s01, sweep):
-        rep = operator_image_convergence(s01, WELL, sweep)
-        assert rep.monotone
-        assert rep.bound_ok
-        assert all(g > 0 for g in rep.image_gaps)
+    def test_gaps_decrease_and_identity_bound(self, sweep):
+        gaps = sweep.image_gaps
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert all(g <= b for g, b in zip(gaps, sweep.triangle_bounds))
+        assert all(g > 0 for g in gaps)
 
     def test_identical_runs_have_zero_gap(self, s01):
         rep0 = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
-        rep = operator_image_convergence(s01, WELL, rep0)
-        assert rep.image_gaps[-1] == 0.0
+        assert rep0.image_gaps[-1] == 0.0
 
 
 class TestSymmetryCheck:
@@ -164,7 +178,8 @@ class TestSymmetryCheck:
         assert symmetry_check(res)["exact"] < 1e-10
 
     def test_off_center_well_breaks_symmetry(self, s01):
-        pot = reflect_potential(sharp_well(WELL, GRID), -1.0)
+        pot = Field(grid=GRID,
+                    values=reflected_values(sharp_well(WELL, GRID), -1.0))
         res = ground_state(s01, pot, CFG)
         assert symmetry_check(res)["exact"] > 1e-2
 
@@ -325,6 +340,18 @@ class TestEmbeddingTail:
         fields = [random_band_limited(GRID, seed) for seed in range(20)]
         assert all(embedding_tail_check(s01, fields)[0])
         assert all(embedding_tail_check(s11, fields)[0])
+
+    @pytest.mark.parametrize("kmax_frac", [-1.0, float("nan")])
+    def test_negative_band_rejected(self, kmax_frac):
+        # Below 0 no mode survives the cut, and the field would be divided
+        # by a zero norm.
+        with pytest.raises(ValueError, match="kmax_frac must be >= 0"):
+            random_band_limited(GRID, 1, kmax_frac)
+
+    def test_zero_band_keeps_the_constant_mode(self):
+        u = random_band_limited(GRID, 1, 0.0)
+        assert u.l2_norm() == pytest.approx(1.0, rel=1e-14)
+        assert np.ptp(u.values) <= 1e-15
 
     def test_lower_constant_positive(self, s11):
         assert kernel_lower_constant(s11, 1, 0.5) > 0.0

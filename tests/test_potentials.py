@@ -6,10 +6,10 @@ import pytest
 from scipy import integrate
 
 from nonlocal_spectra.bernstein_kernels import sphere_surface
-from nonlocal_spectra.potentials import (BoxTooSmallError, WellSpec,
-                                         anharmonic, mollified_well,
-                                         reflect_potential, sharp_well)
-from nonlocal_spectra.spectral_core import Grid
+from nonlocal_spectra.potentials import (BoxTooSmallError, PotentialField,
+                                         WellSpec, anharmonic, mollified_well,
+                                         reflected_values, sharp_well)
+from nonlocal_spectra.spectral_core import Field, Grid
 
 
 @lru_cache(maxsize=8)
@@ -193,31 +193,31 @@ class TestAnharmonic:
                               anharmonic(2, grid).values)
 
 
+class TestPotentialField:
+    def test_a_potential_is_a_field(self, grid):
+        pot = sharp_well(WellSpec(a=1.0, v=4.0), grid)
+        assert isinstance(pot, Field) and pot.meta["kind"] == "sharp_well"
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            PotentialField(grid=grid, values=np.zeros(3), meta={})
+
+
 class TestReflectPotential:
+    """V^mu(x) = V(x^mu) through reflected_values."""
+
     def test_mu_zero_identity(self, grid):
         pot = sharp_well(WellSpec(a=1.0, v=4.0), grid)
-        assert np.array_equal(reflect_potential(pot, 0.0).values, pot.values)
+        assert np.array_equal(reflected_values(pot, 0.0), pot.values)
 
     def test_support_translation(self, grid):
         pot = sharp_well(WellSpec(a=1.0, v=4.0), grid)
-        refl = reflect_potential(pot, -1.0)
+        refl = reflected_values(pot, -1.0)
         x = grid.axis()
-        support = x[refl.values == -4.0]
+        support = x[refl == -4.0]
         assert support.min() == pytest.approx(-3.0, abs=grid.h)
         assert support.max() == pytest.approx(-1.0, abs=grid.h)
 
     def test_involution_exact_on_grid_multiple(self, grid):
         pot = sharp_well(WellSpec(a=1.0, v=4.0), grid)
         mu = -8.0 * grid.h  # 2 mu is a grid multiple
-        twice = reflect_potential(reflect_potential(pot, mu), mu)
-        assert np.array_equal(twice.values, pot.values)
-
-    def test_box_violation(self, grid):
-        pot = sharp_well(WellSpec(a=1.0, v=4.0), grid)
-        with pytest.raises(BoxTooSmallError):
-            reflect_potential(pot, -8.0)
-
-    def test_positive_mu_rejected(self, grid):
-        pot = sharp_well(WellSpec(a=1.0, v=4.0), grid)
-        with pytest.raises(ValueError):
-            reflect_potential(pot, 0.5)
+        once = Field(grid=grid, values=reflected_values(pot, mu))
+        assert np.array_equal(reflected_values(once, mu), pot.values)

@@ -93,8 +93,9 @@ class TestApplyMultiplier:
         rng = np.random.default_rng(5)
         u = Field(grid=grid128, values=rng.standard_normal(grid128.shape))
         v = Field(grid=grid128, values=rng.standard_normal(grid128.shape))
-        lhs = apply_multiplier(s11, u).inner(v)
-        rhs = u.inner(apply_multiplier(s11, v))
+        h = grid128.cell_volume
+        lhs = h * float(np.sum(apply_multiplier(s11, u).values * v.values))
+        rhs = h * float(np.sum(u.values * apply_multiplier(s11, v).values))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
