@@ -361,8 +361,11 @@ def _frequency_cutoff(symbol, d, t):
     e^(-t Phi) is integrable for every relativistic symbol, since Phi grows
     like |xi|^alpha, but when t and alpha are both small (Phi_{0,0.1} at
     t = 0.1) the cutoff lies beyond 2^63, the last Xi tried, and
-    AssumptionViolationError is raised.
+    AssumptionViolationError is raised.  It is raised at once for a t that
+    is not > 0, for which there is no cutoff.
     """
+    if not t > 0.0:
+        raise AssumptionViolationError(f"the heat profile needs t > 0, got {t}")
     xi = 1.0
     for _ in range(64):
         decay = -t * symbol.evaluate(xi * xi) + (d - 1) * math.log(xi)

@@ -18,8 +18,8 @@ from .bernstein_kernels import (BernsteinSymbol, massless_constant,
 from .eigensolver import dirichlet_ground_state, ground_state
 from .io_utils import radial_profile
 from .potentials import (WellSpec, anharmonic, anharmonic_exponent,
-                         check_fits, mollified_well, reflected_values,
-                         sharp_well)
+                         check_fits, check_resolvable, mollified_well,
+                         reflected_values, sharp_well)
 from .special_functions import REL_TOL, bessel_k
 from .spectral_core import (Field, Grid, SpectralOperator, _freq_sq_rfft,
                             check_gagliardo_order, pointwise_nonlocal,
@@ -144,9 +144,8 @@ def validate_eps_schedule(eps_schedule, grid, well):
     if eps and eps[-1] < 0.0:
         raise ValueError(f"eps_schedule entries must be >= 0, got {eps[-1]}")
     positive = [e for e in eps if e > 0.0]
-    if positive and positive[-1] < 2.0 * grid.h:
-        raise ValueError(f"smallest eps {positive[-1]} is below the "
-                         f"resolvable floor 2h = {2.0 * grid.h}")
+    if positive:
+        check_resolvable(positive[-1], grid)
     check_fits(well.a + (eps[0] if eps else 0.0), grid)
     return eps
 
@@ -381,7 +380,9 @@ def antisym_constant_c4(d, alpha, m, delta1):
 def antisymmetric_minimum_check(symbol, w, mu):
     """Estimate of Phi_{m,alpha}(-Delta)w at the minimum of a
     mu-antisymmetric function w of one variable over the half-line
-    {x < mu}, for the relativistic symbol Phi_{m,alpha}.
+    {x < mu}, for the relativistic symbol Phi_{m,alpha}.  w is C^2 and
+    vanishes at infinity, as w_mu = phi(x^mu) - phi(x) does for an L^2
+    ground state phi; pointwise_nonlocal rejects it otherwise.
 
     For m > 0 the two explicit right-hand sides are evaluated with the
     constants C1..C4; for m = 0 only the sign conclusion is checked since

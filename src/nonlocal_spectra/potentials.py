@@ -36,6 +36,14 @@ def check_fits(extent, grid, what="a + eps"):
                                f"(0, L/2) with L={grid.L}")
 
 
+def check_resolvable(eps, grid):
+    """ValueError unless the mollification width eps is at least 2h, the
+    narrowest transition the grid resolves."""
+    if eps < 2.0 * grid.h:
+        raise ValueError(f"eps = {eps} is below the resolvable floor "
+                         f"2h = {2.0 * grid.h}")
+
+
 @dataclass(frozen=True)
 class WellSpec:
     """Spherical well of radius a, depth v, mollification width eps.
@@ -84,21 +92,18 @@ def sharp_well(spec, grid):
 def mollified_well(spec, grid):
     """V_eps = -v (rho_{eps/2} * 1_{B_{a+eps/2}}), evaluated by FFT convolution.
 
-    The sampled mollifier is renormalized to unit discrete mass, which makes
-    the plateau value on B_a exactly -v and keeps eta in [0, 1] regardless of
-    how coarsely the bump is resolved.
+    eps must be at least 2h (check_resolvable): a narrower mollifier samples
+    to the sharp well of radius a + eps/2.  The sampled mollifier, positive at
+    the origin (a grid point), is renormalized to unit discrete mass, which
+    makes the plateau value on B_a exactly -v and keeps eta in [0, 1].
     """
     if not spec.eps > 0.0:
         raise ValueError("mollified_well requires eps > 0; use sharp_well")
+    check_resolvable(spec.eps, grid)
     check_fits(spec.a + spec.eps, grid)
     r = grid.radius()
-    scale = 2.0 / spec.eps
-    rho = _bump(scale * r)
-    total = rho.sum()
-    if total == 0.0:
-        raise BoxTooSmallError("mollifier width eps/2 is below the grid "
-                               "resolution; refine the grid or enlarge eps")
-    rho /= total
+    rho = _bump(2.0 / spec.eps * r)
+    rho /= rho.sum()
     indicator = (r <= spec.a + spec.eps / 2.0).astype(float)
     eta = np.fft.irfftn(np.fft.rfftn(np.fft.ifftshift(rho))
                         * np.fft.rfftn(indicator), s=grid.shape,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -496,9 +497,9 @@ class TestHeatKernel:
             with pytest.raises(ValueError, match="a heat table needs t > 0"):
                 build_kernel_table(s01, "heat", 1, [0.5], t=t)
         # Asked for directly, a profile at t <= 0 has no frequency cutoff.
-        for t in (0.0, -1.0, float("nan")):
-            with pytest.raises(AssumptionViolationError):
-                heat_kernel_profile(s01, 1, t, [0.5])
+        for d, t in itertools.product((1, 2, 3), (0.0, -1.0, float("nan"))):
+            with pytest.raises(AssumptionViolationError, match=f"needs t > 0, got {t}"):
+                heat_kernel_profile(s01, d, t, [0.5])
 
 
 # G_1 in d = 1 for (m, alpha) at r = 0.3, 1, 4: mpmath sums the integral

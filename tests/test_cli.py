@@ -341,13 +341,16 @@ class TestDispatch:
          "max_iters must be an integer, got 10.7"),
         ({"command": "monotonicity", "rotations": 1.5}, [],
          "rotations must be an integer, got 1.5"),
+        ({"potential": {"kind": "well", "a": 1.0, "v": 4.0, "eps": 0.01}}, [],
+         "eps = 0.01 is below the resolvable floor 2h = 0.25"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
             "antisym-mu", "no-embedding-fields", "embedding-order-above-1",
             "negative-kmax_frac", "nan-kmax_frac",
             "fractional-n", "huge-n", "infinite-box", "infinite-well-depth",
-            "fractional-max_iters", "fractional-rotations"])
+            "fractional-max_iters", "fractional-rotations",
+            "mollifier-below-the-grid"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"

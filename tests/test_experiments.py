@@ -308,6 +308,28 @@ class TestAntisymmetricMinimum:
         assert check.constants["C2"] == pytest.approx(1.0, rel=1e-9)
         assert check.antisym_defect <= 1e-10
 
+    # Measured errors 3.4e-15, 2.0e-13 and 1.3e-11, set by the Taylor
+    # origin of pointwise_nonlocal.
+    @pytest.mark.parametrize("alpha, bound", [(0.5, 2e-14), (1.0, 1e-12),
+                                              (1.5, 1e-10)], ids=["0.5", "1.0", "1.5"])
+    def test_massless_lhs_against_closed_form(self, alpha, bound):
+        # (-Delta)^(alpha/2) x e^(-x^2) = 2^alpha Gamma((3+alpha)/2) /
+        # Gamma(3/2) x 1F1((3+alpha)/2; 3/2; -x^2), by mpmath at x_star.
+        check = antisymmetric_minimum_check(
+            BernsteinSymbol.relativistic(0.0, alpha),
+            lambda y: y * np.exp(-y * y), 0.0)
+        with mpmath.workdps(30):
+            a, x = mpmath.mpf(alpha), mpmath.mpf(check.x_star)
+            exact = float(2 ** a * mpmath.gamma((3 + a) / 2) / mpmath.gamma(1.5)
+                          * x * mpmath.hyp1f1((3 + a) / 2, 1.5, -x * x))
+        assert abs(check.lhs - exact) <= bound
+
+    def test_non_decaying_input_rejected(self, s11):
+        # sin is 0-antisymmetric with negative minima, but does not vanish at
+        # infinity, as pointwise_nonlocal requires.
+        with pytest.raises(ValueError, match="vanish at infinity"):
+            antisymmetric_minimum_check(s11, np.sin, 0.0)
+
     def test_non_antisymmetric_rejected(self, s11):
         with pytest.raises(ValueError):
             antisymmetric_minimum_check(s11,

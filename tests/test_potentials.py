@@ -149,6 +149,14 @@ class TestMollifiedWell:
         with pytest.raises(BoxTooSmallError):
             mollified_well(WellSpec(a=15.8, v=1.0, eps=0.4), grid)
 
+    def test_below_grid_floor_rejected(self, grid):
+        # Below 2h the mollifier's transition falls between grid points.
+        with pytest.raises(ValueError, match="below the resolvable floor"):
+            mollified_well(WellSpec(a=1.0, v=4.0, eps=1.9 * grid.h), grid)
+        eta = -mollified_well(WellSpec(a=1.0, v=4.0, eps=2.0 * grid.h),
+                              grid).values / 4.0
+        assert np.count_nonzero((eta > 0.0) & (eta < 1.0)) == 2
+
 
 class TestAnharmonic:
     def test_values(self, grid):
