@@ -23,9 +23,9 @@ from .bernstein_kernels import (BernsteinSymbol, build_kernel_table,
                                 validate_kernel_request)
 from .eigensolver import SolverConfig, dirichlet_ground_state, ground_state
 from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
-                          check_band_fraction, embedding_tail_check,
-                          monotonicity_check, random_band_limited,
-                          stability_sweep, symmetry_check,
+                          check_band_fraction, check_rotations,
+                          embedding_tail_check, monotonicity_check,
+                          random_band_limited, stability_sweep, symmetry_check,
                           validate_eps_schedule, validate_k_list)
 from .potentials import (WellSpec, anharmonic, check_fits, mollified_well,
                          sharp_well)
@@ -167,6 +167,7 @@ def parse_config(path, seed=None):
             extras["kernel"] = _resolve_kernel(dict(extras["kernel"]))
         if "rotations" in extras:
             extras["rotations"] = _integer("rotations", extras["rotations"])
+            check_rotations(extras["rotations"], grid.d)
         # The Dirichlet ball must fit in the box: dirichlet-eig's, or the
         # unit ball that anharmonic-limit's potentials approach.
         if command in ("dirichlet-eig", "anharmonic-limit"):
@@ -198,7 +199,8 @@ def _write_eigenresult(out, result):
                "iters": result.iters, "converged": result.converged,
                "method": result.method, "stop": result.meta["stop"],
                "threshold": result.meta["threshold"],
-               "history_tail": result.history[-10:]}
+               "history_tail": result.history[-10:],
+               "residual_tail": result.meta["residuals"][-10:]}
     io_utils.write_json(out / "result.json", payload)
     io_utils.write_field(out / "phi", result.phi)
     io_utils.write_radial_profile(result.phi, out / "profile.csv")

@@ -5,9 +5,10 @@ Both take one single-vector LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23,
 2001).  The basis [x, w, p] is kept orthonormal (Hetmaniuk & Lehoucq,
 J. Comput. Phys. 218, 2006), so each Rayleigh-Ritz step is a plain eigh of
 the 3 x 3 matrix S^T H S with no Gram matrix to factor.  The basis and its
-images are the rows of one preallocated block, and the matvec and the
-preconditioner write into those rows through out= transforms and one
-scratch array, so an iteration allocates no vector-sized array.  LOBPCG
+images are a window of rows in one preallocated pool of five; the matvec
+and the preconditioner write into its rows through out= transforms and one
+scratch array, and one small-matrix product per step writes the next x and
+p with their images, so an iteration allocates no vector-sized array.  LOBPCG
 does not depend on the orthonormal basis it runs in, so each solve picks
 the one where its step is cheapest:
 
@@ -45,8 +46,8 @@ is at most max(tol, 100 eps ||H||), with ||H|| <= max Phi + max |V|:
 absolute, so lambda = 0 is covered.  LOBPCG is asked for a tenth of that,
 as the recomputed residual can exceed its own, and stops early on "floor"
 when its recurrence residual stalls within the threshold.  Each solve
-evaluates the multiplier once and records the threshold and the stop
-reason in meta.
+evaluates the multiplier once and records the threshold, the stop reason
+and the loop's residual history in meta.
 """
 
 import math
@@ -103,70 +104,71 @@ def _lobpcg(apply_H, precondition, start, tol, max_iters):
     apply_H(u, out) and precondition(r, out) write H u and M r into out;
     start is read before the first apply_H, so it may be the operator's
     scratch.
-    S = [x, w, p] and HS = [H x, H w, H p] are the two halves of one
-    preallocated block whose row i pairs S[i] with HS[i], and the residual
-    has a reused buffer, so a step allocates no vector-sized array.  Each
-    step orthogonalizes w = M (H x - lam x) against x and p by two
-    Gram-Schmidt passes and normalizes it; H w is its one matvec.  With c
-    the lowest eigenvector of S^T H S (no p at first), x becomes S c and p
-    becomes S q / |q|, q = e - c (c . e) with e = (0, c1, c2), orthogonal
-    to S c.  Returns (a fresh x, lam history, preconditioner applications,
-    stop): "residual" at ||H x - lam x||_2 <= tol; "floor" at a residual
-    <= 10 tol that has set no new minimum for _FLOOR_STEPS steps, where
-    the recurrence's rounding keeps it from reaching tol; "budget" after
-    max_iters applications; or "breakdown" when w has a zero or
-    non-finite norm.
+    A preallocated pool holds five rows, each a vector and its image: w in
+    row 2, x and p in rows 1 and 0 or in rows 3 and 4, so S = [p, x, w] or
+    [w, x, p] (no p at first) is one window of rows.  The two free rows
+    hold the residual and the Gram-Schmidt temporary, so a step allocates
+    no vector-sized array.  Each step orthogonalizes w = M (H x - lam x)
+    against x and p by two Gram-Schmidt passes and normalizes it; H w is
+    its one matvec.  With c the lowest eigenvector of S^T H S and s its
+    squared weight off x, x becomes S c and p S (c_x c - e_x) / sqrt(s),
+    orthogonal to it: one product C @ window writes both, and their
+    images, into the free rows.  Returns (a fresh x, lam history, residual
+    history, preconditioner applications, stop): "residual" at
+    ||H x - lam x||_2 <= tol; "floor" at a residual <= 10 tol that has set
+    no new minimum for _FLOOR_STEPS steps, where the recurrence's rounding
+    keeps it from reaching tol; "budget" after max_iters applications; or
+    "breakdown" when w has a zero or non-finite norm.
     """
-    block = np.empty((3, 2, start.size))
-    S, HS = block[:, 0], block[:, 1]
-    # Row 0 is the residual and the projections' scratch; both rows are the
-    # update's scratch for a vector and its image.
-    scratch = np.empty((2, start.size))
-    # The operator takes views of the flat rows shaped like start.
-    x, w, Hx, Hw, r = (row.reshape(start.shape)
-                       for row in (S[0], S[1], HS[0], HS[1], scratch[0]))
+    pool = np.empty((5, 2, start.size))
+    flat = pool.reshape(5, -1)
+    # The operator takes views of the rows shaped like start.  For x in row
+    # 1 or 3: x, H x, and the residual and the temporary in a free row.
+    w, Hw = (row.reshape(start.shape) for row in pool[2])
+    views = {i: [row.reshape(start.shape) for row in (*pool[i], pool[f, 0])]
+             + [pool[f, 1]] for i, f in ((1, 3), (3, 0))}
+    x, Hx, r, tmp = views[3]
     np.divide(start, math.sqrt(np.vdot(start, start)), out=x)
     apply_H(x, Hx)
     lam = float(np.vdot(x, Hx))
-    history, iters, m = [lam], 0, 2
+    history, residuals, iters, i, m = [lam], [], 0, 3, 2
     best, best_at = math.inf, 0
     while True:
+        x, Hx, r, tmp = views[i]
         np.subtract(Hx, np.multiply(x, lam, out=r), out=r)
         norm_r = math.sqrt(np.vdot(r, r))
+        residuals.append(norm_r)
         if norm_r <= tol:
-            return x.copy(), history, iters, "residual"
+            return x.copy(), history, residuals, iters, "residual"
         if norm_r < best:
             best, best_at = norm_r, iters
         elif norm_r <= 10.0 * tol and iters - best_at >= _FLOOR_STEPS:
-            return x.copy(), history, iters, "floor"
+            return x.copy(), history, residuals, iters, "floor"
         if iters == max_iters:
-            return x.copy(), history, iters, "budget"
+            return x.copy(), history, residuals, iters, "budget"
         precondition(r, w)
         iters += 1
-        basis = S[:m:2]  # x, and p after the first step
+        lo = 2 if i == 3 else 3 - m  # the window is rows lo to lo + m
+        basis = pool[3:lo + m, 0] if i == 3 else pool[lo:2, 0]  # x and p
         for _ in range(2):
-            S[1] -= np.matmul(basis @ S[1], basis, out=scratch[0])
+            pool[2, 0] -= np.matmul(basis @ pool[2, 0], basis, out=tmp)
         norm = math.sqrt(np.vdot(w, w))
         if not 0.0 < norm < math.inf:
-            return x.copy(), history, iters, "breakdown"
+            return x.copy(), history, residuals, iters, "breakdown"
         w /= norm
         apply_H(w, Hw)
-        vals, vecs = np.linalg.eigh(S[:m] @ HS[:m].T, UPLO="U")
-        lam, c = float(vals[0]), vecs[:, 0]
+        window = pool[lo:lo + m]
+        vals, vecs = np.linalg.eigh(window[:, 0] @ window[:, 1].T, UPLO="U")
+        lam, c = float(vals[0]), vecs[:, 0].tolist()
         history.append(lam)
-        # With t = c1 w + c2 p and s = |t|^2: S c = c0 x + t, and S q / |q|
-        # is (c0 t - s x) / sqrt(s) up to sign; each line updates a vector
-        # and its image, so H x and H p follow x and p.
-        s = float(c[1:] @ c[1:])
-        v, t, q = block
-        t *= c[1]
-        if m == 3:
-            t += np.multiply(q, c[2], out=scratch)
-        if s > 0.0:
-            np.multiply(t, c[0] / math.sqrt(s), out=q)
-            q -= np.multiply(v, math.sqrt(s), out=scratch)
-        v *= c[0]
-        v += t
+        j, i = i - lo, 4 - i  # x's place in the window, and its next row
+        s = sum(t * t for k, t in enumerate(c) if k != j)
+        # C's rows are c and, for p, c c_x / sqrt(s) with -sqrt(s) at x, in
+        # the free rows' order.  At s = 0, p is 0 and left out of the basis.
+        q = [t * (c[j] / math.sqrt(s)) if s > 0.0 else 0.0 for t in c]
+        q[j] = -math.sqrt(s)
+        np.matmul(np.array((c, q) if i == 3 else (q, c)), flat[lo:lo + m],
+                  out=flat[3:5] if i == 3 else flat[0:2])
         m = 3 if s > 0.0 else 2
 
 
@@ -179,8 +181,8 @@ def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
     another basis."""
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + v_max))
-    x, history, iters, stop = _lobpcg(apply_H, precondition, start,
-                                      0.1 * threshold, cfg.max_iters)
+    x, history, residuals, iters, stop = _lobpcg(
+        apply_H, precondition, start, 0.1 * threshold, cfg.max_iters)
     if to_grid is not None:
         x = to_grid(x)
 
@@ -190,7 +192,8 @@ def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
     return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
                        history=history + [lam],
                        converged=residual <= threshold, method="lobpcg",
-                       meta={**meta, "stop": stop, "threshold": threshold})
+                       meta={**meta, "stop": stop, "threshold": threshold,
+                             "residuals": residuals})
 
 
 def ground_state(symbol, potential, cfg):

@@ -36,6 +36,13 @@ def check_band_fraction(kmax_frac):
         raise ValueError(f"kmax_frac must be >= 0, got {kmax_frac!r}")
 
 
+def check_rotations(rotations, d):
+    """ValueError unless rotations >= 0, and 0 unless d = 2."""
+    if not rotations >= 0 or (rotations > 0 and d != 2):
+        raise ValueError(f"rotations must be >= 0, and 0 unless d = 2; got "
+                         f"{rotations!r} in d = {d}")
+
+
 def random_band_limited(grid, seed, kmax_frac=0.25):
     """Deterministic random real field with spectrum confined below
     kmax_frac * Nyquist, checked by check_band_fraction; generic test data."""
@@ -69,6 +76,8 @@ class StabilityReport:
     converged: bool
     target_residual: float
     residuals: list
+    iters: list
+    stops: list
     discretization_floor: float = None
     minmax_margins: list = None
     lam_dirichlet: float = None
@@ -97,6 +106,7 @@ class StabilityReport:
                 "monotone_gap_decay": self.monotone_gap_decay,
                 "target_residual": self.target_residual,
                 "residuals": list(self.residuals),
+                "iters": list(self.iters), "stops": list(self.stops),
                 "discretization_floor": self.discretization_floor,
                 "minmax_margins": self.minmax_margins,
                 "lambda_dirichlet": self.lam_dirichlet,
@@ -113,7 +123,7 @@ def _sequence_report(kind, symbol, target, params, potentials, cfg):
     only when the target and every solve are.
     """
     converged = target.converged
-    lams, l2s, resids, sols = [], [], [], []
+    lams, l2s, resids, iters, stops, sols = [], [], [], [], [], []
     for pot in potentials:
         res = target if pot is None else ground_state(symbol, pot, cfg)
         converged = converged and res.converged
@@ -121,12 +131,14 @@ def _sequence_report(kind, symbol, target, params, potentials, cfg):
         lams.append(res.lam)
         l2s.append(gap)
         resids.append(res.residual)
+        iters.append(res.iters)
+        stops.append(res.meta["stop"])
         sols.append(Field(grid=res.phi.grid, values=sgn * res.phi.values))
     return StabilityReport(kind=kind, params=list(params), lam_list=lams,
                            lam_target=target.lam, l2_gaps=l2s,
                            converged=converged,
                            target_residual=target.residual, residuals=resids,
-                           solutions=sols)
+                           iters=iters, stops=stops, solutions=sols)
 
 
 def validate_eps_schedule(eps_schedule, grid, well):
@@ -241,18 +253,19 @@ def _exact_symmetry_maps(d, n):
 
 def symmetry_check(result, rotations=0):
     """Max L^2 defect of phi under grid-exact orthogonal maps; optionally
-    also under bilinear-interpolated generic rotations (d = 2).
+    also under bilinear-interpolated generic rotations (d = 2 only).
 
     Returns {"exact": float, "interpolated": float or None}.
     """
     phi = result.phi
     grid = phi.grid
+    check_rotations(rotations, grid.d)
     defect = 0.0
     for mapping in _exact_symmetry_maps(grid.d, grid.n):
         defect = max(defect, Field(grid=grid, values=mapping(phi.values)
                                    - phi.values).l2_norm())
     interp = None
-    if rotations > 0 and grid.d == 2:
+    if rotations > 0:
         from scipy import ndimage
         interp = 0.0
         n = grid.n

@@ -191,6 +191,8 @@ class TestDispatch:
         assert len(gaps) == len(bounds) == 3
         assert all(g <= b for g, b in zip(gaps, bounds))
         assert gaps[-1] == 0.0   # eps = 0 is the target itself
+        assert len(rep["iters"]) == len(rep["stops"]) == 3
+        assert set(rep["stops"]) == {"residual"}
 
     def test_result_records_stop_reason_and_threshold(self, tmp_path):
         ball = {key: value for key, value in BASE.items() if key != "potential"}
@@ -210,6 +212,11 @@ class TestDispatch:
             assert result["converged"] is (stop != "budget")
             assert status == (2 if stop == "budget" else 0)
             assert result["residual"] <= result["threshold"] or stop == "budget"
+            # The loop's residuals of its last ten iterates, the start's
+            # included in a run of fewer steps.
+            tail = result["residual_tail"]
+            assert len(tail) == min(10, result["iters"] + 1)
+            assert (tail[-1] <= 0.1 * result["threshold"]) is (stop != "budget")
 
     def test_ignored_solver_keys_change_only_the_manifest(self, tmp_path):
         # tau and min_iters belonged to the deleted imaginary-time solver.
@@ -341,6 +348,10 @@ class TestDispatch:
          "max_iters must be an integer, got 10.7"),
         ({"command": "monotonicity", "rotations": 1.5}, [],
          "rotations must be an integer, got 1.5"),
+        ({"command": "monotonicity", "grid": SMALL_GRID, "rotations": -2}, [],
+         "rotations must be >= 0, and 0 unless d = 2; got -2 in d = 1"),
+        ({"command": "monotonicity", "grid": SMALL_GRID, "rotations": 3}, [],
+         "rotations must be >= 0, and 0 unless d = 2; got 3 in d = 1"),
         ({"potential": {"kind": "well", "a": 1.0, "v": 4.0, "eps": 0.01}}, [],
          "eps = 0.01 is below the resolvable floor 2h = 0.25"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
@@ -350,6 +361,7 @@ class TestDispatch:
             "negative-kmax_frac", "nan-kmax_frac",
             "fractional-n", "huge-n", "infinite-box", "infinite-well-depth",
             "fractional-max_iters", "fractional-rotations",
+            "negative-rotations", "rotations-in-1d",
             "mollifier-below-the-grid"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):

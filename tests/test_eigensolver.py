@@ -113,11 +113,62 @@ class TestGroundState:
     def test_breakdown_stops_the_loop(self, fill):
         # A preconditioned residual of zero or non-finite norm ends the loop.
         diag = np.array([1.0, 2.0, 3.0])
-        _, history, iters, stop = eigensolver._lobpcg(
+        _, history, _, iters, stop = eigensolver._lobpcg(
             lambda u, out: np.multiply(diag, u, out=out),
             lambda r, out: out.fill(fill), np.ones(3), 1e-12, 10)
         assert stop == "breakdown" and iters == 1
         assert history == [pytest.approx(2.0)]
+
+    def test_zero_weight_off_x_keeps_x(self):
+        # w is always e_3 and x = (1, 1, 0) / sqrt(2), so x . H w = 0, the
+        # Ritz vector is (1, 0) and s = 0 at every step: p is never formed
+        # and x stays where it started.
+        diag, start = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 0.0])
+
+        def precondition(r, out):
+            out[:] = (0.0, 0.0, 1.0)
+
+        x, history, residuals, iters, stop = eigensolver._lobpcg(
+            lambda u, out: np.multiply(diag, u, out=out), precondition,
+            start, 1e-12, 5)
+        assert stop == "budget" and iters == 5
+        assert history == [pytest.approx(1.5, rel=1e-15)] * 6
+        assert residuals == [pytest.approx(0.5, rel=1e-15)] * 6
+        assert np.array_equal(x, start / math.sqrt(2.0))
+
+    def test_a_step_allocates_no_vector(self):
+        # The pool of five vector/image pairs is the loop's only vector-sized
+        # array until it returns a copy of x, whatever the step count.
+        n = 2 ** 16
+        diag = np.linspace(1.0, 100.0, n)
+        inverse = 1.0 / (1.0 + diag)
+        start = np.random.default_rng(0).uniform(0.5, 1.5, n)
+        in_loop = []
+
+        def precondition(r, out):
+            in_loop.append(tracemalloc.get_traced_memory()[1])
+            np.multiply(inverse, r, out=out)
+
+        tracemalloc.start()
+        try:
+            _, _, _, iters, stop = eigensolver._lobpcg(
+                lambda u, out: np.multiply(diag, u, out=out), precondition,
+                start, 1e-300, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stop == "budget" and iters == len(in_loop) == 30
+        assert max(in_loop) <= 10 * 8 * n + 64_000
+        assert peak <= 11 * 8 * n + 64_000
+
+    def test_residual_history(self, well_result):
+        # One loop residual per iterate, from the start to the returned x,
+        # which met a tenth of the threshold.
+        residuals = well_result.meta["residuals"]
+        assert len(residuals) == well_result.iters + 1
+        assert well_result.meta["stop"] == "residual"
+        assert residuals[-1] <= 0.1 * well_result.meta["threshold"]
+        assert min(residuals[:-1]) > 0.1 * well_result.meta["threshold"]
 
     def test_infinite_potential_rejected(self, s01):
         bad = PotentialField(grid=GRID, values=np.full(GRID.shape, np.inf),
@@ -356,6 +407,7 @@ class TestConvergence:
         pot = anharmonic(4, GRID)
         a, b = ground_state(s01, pot, CFG), ground_state(s01, pot, CFG)
         assert a.lam == b.lam and a.history == b.history
+        assert a.meta["residuals"] == b.meta["residuals"]
         assert np.array_equal(a.phi.values, b.phi.values)
 
     def test_peak_memory_256_squared(self, s01):
@@ -525,7 +577,7 @@ class TestPreconditioner:
         t0 = float(np.sum(op.weighted_multiplier)) / pot.values.size
         D = np.sqrt((c + t0) / (c + t0 + np.maximum(pot.values, 0.0)))
         inverse = 1.0 / (c + op.multiplier)
-        _, _, product_iters, stop = eigensolver._lobpcg(
+        _, _, _, product_iters, stop = eigensolver._lobpcg(
             seen["apply_H"],
             lambda r, out: np.multiply(D, op.filter(D * r, inverse), out=out),
             seen["start"], seen["tol"], seen["max_iters"])

@@ -80,6 +80,23 @@ class TestStabilitySweep:
         assert solve_counts == {"ground_state": 0,
                                 "dirichlet_ground_state": 0}
 
+    def test_report_records_each_solve(self, s01, monkeypatch):
+        # One iteration count and stop reason per eps, from the solve that
+        # made it; eps = 0 repeats the sharp target's, the first solve.
+        solved = []
+
+        def recording(*args):
+            solved.append(ground_state(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(experiments, "ground_state", recording)
+        rep = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
+        target, _, mollified = solved
+        assert rep.iters == [mollified.iters, target.iters]
+        assert rep.stops == [mollified.meta["stop"], target.meta["stop"]]
+        payload = rep.to_json_dict()
+        assert (payload["iters"], payload["stops"]) == (rep.iters, rep.stops)
+
     def test_json_and_csv_shapes(self, sweep):
         payload = sweep.to_json_dict()
         assert len(payload["lambda"]) == 3
@@ -137,6 +154,19 @@ class TestAnharmonicToDirichlet:
         rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg)
         assert not rep.converged
 
+    def test_report_records_each_solve(self, s01, monkeypatch):
+        solved = []
+
+        def recording(*args):
+            solved.append(ground_state(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(experiments, "ground_state", recording)
+        cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
+        payload = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg).to_json_dict()
+        assert payload["iters"] == [res.iters for res in solved] == [5, 5]
+        assert payload["stops"] == [res.meta["stop"] for res in solved]
+
     def test_report_json_has_no_image_gaps(self, s01):
         # Only the stability sweep computes criterion 9's image gaps.
         cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
@@ -191,6 +221,16 @@ class TestSymmetryCheck:
         assert out["exact"] < 1e-10
         # bilinear interpolation allowance, far looser than grid-exact maps
         assert out["interpolated"] < 5e-2
+
+    @pytest.mark.parametrize("d, rotations", [(2, -2), (1, -2), (1, 3)])
+    def test_rotations_that_cannot_run_rejected(self, d, rotations):
+        # The interpolated rotations are 2D only; nothing rotates by a
+        # negative count.
+        grid = Grid(d=d, n=16, L=8.0)
+        phi = field_from_function(grid, lambda *x: np.exp(-sum(
+            t * t for t in x)))
+        with pytest.raises(ValueError, match=f"got {rotations} in d = {d}"):
+            symmetry_check(SimpleNamespace(phi=phi), rotations=rotations)
 
     def test_d3_checks_the_full_cubic_group(self):
         # Flips and swap-xy alone (a group of order 16) leave this field
