@@ -38,7 +38,6 @@ every node (see heat_kernel_profile).  The 1-resolvent kernel G_1 is a
 positive Stieltjes mixture of Yukawa kernels (see resolvent_kernel).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -314,8 +313,8 @@ class BernsteinSymbol:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.m < 0:
-            raise ValueError("mass m must be >= 0")
+        if not 0.0 <= self.m < math.inf:
+            raise ValueError(f"mass m must be finite and >= 0, got {self.m}")
 
     @classmethod
     def relativistic(cls, m, alpha):
@@ -598,17 +597,6 @@ def resolvent_kernel(symbol, d, radii):
     # also cover the rounding of that product itself.
     unit = np.finfo(float).smallest_subnormal
     return values * unscale, errs * unscale + (values + 2.0) * unit
-
-
-def second_moment_decay(symbol, d, r_list):
-    """M(R) = R^-2 int_{B_R} |x|^2 j_Phi(|x|) dx for an increasing list of R,
-    from cumulative kernel moments."""
-    r_list = list(r_list)
-    if len(r_list) < 2 or any(b <= a for a, b in zip(r_list, r_list[1:])):
-        raise ValueError("r_list must be increasing with at least 2 entries")
-    totals = itertools.accumulate(kernel_moment(symbol, d, 2, a, b)
-                                  for a, b in zip([0.0] + r_list, r_list))
-    return [sphere_surface(d) * t / b ** 2 for t, b in zip(totals, r_list)]
 
 
 # ---------------------------------------------------------------------------

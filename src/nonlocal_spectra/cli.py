@@ -233,14 +233,10 @@ def dispatch(cfg):
         result = ground_state(cfg.symbol, extras["potential"], cfg.solver)
         status = _write_eigenresult(out, result)
         if cfg.command == "monotonicity":
-            report = monotonicity_check(result)
-            sym = symmetry_check(result, rotations=extras["rotations"])
-            payload = report.to_json_dict()
-            payload["symmetry_defect"] = sym["exact"]
-            payload["symmetry"] = sym
+            payload = monotonicity_check(result).to_json_dict()
+            payload["symmetry"] = symmetry_check(
+                result, rotations=extras["rotations"])
             io_utils.write_json(out / "report.json", payload)
-            io_utils.write_csv(out / "report.csv", ["r", "chi(r)"],
-                               report.csv_columns())
 
     elif cfg.command == "dirichlet-eig":
         result = dirichlet_ground_state(cfg.symbol, extras["ball_radius"],

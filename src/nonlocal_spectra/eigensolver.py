@@ -72,8 +72,9 @@ class SolverConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("residual tolerance tol must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"residual tolerance tol must be finite and > 0, "
+                             f"got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.seed < 0:

@@ -142,19 +142,20 @@ def _sequence_report(kind, symbol, target, params, potentials, cfg):
 
 
 def validate_eps_schedule(eps_schedule, grid, well):
-    """The schedule as a list, or ValueError unless it decreases strictly
-    to a last entry >= 0 and every positive entry is at least the
-    resolvable floor 2h; BoxTooSmallError unless the widest well of the
+    """The schedule as a list, or ValueError unless its entries are finite
+    and >= 0 and decrease strictly, and every positive entry is at least
+    the resolvable floor 2h; BoxTooSmallError unless the widest well of the
     sweep, a + eps_0, fits inside the box.
 
     eps = 0 stands for the sharp well itself, so the floor applies to
     actual mollifiers only.
     """
     eps = list(eps_schedule)
+    if not all(0.0 <= e < math.inf for e in eps):
+        raise ValueError(f"eps_schedule entries must be >= 0 and finite, "
+                         f"got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_schedule must be strictly decreasing")
-    if eps and eps[-1] < 0.0:
-        raise ValueError(f"eps_schedule entries must be >= 0, got {eps[-1]}")
     positive = [e for e in eps if e > 0.0]
     if positive:
         check_resolvable(positive[-1], grid)
@@ -196,21 +197,21 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
                              for lam in report.lam_list]
     # Criterion 9.  By the two eigen-equations, ||Phi(-Delta) (phi_eps -
     # phi)||_2 <= |lam_eps| ||phi_eps - phi|| + |lam_eps - lam| +
-    # ||V_eps phi_eps - V phi|| + the residual norms of both solves.
+    # ||V_eps phi_eps - V phi|| + the residual norms of both solves; the
+    # first two norms are the report's l2_gaps and gaps.
     op, phi = SpectralOperator(symbol, grid), target.phi
     image = op.apply(phi).values
     report.image_gaps, report.triangle_bounds = [], []
-    for phi_e, V_e, lam_e, res_e in zip(report.solutions, pots,
-                                        report.lam_list, report.residuals):
+    for phi_e, V_e, lam_e, dphi, dlam, res_e in zip(
+            report.solutions, pots, report.lam_list, report.l2_gaps, gaps,
+            report.residuals):
         V_e = V if V_e is None else V_e
         report.image_gaps.append(Field(grid=grid, values=op.apply(
             phi_e).values - image).l2_norm())
-        dphi = Field(grid=grid, values=phi_e.values - phi.values).l2_norm()
         vgap = Field(grid=grid, values=V_e.values * phi_e.values
                      - V.values * phi.values).l2_norm()
-        report.triangle_bounds.append(
-            abs(lam_e) * dphi + abs(lam_e - target.lam) + vgap + res_e
-            + target.residual + 1e-8)
+        report.triangle_bounds.append(abs(lam_e) * dphi + dlam + vgap + res_e
+                                      + target.residual + 1e-8)
     return report
 
 
@@ -286,7 +287,6 @@ def symmetry_check(result, rotations=0):
 
 @dataclass
 class MonotonicityReport:
-    radii: np.ndarray
     profile: np.ndarray
     max_violation: float
     region_flags: dict
@@ -295,9 +295,6 @@ class MonotonicityReport:
         return {"max_violation": self.max_violation,
                 "region_flags": self.region_flags,
                 "chi0": float(self.profile[0])}
-
-    def csv_columns(self):
-        return self.radii, self.profile
 
 
 def _violation_on(radii, profile, lo, hi):
@@ -322,8 +319,7 @@ def monotonicity_check(result):
         flags["core [0,a]"] = _violation_on(radii, profile, 0.0, a) <= tol
         flags["tail [a+eps,inf)"] = _violation_on(
             radii, profile, a + eps, float(radii[-1])) <= tol
-    return MonotonicityReport(radii=radii, profile=profile,
-                              max_violation=max_violation,
+    return MonotonicityReport(profile=profile, max_violation=max_violation,
                               region_flags=flags)
 
 
@@ -480,7 +476,7 @@ def kernel_lower_constant(symbol, d, s):
 
 def embedding_tail_check(symbol, fields, s=None):
     """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2
-    for each field; returns (one flag per field, C_low).
+    for each field of the list fields; returns (one flag per field, C_low).
 
     s defaults to alpha/2 and must pass check_gagliardo_order.  C_low is
     the verified kernel lower-bound constant; the factor 2 (rather than 1)
@@ -489,7 +485,7 @@ def embedding_tail_check(symbol, fields, s=None):
     [[u]]_s^2 = (2/c(d,2s)) [u]_{Phi_{0,2s}}^2, with Phi_{0,2s}(z) = z^s.
     """
     s = check_gagliardo_order(symbol.alpha / 2.0 if s is None else s)
-    fields = [fields] if isinstance(fields, Field) else list(fields)
+    fields = list(fields)
     if not fields:
         raise ValueError("embedding_tail_check needs at least one field")
     d = fields[0].grid.d

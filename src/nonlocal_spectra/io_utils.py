@@ -73,21 +73,6 @@ def write_field(path_base, field):
     return base.with_suffix(".bin"), base.with_suffix(".json")
 
 
-def read_field(path_base):
-    from .spectral_core import Field, Grid
-
-    base = Path(path_base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    grid = Grid(d=header["d"], n=header["n"], L=header["L"])
-    raw = base.with_suffix(".bin").read_bytes()
-    expected = grid.n ** grid.d
-    if len(raw) != 8 * expected:
-        raise ValueError(f"field payload has {len(raw)} bytes, expected "
-                         f"{8 * expected}")
-    values = np.frombuffer(raw, dtype="<f8").reshape((grid.n,) * grid.d).copy()
-    return Field(grid=grid, values=values)
-
-
 def write_kernel_table(table, path_base):
     """KernelTable -> CSV `r,value,error_estimate` + JSON sidecar."""
     base = Path(path_base)

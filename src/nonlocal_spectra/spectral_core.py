@@ -41,8 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bernstein_kernels import (BernsteinSymbol, kernel_moment,
-                                massless_constant, sphere_surface,
+from .bernstein_kernels import (kernel_moment, sphere_surface,
                                 tanh_sinh_quadrature)
 from .special_functions import REL_TOL, QuadratureError
 
@@ -131,12 +130,6 @@ class Field:
 
     def l2_norm(self):
         return math.sqrt(self.grid.cell_volume * float(np.sum(self.values ** 2)))
-
-
-def field_from_function(grid, fn):
-    """Sample a callable of the space variables onto the grid."""
-    mesh = grid.meshgrid()
-    return Field(grid=grid, values=np.asarray(fn(*mesh), dtype=float))
 
 
 def _require_same_grid(g1, g2):
@@ -456,18 +449,6 @@ def check_gagliardo_order(s):
     if not 0.0 < s < 1.0:
         raise ValueError(f"gagliardo order s must lie in (0,1), got {s}")
     return s
-
-
-def gagliardo_seminorm(s, field):
-    """Gagliardo seminorm [[u]]_s of order s in (0,1) (direct route).
-
-    [[u]]_s = sqrt(2 / c(d, 2s)) [u]_{Phi_{0,2s}}, through seminorm_direct,
-    so the massless ratio [u]_{Phi_{0,alpha}} / [[u]]_{alpha/2} =
-    sqrt(c(d,alpha)/2) is reproduced exactly.
-    """
-    check_gagliardo_order(s)
-    return math.sqrt(2.0 / massless_constant(field.grid.d, 2.0 * s)) \
-        * seminorm_direct(BernsteinSymbol.relativistic(0.0, 2.0 * s), field)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
-from nonlocal_spectra.spectral_core import Field, Grid, field_from_function
+from nonlocal_spectra.spectral_core import Grid
+
+from helpers import field_from_function
 
 
 @pytest.fixture(scope="session")

@@ -21,8 +21,7 @@ from scipy import integrate
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 heat_kernel_profile,
                                                 j_massive, j_massless,
-                                                massless_constant,
-                                                second_moment_decay, sigma)
+                                                massless_constant, sigma)
 from nonlocal_spectra.eigensolver import SolverConfig, ground_state
 from nonlocal_spectra.experiments import (antisymmetric_minimum_check,
                                           anharmonic_to_dirichlet,
@@ -31,9 +30,11 @@ from nonlocal_spectra.experiments import (antisymmetric_minimum_check,
                                           stability_sweep, symmetry_check)
 from nonlocal_spectra.potentials import WellSpec, mollified_well, sharp_well
 from nonlocal_spectra.special_functions import bessel_k, bessel_k_grid
-from nonlocal_spectra.spectral_core import (Grid, field_from_function,
-                                            gagliardo_seminorm,
-                                            seminorm_direct, seminorm_fourier)
+from nonlocal_spectra.spectral_core import (Grid, seminorm_direct,
+                                            seminorm_fourier)
+
+from helpers import (field_from_function, gagliardo_seminorm,
+                     second_moment_decay)
 
 S01 = BernsteinSymbol.relativistic(0.0, 1.0)
 S11 = BernsteinSymbol.relativistic(1.0, 1.0)

@@ -17,12 +17,13 @@ from nonlocal_spectra.bernstein_kernels import (AssumptionViolationError,
                                                 kernel_moment,
                                                 massless_constant,
                                                 relativistic_prefactor,
-                                                resolvent_kernel,
-                                                second_moment_decay, sigma,
+                                                resolvent_kernel, sigma,
                                                 tanh_sinh_quadrature,
                                                 _sigma_rule, _unit_tanh_sinh)
 from nonlocal_spectra.special_functions import (GAMMAINC_REL_ERR, REL_TOL,
                                                 QuadratureError, bessel_k)
+
+from helpers import second_moment_decay
 
 
 class TestTanhSinh:
@@ -731,6 +732,9 @@ class TestBernsteinSymbol:
             BernsteinSymbol.relativistic(1.0, 2.0)
         with pytest.raises(ValueError):
             BernsteinSymbol.relativistic(-1.0, 1.0)
+        for m in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BernsteinSymbol.relativistic(m, 1.0)
 
 
 class TestKernelTable:

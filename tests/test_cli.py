@@ -10,8 +10,9 @@ import pytest
 import nonlocal_spectra
 from nonlocal_spectra.cli import ConfigError, main, parse_config
 from nonlocal_spectra.eigensolver import SolverConfig
-from nonlocal_spectra.io_utils import read_field
 from nonlocal_spectra.potentials import WellSpec
+
+from helpers import read_field
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -267,6 +268,9 @@ class TestDispatch:
         rep = json.loads((tmp_path / "mono" / "report.json").read_text())
         assert rep["max_violation"] <= 1e-6 * rep["chi0"]
         assert rep["symmetry"]["exact"] < 1e-10
+        # The profile and the exact defect are each written once.
+        assert "symmetry_defect" not in rep
+        assert not (tmp_path / "mono" / "report.csv").exists()
 
     def test_output_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE, output_dir="ignored"))
@@ -354,6 +358,17 @@ class TestDispatch:
          "rotations must be >= 0, and 0 unless d = 2; got 3 in d = 1"),
         ({"potential": {"kind": "well", "a": 1.0, "v": 4.0, "eps": 0.01}}, [],
          "eps = 0.01 is below the resolvable floor 2h = 0.25"),
+        # JSON's NaN and Infinity, which a check written as `if x < 0`
+        # lets through.
+        ({"symbol": {"m": float("nan")}}, [], "mass m must be finite and >= 0"),
+        ({"command": "kernel-table", "potential": None,
+          "symbol": {"m": float("inf")}, "kernel": {"id": "j"}}, [],
+         "mass m must be finite and >= 0, got inf"),
+        ({"solver": dict(BASE["solver"], tol=float("inf"))}, [],
+         "tol must be finite and > 0, got inf"),
+        ({"command": "stability-sweep", "grid": SMALL_GRID,
+          "eps_schedule": [0.8, float("nan"), 0.4]}, [],
+         "eps_schedule entries must be >= 0 and finite"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
@@ -362,7 +377,8 @@ class TestDispatch:
             "fractional-n", "huge-n", "infinite-box", "infinite-well-depth",
             "fractional-max_iters", "fractional-rotations",
             "negative-rotations", "rotations-in-1d",
-            "mollifier-below-the-grid"])
+            "mollifier-below-the-grid", "nan-mass", "infinite-mass",
+            "infinite-tol", "nan-eps"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"
@@ -372,7 +388,8 @@ class TestDispatch:
         assert main(["--config", str(write_config(tmp_path, payload)),
                      *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error") and re.search(match, err)
+        assert err.startswith("config error: ") and re.search(match, err)
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_integral_floats_accepted(self, tmp_path):

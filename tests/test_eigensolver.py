@@ -15,7 +15,9 @@ from nonlocal_spectra.experiments import symmetry_check
 from nonlocal_spectra.potentials import (PotentialField, WellSpec, anharmonic,
                                          mollified_well, sharp_well)
 from nonlocal_spectra.spectral_core import (Field, Grid, SpectralOperator,
-                                            dirichlet_form, field_from_function)
+                                            dirichlet_form)
+
+from helpers import field_from_function
 
 # Kwasnicki, "Eigenvalues of the fractional Laplace operator in the
 # interval", J. Funct. Anal. 262 (2012): lambda_1 of (-Delta)^(1/2) on (-1,1).
@@ -54,6 +56,9 @@ class TestSolverConfig:
     def test_invariants(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 

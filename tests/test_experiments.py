@@ -22,7 +22,9 @@ from nonlocal_spectra.experiments import (antisym_constant_c1,
 from nonlocal_spectra.potentials import (BoxTooSmallError, PotentialField,
                                          WellSpec, reflected_values,
                                          sharp_well)
-from nonlocal_spectra.spectral_core import Field, Grid, field_from_function
+from nonlocal_spectra.spectral_core import Field, Grid
+
+from helpers import field_from_function
 
 GRID = Grid(d=1, n=1024, L=32.0)
 CFG = SolverConfig(tol=1e-12, max_iters=30000, seed=11)
@@ -70,6 +72,9 @@ class TestStabilitySweep:
             stability_sweep(s01, WELL, [0.2, GRID.h], GRID, CFG)
         with pytest.raises(ValueError, match="entries must be >= 0"):
             stability_sweep(s01, WELL, [0.2, -0.1], GRID, CFG)
+        # NaN passes every ordered comparison of the decrease test.
+        with pytest.raises(ValueError, match="entries must be >= 0 and finite"):
+            stability_sweep(s01, WELL, [0.8, math.nan, 0.4], GRID, CFG)
 
     def test_widest_well_checked_before_any_solve(self, s01, solve_counts):
         # a + eps_0 = 16.2 leaves [-16, 16); the sharp well, its 2n rerun
@@ -387,7 +392,7 @@ class TestAntisymmetricMinimum:
 class TestEmbeddingTail:
     def test_constant_field_trivial(self, s11):
         u = Field(grid=GRID, values=np.ones(GRID.shape))
-        assert embedding_tail_check(s11, u)[0] == [True]
+        assert embedding_tail_check(s11, [u])[0] == [True]
 
     @pytest.mark.parametrize("fields, s, match", [
         ([], None, "at least one field"),

@@ -16,10 +16,10 @@ from nonlocal_spectra.spectral_core import (CostGuardError,
                                             SpectralOperator, _lattice_images,
                                             apply_multiplier,
                                             dirichlet_form,
-                                            field_from_function,
-                                            gagliardo_seminorm,
                                             pointwise_nonlocal,
                                             seminorm_direct, seminorm_fourier)
+
+from helpers import field_from_function, gagliardo_seminorm
 
 
 def counting_symbol(m, alpha):
@@ -69,7 +69,8 @@ class TestGridField:
         assert u.l2_norm() == pytest.approx(4.0)   # sqrt(L)
 
     def test_field_io_roundtrip(self, tmp_path):
-        from nonlocal_spectra.io_utils import read_field, write_field
+        from helpers import read_field
+        from nonlocal_spectra.io_utils import write_field
         g = Grid(d=2, n=16, L=4.0)
         u = field_from_function(g, lambda x, y: np.sin(x) + np.cos(y))
         write_field(tmp_path / "f", u)
