@@ -26,10 +26,11 @@ from .experiments import (anharmonic_to_dirichlet, antisymmetric_minimum_check,
                           check_band_fraction, check_rotations,
                           embedding_tail_check, monotonicity_check,
                           random_band_limited, stability_sweep, symmetry_check,
-                          validate_eps_schedule, validate_k_list)
+                          validate_embedding_order, validate_eps_schedule,
+                          validate_k_list)
 from .potentials import (WellSpec, anharmonic, check_fits, mollified_well,
                          sharp_well)
-from .spectral_core import Grid, check_gagliardo_order
+from .spectral_core import Grid
 
 
 class ConfigError(ValueError):
@@ -177,9 +178,10 @@ def parse_config(path, seed=None):
                 extras["eps_schedule"], grid, extras["potential"])
         if "k_list" in extras:
             extras["k_list"] = validate_k_list(extras["k_list"])
+        if command == "antisym-check" and grid.d != 1:
+            raise ConfigError(f"antisym-check needs d = 1, got d = {grid.d}")
         if command == "embedding-check":
-            if extras["s"] is not None:   # alpha/2 always passes
-                check_gagliardo_order(extras["s"])
+            validate_embedding_order(symbol, extras["s"])
             check_band_fraction(extras["kmax_frac"])
             num = extras["num_fields"] = _integer("num_fields",
                                                   extras["num_fields"])
@@ -208,11 +210,12 @@ def _write_eigenresult(out, result):
 
 
 def _write_sequence_report(out, report, param):
-    """report.json and report.csv of a StabilityReport; the exit status."""
-    io_utils.write_json(out / "report.json", report.to_json_dict())
+    """report.json and report.csv of a sequence report; the exit status."""
+    io_utils.write_json(out / "report.json", report)
     io_utils.write_csv(out / "report.csv", [param, "lambda", "gap", "gap_l2"],
-                       report.csv_columns())
-    return 0 if report.converged else 2
+                       [report[key] for key in ("params", "lambda", "gaps",
+                                                "l2_gaps")])
+    return 0 if report["converged"] else 2
 
 
 def dispatch(cfg):
@@ -233,10 +236,10 @@ def dispatch(cfg):
         result = ground_state(cfg.symbol, extras["potential"], cfg.solver)
         status = _write_eigenresult(out, result)
         if cfg.command == "monotonicity":
-            payload = monotonicity_check(result).to_json_dict()
-            payload["symmetry"] = symmetry_check(
+            report = monotonicity_check(result)
+            report["symmetry"] = symmetry_check(
                 result, rotations=extras["rotations"])
-            io_utils.write_json(out / "report.json", payload)
+            io_utils.write_json(out / "report.json", report)
 
     elif cfg.command == "dirichlet-eig":
         result = dirichlet_ground_state(cfg.symbol, extras["ball_radius"],
@@ -255,19 +258,18 @@ def dispatch(cfg):
 
     elif cfg.command == "antisym-check":
         # w(y) = y e^(-y^2) is antisymmetric about the plane mu = 0 only.
-        check = antisymmetric_minimum_check(
+        report = antisymmetric_minimum_check(
             cfg.symbol, lambda y: y * np.exp(-y * y), 0.0)
-        io_utils.write_json(out / "report.json", check.to_json_dict())
-        status = 0 if check.sign_ok and check.bounds_ok else 2
+        io_utils.write_json(out / "report.json", report)
+        status = 0 if report["sign_ok"] and report["bounds_ok"] else 2
 
     elif cfg.command == "embedding-check":
         fields = [random_band_limited(cfg.grid, cfg.solver.seed + i,
                                       extras["kmax_frac"])
                   for i in range(extras["num_fields"])]
-        flags, c_low = embedding_tail_check(cfg.symbol, fields, s=extras["s"])
-        payload = {"passes": flags, "all_pass": all(flags), "c_low": c_low}
-        io_utils.write_json(out / "report.json", payload)
-        status = 0 if all(flags) else 2
+        report = embedding_tail_check(cfg.symbol, fields, s=extras["s"])
+        io_utils.write_json(out / "report.json", report)
+        status = 0 if report["all_pass"] else 2
 
     artifacts = sorted(f.name for f in out.iterdir()
                        if f.is_file() and f.name != "manifest.json")

@@ -3,13 +3,12 @@ the operator-image convergence of the stability sweep, symmetry and radial
 monotonicity of ground states, antisymmetric-minimum estimates, and the
 seminorm embedding bound.
 
-Every driver is deterministic given (config, seed): rerunning produces
-bit-identical reports.
+Each report is the dict the CLI writes as report.json, and is bit-identical
+on a rerun with the same (config, seed).
 """
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -59,86 +58,37 @@ def random_band_limited(grid, seed, kmax_frac=0.25):
     return field
 
 
-def _l2_gap_aligned(phi, target):
-    """Sign-align phi against target, then return the L^2 distance."""
+def _align(phi, target):
+    """phi sign-aligned against target, and its L^2 distance from target."""
     sgn = 1.0 if float(np.sum(phi.values * target.values)) >= 0 else -1.0
-    diff = sgn * phi.values - target.values
-    return Field(grid=phi.grid, values=diff).l2_norm(), sgn
-
-
-@dataclass
-class StabilityReport:
-    kind: str
-    params: list
-    lam_list: list
-    lam_target: float
-    l2_gaps: list
-    converged: bool
-    target_residual: float
-    residuals: list
-    iters: list
-    stops: list
-    discretization_floor: float = None
-    minmax_margins: list = None
-    lam_dirichlet: float = None
-    clamped: bool = False
-    image_gaps: list = None
-    triangle_bounds: list = None
-    solutions: list = dataclass_field(default=None, repr=False)
-
-    @property
-    def gaps(self):
-        return [abs(lam - self.lam_target) for lam in self.lam_list]
-
-    @property
-    def monotone_gap_decay(self):
-        gaps = self.gaps
-        return all(b < a for a, b in zip(gaps, gaps[1:]))
-
-    def to_json_dict(self):
-        image = {} if self.image_gaps is None else {  # stability sweeps
-            "image_gaps": self.image_gaps,
-            "triangle_bounds": self.triangle_bounds}
-        return {"kind": self.kind, "params": list(self.params),
-                "lambda": list(self.lam_list), "lambda_target": self.lam_target,
-                "gaps": self.gaps, "l2_gaps": list(self.l2_gaps),
-                "converged": self.converged,
-                "monotone_gap_decay": self.monotone_gap_decay,
-                "target_residual": self.target_residual,
-                "residuals": list(self.residuals),
-                "iters": list(self.iters), "stops": list(self.stops),
-                "discretization_floor": self.discretization_floor,
-                "minmax_margins": self.minmax_margins,
-                "lambda_dirichlet": self.lam_dirichlet,
-                "clamped": self.clamped, **image}
-
-    def csv_columns(self):
-        return self.params, self.lam_list, self.gaps, self.l2_gaps
+    aligned = Field(grid=phi.grid, values=sgn * phi.values)
+    return aligned, Field(grid=phi.grid,
+                          values=aligned.values - target.values).l2_norm()
 
 
 def _sequence_report(kind, symbol, target, params, potentials, cfg):
-    """Ground states of the potential sequence, sign-aligned to target.
+    """Ground states of the potential sequence: the report keys that both
+    kinds share, and the eigenvectors sign-aligned to target.
 
     A None potential reuses the target itself.  The report is converged
     only when the target and every solve are.
     """
-    converged = target.converged
-    lams, l2s, resids, iters, stops, sols = [], [], [], [], [], []
-    for pot in potentials:
-        res = target if pot is None else ground_state(symbol, pot, cfg)
-        converged = converged and res.converged
-        gap, sgn = _l2_gap_aligned(res.phi, target.phi)
-        lams.append(res.lam)
-        l2s.append(gap)
-        resids.append(res.residual)
-        iters.append(res.iters)
-        stops.append(res.meta["stop"])
-        sols.append(Field(grid=res.phi.grid, values=sgn * res.phi.values))
-    return StabilityReport(kind=kind, params=list(params), lam_list=lams,
-                           lam_target=target.lam, l2_gaps=l2s,
-                           converged=converged,
-                           target_residual=target.residual, residuals=resids,
-                           iters=iters, stops=stops, solutions=sols)
+    results = [target if pot is None else ground_state(symbol, pot, cfg)
+               for pot in potentials]
+    aligned = [_align(res.phi, target.phi) for res in results]
+    gaps = [abs(res.lam - target.lam) for res in results]
+    report = {"kind": kind, "params": list(params),
+              "lambda": [res.lam for res in results],
+              "lambda_target": target.lam, "gaps": gaps,
+              "l2_gaps": [gap for _, gap in aligned],
+              "converged": target.converged and all(res.converged
+                                                    for res in results),
+              "monotone_gap_decay": all(b < a for a, b in zip(gaps, gaps[1:])),
+              "target_residual": target.residual,
+              "residuals": [res.residual for res in results],
+              "iters": [res.iters for res in results],
+              "stops": [res.meta["stop"] for res in results]}
+    return report, [phi for phi, _ in aligned]
 
 
 def validate_eps_schedule(eps_schedule, grid, well):
@@ -171,8 +121,8 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     verdict needs every solve converged (the n-doubling rerun of the target
     and the Dirichlet ball of radius a included) and compares the final gap
     against 10x solver tolerance plus 10x the discretization floor
-    |lambda(n) - lambda(2n)| of the target.  The report also carries each
-    eps's operator-image gap and its triangle bound.
+    |lambda(n) - lambda(2n)| of the target.  The returned report, the
+    report.json payload, also holds each eps's image gap and its bound.
     """
     eps = validate_eps_schedule(eps_schedule, grid, well)
     sharp = WellSpec(a=well.a, v=well.v)
@@ -183,35 +133,36 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     dirichlet = dirichlet_ground_state(symbol, well.a, grid, cfg)
     pots = [mollified_well(WellSpec(a=well.a, v=well.v, eps=e), grid)
             if e > 0.0 else None for e in eps]
-    report = _sequence_report("mollified-well", symbol, target, eps, pots,
-                              cfg)
+    report, sols = _sequence_report("mollified-well", symbol, target, eps,
+                                    pots, cfg)
     floor = abs(target.lam - fine.lam)
-    gaps = report.gaps
-    report.converged = (report.converged and fine.converged
-                        and dirichlet.converged
-                        and (not gaps or gaps[-1] < 10.0 * cfg.tol
-                             + 10.0 * floor))
-    report.discretization_floor = floor
-    report.lam_dirichlet = dirichlet.lam
-    report.minmax_margins = [dirichlet.lam - (lam + well.v)
-                             for lam in report.lam_list]
+    gaps = report["gaps"]
     # Criterion 9.  By the two eigen-equations, ||Phi(-Delta) (phi_eps -
     # phi)||_2 <= |lam_eps| ||phi_eps - phi|| + |lam_eps - lam| +
     # ||V_eps phi_eps - V phi|| + the residual norms of both solves; the
     # first two norms are the report's l2_gaps and gaps.
     op, phi = SpectralOperator(symbol, grid), target.phi
     image = op.apply(phi).values
-    report.image_gaps, report.triangle_bounds = [], []
+    image_gaps, bounds = [], []
     for phi_e, V_e, lam_e, dphi, dlam, res_e in zip(
-            report.solutions, pots, report.lam_list, report.l2_gaps, gaps,
-            report.residuals):
+            sols, pots, report["lambda"], report["l2_gaps"], gaps,
+            report["residuals"]):
         V_e = V if V_e is None else V_e
-        report.image_gaps.append(Field(grid=grid, values=op.apply(
+        image_gaps.append(Field(grid=grid, values=op.apply(
             phi_e).values - image).l2_norm())
         vgap = Field(grid=grid, values=V_e.values * phi_e.values
                      - V.values * phi.values).l2_norm()
-        report.triangle_bounds.append(abs(lam_e) * dphi + dlam + vgap + res_e
-                                      + target.residual + 1e-8)
+        bounds.append(abs(lam_e) * dphi + dlam + vgap + res_e
+                      + target.residual + 1e-8)
+    report.update(
+        converged=(report["converged"] and fine.converged
+                   and dirichlet.converged
+                   and (not gaps or gaps[-1] < 10.0 * cfg.tol
+                        + 10.0 * floor)),
+        discretization_floor=floor, lambda_dirichlet=dirichlet.lam,
+        minmax_margins=[dirichlet.lam - (lam + well.v)
+                        for lam in report["lambda"]],
+        clamped=False, image_gaps=image_gaps, triangle_bounds=bounds)
     return report
 
 
@@ -230,9 +181,11 @@ def anharmonic_to_dirichlet(symbol, k_list, grid, cfg):
     k_list = validate_k_list(k_list)
     target = dirichlet_ground_state(symbol, 1.0, grid, cfg)
     pots = [anharmonic(k, grid) for k in k_list]
-    report = _sequence_report("anharmonic", symbol, target, k_list, pots, cfg)
-    report.lam_dirichlet = target.lam
-    report.clamped = any(pot.meta["clamped"] for pot in pots)
+    report, _ = _sequence_report("anharmonic", symbol, target, k_list, pots,
+                                 cfg)
+    report.update(discretization_floor=None, minmax_margins=None,
+                  lambda_dirichlet=target.lam,
+                  clamped=any(pot.meta["clamped"] for pot in pots))
     return report
 
 
@@ -285,18 +238,6 @@ def symmetry_check(result, rotations=0):
     return {"exact": defect, "interpolated": interp}
 
 
-@dataclass
-class MonotonicityReport:
-    profile: np.ndarray
-    max_violation: float
-    region_flags: dict
-
-    def to_json_dict(self):
-        return {"max_violation": self.max_violation,
-                "region_flags": self.region_flags,
-                "chi0": float(self.profile[0])}
-
-
 def _violation_on(radii, profile, lo, hi):
     sel = (radii >= lo) & (radii <= hi)
     if sel.sum() < 2:
@@ -305,22 +246,20 @@ def _violation_on(radii, profile, lo, hi):
 
 
 def monotonicity_check(result):
-    """Shell-averaged radial profile of phi and its largest positive
-    increment, overall and restricted to [0, a] and [a + eps, inf)."""
+    """Shell-averaged radial profile of phi: its value chi0 at r = 0 and
+    its largest positive increment, overall (max_violation) and restricted
+    to [0, a] and [a + eps, inf) (region_flags, on wells only)."""
     radii, profile = radial_profile(result.phi)
-    max_violation = float(np.max(np.maximum(np.diff(profile), 0.0)))
     meta = result.meta.get("potential", {})
-    a = meta.get("a")
-    eps = meta.get("eps", 0.0)
-    flags = {}
+    a, eps = meta.get("a"), meta.get("eps", 0.0)
+    chi0, flags = float(profile[0]), {}
     if a is not None:
-        chi0 = float(profile[0])
         tol = 1e-6 * abs(chi0)
         flags["core [0,a]"] = _violation_on(radii, profile, 0.0, a) <= tol
         flags["tail [a+eps,inf)"] = _violation_on(
             radii, profile, a + eps, float(radii[-1])) <= tol
-    return MonotonicityReport(profile=profile, max_violation=max_violation,
-                              region_flags=flags)
+    return {"max_violation": _violation_on(radii, profile, 0.0, math.inf),
+            "region_flags": flags, "chi0": chi0}
 
 
 def moving_plane_min(field, mu):
@@ -333,24 +272,6 @@ def moving_plane_min(field, mu):
 # ---------------------------------------------------------------------------
 # Antisymmetric-minimum estimates
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AntisymmetricCheck:
-    mu: float
-    x_star: float
-    delta: float
-    w_min: float
-    lhs: float
-    rhs1: float
-    rhs2: float
-    constants: dict
-    antisym_defect: float
-    sign_ok: bool
-    bounds_ok: bool
-
-    def to_json_dict(self):
-        return asdict(self)
-
 
 def antisym_constant_c1(d, alpha):
     return relativistic_prefactor(d, alpha, 1.0)
@@ -395,7 +316,10 @@ def antisymmetric_minimum_check(symbol, w, mu):
 
     For m > 0 the two explicit right-hand sides are evaluated with the
     constants C1..C4; for m = 0 only the sign conclusion is checked since
-    the massless comparison constant has no explicit formula.
+    the massless comparison constant has no explicit formula, and rhs1 and
+    rhs2 are None.  Returns the antisym-check report: the minimizer x_star,
+    delta = mu - x_star, w_min, lhs, rhs1, rhs2, the constants, the
+    antisymmetry defect and the verdicts sign_ok and bounds_ok.
     """
     m, alpha, d = symbol.m, symbol.alpha, 1
     if mu > 0:
@@ -454,21 +378,31 @@ def antisymmetric_minimum_check(symbol, w, mu):
         constants["J"] = J
 
     lhs = float(lhs)
-    sign_ok = bool(lhs < 0.0)
-    bounds_ok = True if m == 0 else bool(lhs <= rhs1 and lhs <= rhs2)
-    constants = {k: float(v) for k, v in constants.items()}
-    return AntisymmetricCheck(mu=mu, x_star=x_star, delta=delta, w_min=w_min,
-                              lhs=lhs, rhs1=rhs1, rhs2=rhs2,
-                              constants=constants, antisym_defect=defect,
-                              sign_ok=sign_ok, bounds_ok=bounds_ok)
+    return {"mu": mu, "x_star": x_star, "delta": delta, "w_min": w_min,
+            "lhs": lhs, "rhs1": rhs1, "rhs2": rhs2, "antisym_defect": defect,
+            "constants": {k: float(v) for k, v in constants.items()},
+            "sign_ok": bool(lhs < 0.0),
+            "bounds_ok": m == 0 or bool(lhs <= rhs1 and lhs <= rhs2)}
 
 
 # ---------------------------------------------------------------------------
 # Embedding tail bound
 # ---------------------------------------------------------------------------
 
+def validate_embedding_order(symbol, s):
+    """The order s of embedding_tail_check, alpha/2 for None, or
+    ValueError unless it passes check_gagliardo_order and s <= alpha/2: for
+    s > alpha/2, r^(d+2s) j(r) ~ r^(2s-alpha) has infimum 0 on (0, 1]."""
+    s = check_gagliardo_order(symbol.alpha / 2.0 if s is None else s)
+    if not s <= symbol.alpha / 2.0:
+        raise ValueError(f"order s must be <= alpha/2 = {symbol.alpha / 2.0}"
+                         f", got {s}")
+    return s
+
+
 def kernel_lower_constant(symbol, d, s):
-    """C_low = min over (0, 1] of r^(d+2s) j(r), sampled on a log grid."""
+    """C_low = min over (0, 1] of r^(d+2s) j(r), sampled on a log grid:
+    j(1) when s <= alpha/2: r^(2s-alpha) and r^(d+alpha) j(r) do not grow."""
     r = np.geomspace(1e-3, 1.0, 60)
     vals = r ** (d + 2.0 * s) * np.asarray(symbol.jump_kernel(d, r))
     return float(vals.min())
@@ -476,15 +410,16 @@ def kernel_lower_constant(symbol, d, s):
 
 def embedding_tail_check(symbol, fields, s=None):
     """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2
-    for each field of the list fields; returns (one flag per field, C_low).
+    for each field of the list fields; returns the embedding-check report:
+    one flag per field (passes), all_pass and C_low (c_low).
 
-    s defaults to alpha/2 and must pass check_gagliardo_order.  C_low is
+    s must pass validate_embedding_order, alpha/2 by default.  C_low is
     the verified kernel lower-bound constant; the factor 2 (rather than 1)
     accounts for the 1/2 in the definition of [u]_Phi^2.  The Gagliardo
     side is computed spectrally through the exact massless proportionality
     [[u]]_s^2 = (2/c(d,2s)) [u]_{Phi_{0,2s}}^2, with Phi_{0,2s}(z) = z^s.
     """
-    s = check_gagliardo_order(symbol.alpha / 2.0 if s is None else s)
+    s = validate_embedding_order(symbol, s)
     fields = list(fields)
     if not fields:
         raise ValueError("embedding_tail_check needs at least one field")
@@ -499,4 +434,4 @@ def embedding_tail_check(symbol, fields, s=None):
         phi_sq = seminorm_fourier(symbol, u) ** 2
         bound = (2.0 / c_low) * phi_sq + tail_coeff * u.l2_norm() ** 2
         results.append(bool(gag_sq <= bound * (1.0 + 1e-12)))
-    return results, c_low
+    return {"passes": results, "all_pass": all(results), "c_low": c_low}

@@ -350,7 +350,8 @@ def _direct_core(field, symbol, images):
     * G = j w + images, smooth, periodic and even in every axis: the cell
       integral of S G / 2 is its lattice sum at spacing = L / max(n, 64),
       spacing^d sum pw (G^(0) - G^(xi)) with G^ = rfftn(G) read at the
-      field's modes.
+      field's modes.  d = 1 takes 2n for n, so that G^ does not alias at
+      the field's Nyquist index n/2.
     """
     from scipy import special
 
@@ -362,7 +363,7 @@ def _direct_core(field, symbol, images):
     # (498 of the 2112 modes at n = 64, d = 2), carrying their summed power.
     mod_xi, where = np.unique(np.sqrt(_freq_sq_rfft(d, n, L)), return_inverse=True)
     pw = np.bincount(where.ravel(), weights=power.ravel())
-    size = max(n, _LATTICE)
+    size = max(2 * n if d == 1 else n, _LATTICE)
     spacing = L / size
     r0, r1 = L / 8.0, L / 2.0 - spacing
 

@@ -163,22 +163,23 @@ def test_criterion_07_existence_and_minmax_margin(dirichlet_b1):
 
 
 def test_criterion_08_spectral_stability(sweep_runs):
-    rep = sweep_runs
-    gaps = rep.gaps
+    gaps, l2_gaps = sweep_runs["gaps"], sweep_runs["l2_gaps"]
+    floor = sweep_runs["discretization_floor"]
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-    l2_decreasing = all(b < a for a, b in zip(rep.l2_gaps, rep.l2_gaps[1:]))
-    below_floor = gaps[-1] < 10.0 * rep.discretization_floor
+    l2_decreasing = all(b < a for a, b in zip(l2_gaps, l2_gaps[1:]))
+    below_floor = gaps[-1] < 10.0 * floor
     ok = decreasing and l2_decreasing and below_floor
     assert report(8, ok, f"lambda gaps {['%.3e' % g for g in gaps]} strictly "
                          f"decreasing={decreasing}; final {gaps[-1]:.3e} < "
-                         f"10 x floor {10 * rep.discretization_floor:.3e}; "
+                         f"10 x floor {10 * floor:.3e}; "
                          f"aligned L2 gaps decreasing={l2_decreasing}")
 
 
 def test_criterion_09_operator_image_gaps(sweep_runs):
-    gaps = sweep_runs.image_gaps
+    gaps = sweep_runs["image_gaps"]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    bound_ok = all(g <= b for g, b in zip(gaps, sweep_runs.triangle_bounds))
+    bounds = sweep_runs["triangle_bounds"]
+    bound_ok = all(g <= b for g, b in zip(gaps, bounds))
     ok = monotone and bound_ok
     assert report(9, ok, f"image gaps {['%.3e' % g for g in gaps]} "
                          f"decreasing={monotone}; identity triangle bound "
@@ -187,14 +188,14 @@ def test_criterion_09_operator_image_gaps(sweep_runs):
 
 def test_criterion_10_anharmonic_to_dirichlet():
     rep = anharmonic_to_dirichlet(S01, [1, 2, 4, 8, 16], GRID, CFG)
-    gaps = rep.gaps
+    gaps, lam_1 = rep["gaps"], rep["lambda_dirichlet"]
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-    final_ok = gaps[-1] < 0.05 * rep.lam_dirichlet
+    final_ok = gaps[-1] < 0.05 * lam_1
     ok = decreasing and final_ok
     assert report(
         10, ok,
         f"gaps {['%.3e' % g for g in gaps]} decreasing={decreasing}; final "
-        f"{gaps[-1]:.3e} vs 5% of lambda_1 = {0.05 * rep.lam_dirichlet:.3e} "
+        f"{gaps[-1]:.3e} vs 5% of lambda_1 = {0.05 * lam_1:.3e} "
         f"-> {final_ok} (known-unattainable at k <= 16; see decisions ledger)")
 
 
@@ -213,14 +214,14 @@ def test_criterion_11_symmetry_and_monotonicity():
     rep_moll = monotonicity_check(moll_res)
 
     sym_ok = parity <= 1e-10 and quarter <= 1e-10
-    mono_ok = (rep_sharp.max_violation <= 1e-6 * rep_sharp.profile[0]
-               and rep_moll.max_violation <= 1e-6 * rep_moll.profile[0])
-    region_ok = rep_moll.region_flags["tail [a+eps,inf)"]
+    mono_ok = (rep_sharp["max_violation"] <= 1e-6 * rep_sharp["chi0"]
+               and rep_moll["max_violation"] <= 1e-6 * rep_moll["chi0"])
+    region_ok = rep_moll["region_flags"]["tail [a+eps,inf)"]
     ok = sym_ok and mono_ok and region_ok
     assert report(11, ok, f"parity defect {parity:.2e}, quarter-turn defect "
                           f"{quarter:.2e} (tol 1e-10); monotonicity "
-                          f"violations sharp {rep_sharp.max_violation:.2e} / "
-                          f"mollified {rep_moll.max_violation:.2e} (tol "
+                          f"violations sharp {rep_sharp['max_violation']:.2e}"
+                          f" / mollified {rep_moll['max_violation']:.2e} (tol "
                           f"1e-6 chi(0)); approximant tail region "
                           f"pass={region_ok}")
 
@@ -229,15 +230,16 @@ def test_criterion_12_antisymmetric_minimum():
     w = lambda y: y * np.exp(-y * y)
     massless = antisymmetric_minimum_check(S01, w, 0.0)
     massive = antisymmetric_minimum_check(S11, w, 0.0)
-    consts_ok = (massive.constants["C2"] == pytest.approx(1.0, rel=1e-9)
-                 and massive.constants["C1"] == pytest.approx(
+    consts_ok = (massive["constants"]["C2"] == pytest.approx(1.0, rel=1e-9)
+                 and massive["constants"]["C1"] == pytest.approx(
                      1.0 / math.pi, rel=1e-12))
-    ok = (massless.sign_ok and massive.sign_ok and massive.bounds_ok
+    ok = (massless["sign_ok"] and massive["sign_ok"] and massive["bounds_ok"]
           and consts_ok)
-    assert report(12, ok, f"lhs(m=0) = {massless.lhs:.5f} < 0, lhs(m=1) = "
-                          f"{massive.lhs:.5f} < 0; lhs <= rhs1 = "
-                          f"{massive.rhs1:.5f}, lhs <= rhs2 = "
-                          f"{massive.rhs2:.5f}; C2(1,1) = 1, C1(1,1) = 1/pi")
+    assert report(12, ok, f"lhs(m=0) = {massless['lhs']:.5f} < 0, lhs(m=1) = "
+                          f"{massive['lhs']:.5f} < 0; lhs <= rhs1 = "
+                          f"{massive['rhs1']:.5f}, lhs <= rhs2 = "
+                          f"{massive['rhs2']:.5f}; C2(1,1) = 1, "
+                          f"C1(1,1) = 1/pi")
 
 
 def test_criterion_13_second_moment_decay():

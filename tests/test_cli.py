@@ -272,6 +272,41 @@ class TestDispatch:
         assert "symmetry_defect" not in rep
         assert not (tmp_path / "mono" / "report.csv").exists()
 
+    _SEQUENCE_KEYS = {"kind", "params", "lambda", "lambda_target", "gaps",
+                      "l2_gaps", "converged", "monotone_gap_decay",
+                      "target_residual", "residuals", "iters", "stops",
+                      "discretization_floor", "minmax_margins",
+                      "lambda_dirichlet", "clamped"}
+
+    @pytest.mark.parametrize("command, extra, keys", [
+        ("stability-sweep", {"eps_schedule": [0.5]},
+         _SEQUENCE_KEYS | {"image_gaps", "triangle_bounds"}),
+        ("anharmonic-limit", {"k_list": [1]}, _SEQUENCE_KEYS),
+        ("monotonicity", {},
+         {"max_violation", "region_flags", "chi0", "symmetry"}),
+        ("antisym-check", {}, {"mu", "x_star", "delta", "w_min", "lhs",
+                               "rhs1", "rhs2", "constants", "antisym_defect",
+                               "sign_ok", "bounds_ok"}),
+        ("embedding-check", {"num_fields": 2},
+         {"passes", "all_pass", "c_low"}),
+    ], ids=["stability-sweep", "anharmonic-limit", "monotonicity",
+            "antisym-check", "embedding-check"])
+    def test_report_json_keys(self, tmp_path, command, extra, keys):
+        payload = dict(BASE, command=command, **extra)
+        if command in ("anharmonic-limit", "antisym-check", "embedding-check"):
+            del payload["potential"]
+        out = tmp_path / "run"
+        assert main(["--config", str(write_config(tmp_path, payload)),
+                     "--output", str(out)]) in (0, 2)
+        rep = json.loads((out / "report.json").read_text())
+        assert set(rep) == keys
+        # Each sequence kind writes the other kind's own keys empty.
+        if command == "stability-sweep":
+            assert rep["clamped"] is False
+        if command == "anharmonic-limit":
+            assert rep["discretization_floor"] is None
+            assert rep["minmax_margins"] is None
+
     def test_output_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE, output_dir="ignored"))
         target = tmp_path / "elsewhere"
@@ -369,6 +404,11 @@ class TestDispatch:
         ({"command": "stability-sweep", "grid": SMALL_GRID,
           "eps_schedule": [0.8, float("nan"), 0.4]}, [],
          "eps_schedule entries must be >= 0 and finite"),
+        ({"command": "antisym-check", "potential": None,
+          "grid": {"d": 3, "n": 16, "L": 1.0}}, [],
+         "antisym-check needs d = 1, got d = 3"),
+        ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
+          "s": 0.9}, [], "order s must be <= alpha/2 = 0.5, got 0.9"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
@@ -378,7 +418,8 @@ class TestDispatch:
             "fractional-max_iters", "fractional-rotations",
             "negative-rotations", "rotations-in-1d",
             "mollifier-below-the-grid", "nan-mass", "infinite-mass",
-            "infinite-tol", "nan-eps"])
+            "infinite-tol", "nan-eps", "antisym-in-3d",
+            "embedding-order-above-half-alpha"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"

@@ -43,6 +43,19 @@ def solve_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """Every result of experiments.ground_state, in call order."""
+    results = []
+
+    def recording(*args):
+        results.append(ground_state(*args))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "ground_state", recording)
+    return results
+
+
 @pytest.fixture(scope="module")
 def sweep(s01):
     return stability_sweep(s01, WELL, [0.4, 0.2, 0.1], GRID, CFG)
@@ -50,20 +63,20 @@ def sweep(s01):
 
 class TestStabilitySweep:
     def test_gap_decay_and_convergence(self, sweep):
-        gaps = sweep.gaps
-        assert sweep.monotone_gap_decay
+        gaps, l2_gaps = sweep["gaps"], sweep["l2_gaps"]
+        assert sweep["monotone_gap_decay"]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        assert sweep.converged
-        assert all(b < a for a, b in zip(sweep.l2_gaps, sweep.l2_gaps[1:]))
+        assert sweep["converged"]
+        assert all(b < a for a, b in zip(l2_gaps, l2_gaps[1:]))
 
     def test_minmax_margins_positive(self, sweep):
         # lambda_eps + v < lambda_a holds for every mollified well.
-        assert all(m > 1e-6 for m in sweep.minmax_margins)
+        assert all(m > 1e-6 for m in sweep["minmax_margins"])
 
     def test_eps_zero_shortcut_gap_vanishes(self, s01):
         rep = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
-        assert rep.gaps[-1] == 0.0
-        assert rep.l2_gaps[-1] == 0.0
+        assert rep["gaps"][-1] == 0.0
+        assert rep["l2_gaps"][-1] == 0.0
 
     def test_schedule_validation(self, s01):
         with pytest.raises(ValueError):
@@ -85,29 +98,19 @@ class TestStabilitySweep:
         assert solve_counts == {"ground_state": 0,
                                 "dirichlet_ground_state": 0}
 
-    def test_report_records_each_solve(self, s01, monkeypatch):
+    def test_report_records_each_solve(self, s01, solved):
         # One iteration count and stop reason per eps, from the solve that
         # made it; eps = 0 repeats the sharp target's, the first solve.
-        solved = []
-
-        def recording(*args):
-            solved.append(ground_state(*args))
-            return solved[-1]
-
-        monkeypatch.setattr(experiments, "ground_state", recording)
         rep = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
         target, _, mollified = solved
-        assert rep.iters == [mollified.iters, target.iters]
-        assert rep.stops == [mollified.meta["stop"], target.meta["stop"]]
-        payload = rep.to_json_dict()
-        assert (payload["iters"], payload["stops"]) == (rep.iters, rep.stops)
+        assert rep["iters"] == [mollified.iters, target.iters]
+        assert rep["stops"] == [mollified.meta["stop"], target.meta["stop"]]
 
     def test_json_and_csv_shapes(self, sweep):
-        payload = sweep.to_json_dict()
-        assert len(payload["lambda"]) == 3
-        assert len(payload["image_gaps"]) == len(payload["triangle_bounds"]) == 3
-        columns = sweep.csv_columns()
-        assert len(columns) == 4 and all(len(c) == 3 for c in columns)
+        # One entry per eps in every list, the four CSV columns included.
+        assert all(len(sweep[key]) == 3 for key in (
+            "params", "lambda", "gaps", "l2_gaps", "residuals", "iters",
+            "stops", "minmax_margins", "image_gaps", "triangle_bounds"))
 
 
 class TestUniformShift:
@@ -130,18 +133,18 @@ class TestUniformShift:
 
 
 class TestAnharmonicToDirichlet:
-    def test_tail_convergence_and_confinement(self, s01):
+    def test_tail_convergence_and_confinement(self, s01, solved):
         # The gap sequence is physically non-monotone at k=1 -> 2 (the x^4
         # well is softer than x^2 inside the ball); the approach toward the
         # Dirichlet value over the tail of the list is what the stability
         # theory guarantees at desk scale.
         rep = anharmonic_to_dirichlet(s01, [2, 4, 8, 16], GRID, CFG)
-        gaps = rep.gaps
+        gaps = rep["gaps"]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        assert rep.lam_dirichlet > 0.0
+        assert rep["lambda_dirichlet"] > 0.0
         outside = np.abs(GRID.axis()) > 1.0
-        masses = [GRID.cell_volume * float(np.sum(phi.values[outside] ** 2))
-                  for phi in rep.solutions]
+        masses = [GRID.cell_volume * float(np.sum(res.phi.values[outside]
+                                                  ** 2)) for res in solved]
         # Confinement tightens with k; the k = 16 leakage measures a few
         # permille through the still-soft wall.
         assert all(b < a for a, b in zip(masses, masses[1:]))
@@ -151,31 +154,24 @@ class TestAnharmonicToDirichlet:
         # Direct numerical confirmation (no a-priori claim): lambda(1) >
         # lambda(2) for the massless d=1 symbol.
         rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, CFG)
-        assert rep.lam_list[0] > rep.lam_list[1]
+        assert rep["lambda"][0] > rep["lambda"][1]
 
     def test_unconverged_well_solve_flags_report(self, s01):
         # The Dirichlet target converges; a 5-iteration well solve does not.
         cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
         rep = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg)
-        assert not rep.converged
+        assert not rep["converged"]
 
-    def test_report_records_each_solve(self, s01, monkeypatch):
-        solved = []
-
-        def recording(*args):
-            solved.append(ground_state(*args))
-            return solved[-1]
-
-        monkeypatch.setattr(experiments, "ground_state", recording)
+    def test_report_records_each_solve(self, s01, solved):
         cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
-        payload = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg).to_json_dict()
+        payload = anharmonic_to_dirichlet(s01, [1, 2], GRID, cfg)
         assert payload["iters"] == [res.iters for res in solved] == [5, 5]
         assert payload["stops"] == [res.meta["stop"] for res in solved]
 
     def test_report_json_has_no_image_gaps(self, s01):
         # Only the stability sweep computes criterion 9's image gaps.
         cfg = SolverConfig(tol=1e-12, max_iters=5, seed=11)
-        payload = anharmonic_to_dirichlet(s01, [1], GRID, cfg).to_json_dict()
+        payload = anharmonic_to_dirichlet(s01, [1], GRID, cfg)
         assert "image_gaps" not in payload
         assert "triangle_bounds" not in payload
 
@@ -196,14 +192,14 @@ class TestAnharmonicToDirichlet:
 
 class TestOperatorImageConvergence:
     def test_gaps_decrease_and_identity_bound(self, sweep):
-        gaps = sweep.image_gaps
+        gaps = sweep["image_gaps"]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        assert all(g <= b for g, b in zip(gaps, sweep.triangle_bounds))
+        assert all(g <= b for g, b in zip(gaps, sweep["triangle_bounds"]))
         assert all(g > 0 for g in gaps)
 
     def test_identical_runs_have_zero_gap(self, s01):
         rep0 = stability_sweep(s01, WELL, [0.2, 0.0], GRID, CFG)
-        assert rep0.image_gaps[-1] == 0.0
+        assert rep0["image_gaps"][-1] == 0.0
 
 
 class TestSymmetryCheck:
@@ -254,9 +250,9 @@ class TestMonotonicityCheck:
         cfg = SolverConfig(tol=1e-13, max_iters=4000, seed=11)
         res = ground_state(s01, sharp_well(WELL, GRID), cfg)
         rep = monotonicity_check(res)
-        assert rep.max_violation <= 1e-6 * rep.profile[0]
-        assert rep.region_flags["core [0,a]"]
-        assert rep.region_flags["tail [a+eps,inf)"]
+        assert rep["max_violation"] <= 1e-6 * rep["chi0"]
+        assert rep["region_flags"]["core [0,a]"]
+        assert rep["region_flags"]["tail [a+eps,inf)"]
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_d3_well_ground_state_monotone(self, m):
@@ -268,9 +264,9 @@ class TestMonotonicityCheck:
         assert res.converged
         assert symmetry_check(res)["exact"] <= 1e-10
         rep = monotonicity_check(res)
-        assert rep.max_violation <= 1e-6 * rep.profile[0]
-        assert rep.region_flags["core [0,a]"]
-        assert rep.region_flags["tail [a+eps,inf)"]
+        assert rep["max_violation"] <= 1e-6 * rep["chi0"]
+        assert rep["region_flags"]["core [0,a]"]
+        assert rep["region_flags"]["tail [a+eps,inf)"]
 
     def test_negative_control_odd_profile(self, s01):
         # A fabricated odd-bump field is nowhere radially monotone.
@@ -283,7 +279,7 @@ class TestMonotonicityCheck:
             GRID.cell_volume * np.sum(vals ** 2)))
         fake.meta = {"potential": {}}
         rep = monotonicity_check(fake)
-        assert rep.max_violation > 1e-2
+        assert rep["max_violation"] > 1e-2
 
     def test_moving_plane_diagnostics(self, s01):
         cfg = SolverConfig(tol=1e-13, max_iters=3000, seed=11)
@@ -340,18 +336,19 @@ class TestAntisymmetricMinimum:
     def test_massless_sign_conclusion(self, s01):
         check = antisymmetric_minimum_check(s01, lambda y: y * np.exp(-y * y),
                                             0.0)
-        assert check.x_star == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-8)
-        assert check.delta == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
-        assert check.sign_ok and check.lhs < 0.0
-        assert check.rhs1 is None and check.rhs2 is None
+        assert check["x_star"] == pytest.approx(-1.0 / math.sqrt(2.0),
+                                                abs=1e-8)
+        assert check["delta"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
+        assert check["sign_ok"] and check["lhs"] < 0.0
+        assert check["rhs1"] is None and check["rhs2"] is None
 
     def test_massive_bounds(self, s11):
         check = antisymmetric_minimum_check(s11, lambda y: y * np.exp(-y * y),
                                             0.0)
-        assert check.sign_ok and check.bounds_ok
-        assert check.lhs <= check.rhs1 and check.lhs <= check.rhs2
-        assert check.constants["C2"] == pytest.approx(1.0, rel=1e-9)
-        assert check.antisym_defect <= 1e-10
+        assert check["sign_ok"] and check["bounds_ok"]
+        assert check["lhs"] <= check["rhs1"] and check["lhs"] <= check["rhs2"]
+        assert check["constants"]["C2"] == pytest.approx(1.0, rel=1e-9)
+        assert check["antisym_defect"] <= 1e-10
 
     # Measured errors 3.4e-15, 2.0e-13 and 1.3e-11, set by the Taylor
     # origin of pointwise_nonlocal.
@@ -364,10 +361,10 @@ class TestAntisymmetricMinimum:
             BernsteinSymbol.relativistic(0.0, alpha),
             lambda y: y * np.exp(-y * y), 0.0)
         with mpmath.workdps(30):
-            a, x = mpmath.mpf(alpha), mpmath.mpf(check.x_star)
+            a, x = mpmath.mpf(alpha), mpmath.mpf(check["x_star"])
             exact = float(2 ** a * mpmath.gamma((3 + a) / 2) / mpmath.gamma(1.5)
                           * x * mpmath.hyp1f1((3 + a) / 2, 1.5, -x * x))
-        assert abs(check.lhs - exact) <= bound
+        assert abs(check["lhs"] - exact) <= bound
 
     def test_non_decaying_input_rejected(self, s11):
         # sin is 0-antisymmetric with negative minima, but does not vanish at
@@ -392,12 +389,13 @@ class TestAntisymmetricMinimum:
 class TestEmbeddingTail:
     def test_constant_field_trivial(self, s11):
         u = Field(grid=GRID, values=np.ones(GRID.shape))
-        assert embedding_tail_check(s11, [u])[0] == [True]
+        assert embedding_tail_check(s11, [u])["passes"] == [True]
 
     @pytest.mark.parametrize("fields, s, match", [
         ([], None, "at least one field"),
         (None, 1.5, "order s must lie in \\(0,1\\), got 1.5"),
-        (None, 0.0, "order s must lie in \\(0,1\\), got 0.0")])
+        (None, 0.0, "order s must lie in \\(0,1\\), got 0.0"),
+        (None, 0.9, "order s must be <= alpha/2 = 0.5, got 0.9")])
     def test_inputs_rejected(self, s11, fields, s, match):
         u = Field(grid=GRID, values=np.ones(GRID.shape))
         with pytest.raises(ValueError, match=match):
@@ -405,8 +403,8 @@ class TestEmbeddingTail:
 
     def test_gaussian_and_random_fields(self, s01, s11):
         fields = [random_band_limited(GRID, seed) for seed in range(20)]
-        assert all(embedding_tail_check(s01, fields)[0])
-        assert all(embedding_tail_check(s11, fields)[0])
+        assert embedding_tail_check(s01, fields)["all_pass"]
+        assert embedding_tail_check(s11, fields)["all_pass"]
 
     @pytest.mark.parametrize("kmax_frac", [-1.0, float("nan")])
     def test_negative_band_rejected(self, kmax_frac):
@@ -428,6 +426,4 @@ class TestDeterminism:
     def test_reports_bit_identical(self, s01):
         rep1 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG)
         rep2 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG)
-        assert rep1.lam_list == rep2.lam_list
-        assert rep1.l2_gaps == rep2.l2_gaps
-        assert rep1.lam_target == rep2.lam_target
+        assert rep1 == rep2

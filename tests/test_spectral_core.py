@@ -232,6 +232,18 @@ class TestSeminorms:
         symbol = BernsteinSymbol.relativistic(m, alpha)
         assert route_gap(symbol, u) <= rel
 
+    @pytest.mark.parametrize("m, alpha", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.5)])
+    def test_gaussian_routes_agree_at_nyquist(self, m, alpha):
+        # e^(-x^2) still holds 2e-3 of its peak at the Nyquist index of 64
+        # points on L = 40.  A lattice of the field's own 64 points aliases
+        # G^ there, a gap of 6.2e-14 for Phi_{0,1}; d = 1 sums on 2n.
+        u = field_from_function(Grid(d=1, n=64, L=40.0),
+                                lambda x: np.exp(-x * x))
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        direct = seminorm_direct(symbol, u) ** 2
+        fourier = seminorm_fourier(symbol, u) ** 2
+        assert abs(direct - fourier) <= 1e-14 * fourier
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_image_sum_within_budget(self, d):
         # A decay length of 1e6 drops no image: the window's reach alone
