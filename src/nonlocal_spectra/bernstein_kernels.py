@@ -606,11 +606,14 @@ def resolvent_kernel(symbol, d, radii):
 KERNEL_IDS = ("j", "sigma", "j_prime", "heat", "resolvent")
 
 
-def validate_kernel_request(kernel_id, radii, t=None):
+def validate_kernel_request(symbol, kernel_id, radii, t=None):
     """The radii as a float array, or ValueError unless kernel_id is one of
-    KERNEL_IDS, a heat table has t > 0 and the radii increase in (0, inf)."""
+    KERNEL_IDS, sigma and j_prime have m > 0, heat has t > 0 and the radii
+    increase in (0, inf)."""
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}, not in {KERNEL_IDS}")
+    if kernel_id in ("sigma", "j_prime") and not symbol.m > 0:
+        raise ValueError(f"{kernel_id} requires m > 0")
     if kernel_id == "heat" and not (t is not None and t > 0.0):
         raise ValueError(f"a heat table needs t > 0, got {t!r}")
     radii = np.asarray(radii, dtype=float)
@@ -646,7 +649,7 @@ class KernelTable:
 
 def build_kernel_table(symbol, kernel_id, d, radii, t=None):
     """Sample one radial kernel on the given radii into a KernelTable."""
-    radii = validate_kernel_request(kernel_id, radii, t)
+    radii = validate_kernel_request(symbol, kernel_id, radii, t)
     params = {"alpha": symbol.alpha,
               "m": symbol.m,
               "t": t,

@@ -4,10 +4,11 @@ experiment, and write machine-readable artifacts plus a manifest.
 parse_config turns each value into what the library takes, so the
 library's own constructors and validators check it once and an invalid
 configuration exits 1 before any output directory exists.  Unknown keys,
-and non-integral values of integer keys, are rejected outright: a silent
-typo in an epsilon schedule would invalidate an experiment, so strictness
-wins over convenience.  CSV cells use shortest round-trip float
-formatting, making repeated runs of the same configuration byte-identical.
+values of the wrong JSON type (true or "1" for a number) and non-integral
+values of integer keys are rejected outright: a silent typo in an epsilon
+schedule would invalidate an experiment, so strictness wins over
+convenience.  CSV cells use shortest round-trip float formatting, making
+repeated runs of the same configuration byte-identical.
 """
 
 import argparse
@@ -37,14 +38,27 @@ class ConfigError(ValueError):
     pass
 
 
+# The keys with string values.  Every other value is a number, an array of
+# numbers, an object (a section of its own) or, for s and potential, null.
+_STRING_KEYS = ("command", "kind", "id", "output_dir")
+
+
 def _section(section, data, allowed, required=()):
-    """A copy of data, which holds only allowed and all required keys."""
+    """A copy of data, which holds only allowed and all required keys, each
+    with a value of its JSON type: true and "1" are not numbers."""
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
     missing = set(required) - set(data)
     if missing:
         raise ConfigError(f"missing key(s) in {section}: {sorted(missing)}")
+    for key, value in data.items():
+        string = key in _STRING_KEYS
+        for item in value if isinstance(value, list) else [value]:
+            if not (isinstance(item, str) if string else type(item) in (int, float, dict)
+                    or item is None and key in ("s", "potential")):
+                kind = "a string" if string else "a number"
+                raise ConfigError(f"{key} must be {kind}, got {json.dumps(item)}")
     return dict(data)
 
 
@@ -109,7 +123,7 @@ def _resolve_potential(command, pot_raw, grid):
     return (mollified_well if spec.eps > 0.0 else sharp_well)(spec, grid)
 
 
-def _resolve_kernel(kernel):
+def _resolve_kernel(symbol, kernel):
     """The kernel id, its radii as a geomspace array, and t."""
     kernel = _section("kernel", kernel, ("id", "radii", "t"), required=("id",))
     radii = _section("kernel radii", kernel.get("radii", {
@@ -119,7 +133,7 @@ def _resolve_kernel(kernel):
                          _integer("kernel radii num", radii["num"]))
     t = kernel.get("t")
     return {"id": kernel["id"], "t": t,
-            "radii": validate_kernel_request(kernel["id"], radii, t)}
+            "radii": validate_kernel_request(symbol, kernel["id"], radii, t)}
 
 
 def parse_config(path, seed=None):
@@ -165,7 +179,7 @@ def parse_config(path, seed=None):
             extras["potential"] = _resolve_potential(
                 command, dict(extras["potential"] or {}), grid)
         if "kernel" in extras:
-            extras["kernel"] = _resolve_kernel(dict(extras["kernel"]))
+            extras["kernel"] = _resolve_kernel(symbol, dict(extras["kernel"]))
         if "rotations" in extras:
             extras["rotations"] = _integer("rotations", extras["rotations"])
             check_rotations(extras["rotations"], grid.d)

@@ -40,12 +40,12 @@ A ball B solves chi Phi(-Delta) chi, chi = 1_B, with the preconditioner
 chi (1 + Phi(-Delta))^(-1) chi and the start chi, so every iterate is
 exactly 0 outside B; memory is a fixed number of full-grid arrays.
 
-lambda is the Rayleigh quotient of the returned phi, and converged means the
-Fourier-route residual ||(H - lambda) phi||_2 (restricted to B for a ball)
-is at most max(tol, 100 eps ||H||), with ||H|| <= max Phi + max |V|:
-absolute, so lambda = 0 is covered.  LOBPCG is asked for a tenth of that,
-as the recomputed residual can exceed its own, and stops early on "floor"
-when its recurrence residual stalls within the threshold.  Each solve
+H is applied once to the returned unit phi (one filter and V phi): lambda is
+h^d <phi, H phi>, and converged means that ||(H - lambda) phi||_2 is at
+most max(tol, 100 eps ||H||), with ||H|| <= max Phi + max |V|: absolute,
+so lambda = 0 is covered.  LOBPCG is asked for a tenth of that, as the
+recomputed residual can exceed its own, and stops early on "floor" when
+its recurrence residual stalls within the threshold.  Each solve
 evaluates the multiplier once and records the threshold, the stop reason
 and the loop's residual history in meta.
 """
@@ -91,12 +91,6 @@ class EigenResult:
     converged: bool
     method: str
     meta: dict = dataclass_field(default_factory=dict)
-
-
-def _unit(values, cell_volume):
-    """values scaled to unit L^2 norm and a positive sum."""
-    norm = math.sqrt(cell_volume * float(np.sum(values ** 2)))
-    return values / (norm if values.sum() > 0 else -norm)
 
 
 def _lobpcg(apply_H, precondition, start, tol, max_iters):
@@ -176,22 +170,27 @@ def _lobpcg(apply_H, precondition, start, tol, max_iters):
 def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
            mask=None, to_grid=None):
     """One LOBPCG solve from start and its check: threshold
-    max(tol, 100 eps (max Phi + v_max)), LOBPCG at a tenth of it, and the
-    unit phi's Rayleigh quotient and Fourier-route residual (inside mask).
-    to_grid maps LOBPCG's x to its grid values when the loop runs on
-    another basis."""
+    max(tol, 100 eps (max Phi + v_max)), LOBPCG at a tenth of it, and from
+    one image H phi of phi, x at unit norm and positive sum, its Rayleigh
+    quotient and residual; a ball's H is mask Phi(-Delta) mask.  to_grid
+    maps LOBPCG's x to its grid values when the loop runs on another basis."""
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + v_max))
     x, history, residuals, iters, stop = _lobpcg(
         apply_H, precondition, start, 0.1 * threshold, cfg.max_iters)
     if to_grid is not None:
         x = to_grid(x)
-
-    phi = Field(grid=op.grid, values=_unit(x, op.cell_volume))
-    lam = op.form(phi, phi, potential).total
-    residual = op.residual(phi, lam, potential, mask)
-    return EigenResult(lam=lam, phi=phi, residual=residual, iters=iters,
-                       history=history + [lam],
+    norm = math.sqrt(op.cell_volume * float(np.sum(x ** 2)))
+    phi = x / (norm if x.sum() > 0 else -norm)
+    Hphi = op.filter(phi, op.multiplier)
+    if potential is not None:
+        Hphi += potential.values * phi
+    if mask is not None:
+        Hphi *= mask  # phi is 0 outside the mask already
+    lam = op.cell_volume * float(np.sum(phi * Hphi))
+    residual = Field(grid=op.grid, values=Hphi - lam * phi).l2_norm()
+    return EigenResult(lam=lam, phi=Field(grid=op.grid, values=phi),
+                       residual=residual, iters=iters, history=history + [lam],
                        converged=residual <= threshold, method="lobpcg",
                        meta={**meta, "stop": stop, "threshold": threshold,
                              "residuals": residuals})
@@ -212,7 +211,7 @@ def ground_state(symbol, potential, cfg):
         raise ValueError("potential must be finite (bounded below)")
 
     op = SpectralOperator(symbol, grid)
-    shape, size = grid.shape, V.size
+    shape = grid.shape
     v_min = float(np.min(V))
     c = 1.0 + max(0.0, -v_min)
     inverse = 1.0 / (c + op.multiplier)
@@ -249,8 +248,11 @@ def ground_state(symbol, potential, cfg):
                       meta, potential,
                       to_grid=lambda x: op.from_modes(x.view(complex), scratch))
 
-    # Points with V_+ > t0 leave the Fourier block for the diagonal.
-    t0 = float(np.sum(op.weighted_multiplier)) / size
+    # Points with V_+ > t0 leave the Fourier block for the diagonal; t0 is
+    # the value at a unit spike of the spike's image.
+    scratch.fill(0.0)
+    scratch.flat[0] = 1.0
+    t0 = float(op.filter(scratch, op.multiplier, scratch).flat[0])
     v_plus = np.maximum(V - floor, 0.0)
     diagonal = c + t0 + v_plus
     inner = v_plus <= t0

@@ -142,14 +142,14 @@ def stability_sweep(symbol, well, eps_schedule, grid, cfg):
     # ||V_eps phi_eps - V phi|| + the residual norms of both solves; the
     # first two norms are the report's l2_gaps and gaps.
     op, phi = SpectralOperator(symbol, grid), target.phi
-    image = op.apply(phi).values
+    image = op.filter(phi.values, op.multiplier)
     image_gaps, bounds = [], []
     for phi_e, V_e, lam_e, dphi, dlam, res_e in zip(
             sols, pots, report["lambda"], report["l2_gaps"], gaps,
             report["residuals"]):
         V_e = V if V_e is None else V_e
-        image_gaps.append(Field(grid=grid, values=op.apply(
-            phi_e).values - image).l2_norm())
+        image_gaps.append(Field(grid=grid, values=op.filter(
+            phi_e.values, op.multiplier) - image).l2_norm())
         vgap = Field(grid=grid, values=V_e.values * phi_e.values
                      - V.values * phi.values).l2_norm()
         bounds.append(abs(lam_e) * dphi + dlam + vgap + res_e
@@ -401,11 +401,10 @@ def validate_embedding_order(symbol, s):
 
 
 def kernel_lower_constant(symbol, d, s):
-    """C_low = min over (0, 1] of r^(d+2s) j(r), sampled on a log grid:
-    j(1) when s <= alpha/2: r^(2s-alpha) and r^(d+alpha) j(r) do not grow."""
-    r = np.geomspace(1e-3, 1.0, 60)
-    vals = r ** (d + 2.0 * s) * np.asarray(symbol.jump_kernel(d, r))
-    return float(vals.min())
+    """C_low = min over (0, 1] of r^(d+2s) j(r) = j(1) for an s that passes
+    validate_embedding_order: r^(2s-alpha) and r^(d+alpha) j(r) don't grow."""
+    validate_embedding_order(symbol, s)
+    return float(symbol.jump_kernel(d, 1.0))
 
 
 def embedding_tail_check(symbol, fields, s=None):

@@ -5,16 +5,16 @@ frequency lattice is xi_k = 2 pi k / L.  All norms carry the measure
 weight h^d.  Fourier-side operations use the real-to-real transform path
 (rfftn/irfftn), which enforces conjugate symmetry structurally.
 
-SpectralOperator(symbol, grid) is Phi(-Delta) on one grid: it evaluates
-the multiplier Phi(|xi|^2) once and provides apply, form, seminorm and
-residual, plus the unchecked array-level filter, to_modes and from_modes
-that the eigensolver's matvec and preconditioner use.  The module-level
-apply_multiplier, dirichlet_form and seminorm_fourier are one-shot calls
-into it.
+SpectralOperator(symbol, grid) is the one interface to Phi(-Delta) on a
+grid, on plain arrays: the multiplier Phi(|xi|^2), evaluated once, filter,
+one rfftn/irfftn pair, and to_modes / from_modes, the mode coordinates,
+which alone encode each rfftn mode's multiplicity in the full spectrum.
+The module-level apply_multiplier, dirichlet_form and seminorm_fourier are
+checked one-shot Field-level calls built on it.
 
 Two independent routes to the kinetic seminorm are provided:
 
-  * seminorm_fourier:  [u]_Phi^2 = sum_k Phi(|xi_k|^2) |u_hat(xi_k)|^2
+  * seminorm_fourier:  [u]_Phi^2 = h^d sum_k Phi(|xi_k|^2) |to_modes(u)_k|^2
   * seminorm_direct:   [u]_Phi^2 = (1/2) iint |u(x+h)-u(x)|^2 j(|h|) dx dh
 
 with the double integral taken over the torus against the periodized
@@ -105,16 +105,6 @@ def _freq_sq_rfft(d, n, L):
     return sum(m * m for m in mesh)
 
 
-@lru_cache(maxsize=32)
-def _rfft_weights(d, n):
-    """Multiplicity of each rfftn mode in the full spectrum (1 or 2)."""
-    shape = (n,) * (d - 1) + (n // 2 + 1,)
-    w = np.full(shape, 2.0)
-    w[..., 0] = 1.0
-    w[..., -1] = 1.0
-    return w
-
-
 @dataclass
 class Field:
     """Real grid function; values has shape (n,)*d."""
@@ -132,23 +122,6 @@ class Field:
         return math.sqrt(self.grid.cell_volume * float(np.sum(self.values ** 2)))
 
 
-def _require_same_grid(g1, g2):
-    if g1 != g2:
-        raise ValueError(f"grid mismatch: {g1} vs {g2}")
-
-
-@dataclass
-class FormValue:
-    """Kinetic + potential split of the quadratic form A(u, v)."""
-
-    kinetic: float
-    potential: float
-
-    @property
-    def total(self):
-        return self.kinetic + self.potential
-
-
 def multiplier_values(symbol, grid):
     """Phi(|xi|^2) on the rfftn layout with the zero mode pinned to 0."""
     z = _freq_sq_rfft(grid.d, grid.n, grid.L)
@@ -158,18 +131,15 @@ def multiplier_values(symbol, grid):
 class SpectralOperator:
     """Phi(-Delta) on one grid, with the multiplier evaluated once.
 
-    The array-level ``filter`` takes a plain value array of the grid's
-    shape and does no checks, so an iterative solver can call it in its
-    inner loop; ``apply``, ``form``, ``seminorm`` and ``residual`` are the
-    checked Field-level operations.
+    filter, to_modes and from_modes take plain arrays of the grid's shape
+    or of the multiplier's and do no checks, so an iterative solver can
+    call them in its inner loop.
     """
 
     def __init__(self, symbol, grid):
         self.grid = grid
         self.multiplier = multiplier_values(symbol, grid)
-        self.weighted_multiplier = _rfft_weights(grid.d, grid.n) * self.multiplier
         self.cell_volume = grid.cell_volume
-        self.measure = grid.cell_volume / grid.n ** grid.d
         self.axes = tuple(range(grid.d))
         # Scratch that filter and from_modes overwrite on every call.
         self.spectrum = np.empty(self.multiplier.shape, dtype=complex)
@@ -222,57 +192,39 @@ class SpectralOperator:
         """Index of -k on the first d - 1 axes of a plane of modes."""
         return np.ix_(*[-np.arange(self.grid.n) % self.grid.n] * (self.grid.d - 1))
 
-    def apply(self, u):
-        """Phi(-Delta) u as a Field."""
-        _require_same_grid(u.grid, self.grid)
-        out = self.filter(u.values, self.multiplier)
-        if not np.all(np.isfinite(out)):
-            raise OverflowError("multiplier application produced non-finite values")
-        return Field(grid=self.grid, values=out)
-
-    def form(self, u, v, V=None):
-        """A(u,v) = E_Phi(u,v) + <Vu,v>; transforms once when v is u."""
-        _require_same_grid(u.grid, self.grid)
-        _require_same_grid(v.grid, self.grid)
-        su = np.fft.rfftn(u.values)
-        sv = su if v is u else np.fft.rfftn(v.values)
-        kinetic = self.measure * float(
-            np.sum(self.weighted_multiplier * (su * np.conj(sv)).real))
-        potential = 0.0
-        if V is not None:
-            potential = self.cell_volume * float(
-                np.sum(V.values * u.values * v.values))
-        return FormValue(kinetic=kinetic, potential=potential)
-
-    def seminorm(self, u):
-        """[u]_Phi from the Fourier side."""
-        return math.sqrt(max(self.form(u, u).kinetic, 0.0))
-
-    def residual(self, u, lam, V=None, mask=None):
-        """||(Phi(-Delta) + V - lam) u||_2, restricted to mask if given."""
-        Hu = self.apply(u).values
-        if V is not None:
-            Hu = Hu + V.values * u.values
-        vals = Hu - lam * u.values
-        if mask is not None:
-            # The Dirichlet eigen-equation holds inside the ball only.
-            vals = vals * mask
-        return Field(grid=self.grid, values=vals).l2_norm()
-
 
 def apply_multiplier(symbol, field):
-    """Phi(-Delta) u via transform, multiply by Phi(|xi|^2), inverse transform."""
-    return SpectralOperator(symbol, field.grid).apply(field)
+    """Phi(-Delta) u as a Field, by one filter; OverflowError if it is not
+    finite."""
+    op = SpectralOperator(symbol, field.grid)
+    out = op.filter(field.values, op.multiplier)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("multiplier application produced non-finite values")
+    return Field(grid=field.grid, values=out)
+
+
+def _mode_power(op, values):
+    """h^d |to_modes(values)|^2, which sums to ||values||_2^2."""
+    modes = op.to_modes(values, op.spectrum)
+    return op.cell_volume * (modes.real ** 2 + modes.imag ** 2)
 
 
 def seminorm_fourier(symbol, field):
     """[u]_Phi computed from the Fourier side (the symbol route)."""
-    return SpectralOperator(symbol, field.grid).seminorm(field)
+    op = SpectralOperator(symbol, field.grid)
+    return math.sqrt(float(np.sum(op.multiplier * _mode_power(op, field.values))))
 
 
 def dirichlet_form(symbol, u, v, V=None):
-    """A(u,v) = E_Phi(u,v) + <Vu,v>, computed spectrally / pointwise."""
-    return SpectralOperator(symbol, u.grid).form(u, v, V)
+    """A(u,v) = h^d <v, (Phi(-Delta) + V) u>, from one filter; ValueError
+    unless u and v share a grid."""
+    if u.grid != v.grid:
+        raise ValueError(f"grid mismatch: {u.grid} vs {v.grid}")
+    op = SpectralOperator(symbol, u.grid)
+    Hu = op.filter(u.values, op.multiplier)
+    if V is not None:
+        Hu += V.values * u.values
+    return op.cell_volume * float(np.sum(v.values * Hu))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +309,7 @@ def _direct_core(field, symbol, images):
 
     grid = field.grid
     d, n, L = grid.d, grid.n, grid.L
-    spec = np.fft.rfftn(field.values)
-    power = _rfft_weights(d, n) * (spec * spec.conj()).real * (grid.cell_volume / n ** d)
+    power = _mode_power(SpectralOperator(symbol, grid), field.values)
     # 1 - A_d(|xi| r) depends on |xi| alone: one column per distinct |xi|
     # (498 of the 2112 modes at n = 64, d = 2), carrying their summed power.
     mod_xi, where = np.unique(np.sqrt(_freq_sq_rfft(d, n, L)), return_inverse=True)

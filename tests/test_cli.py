@@ -336,12 +336,16 @@ class TestDispatch:
         ({"id": "heat", "radii": {"start": 0.1, "stop": 2.0, "num": 5}},
          "a heat table needs t > 0, got None"),
         ({"id": "heat", "t": 0.0}, "t > 0"),
+        ({"id": "sigma"}, "sigma requires m > 0"),
+        ({"id": "j_prime"}, "j_prime requires m > 0"),
     ], ids=["radii-without-num", "unknown-id", "radii-list", "decreasing-radii",
-            "no-radii", "heat-without-t", "heat-at-t-0"])
+            "no-radii", "heat-without-t", "heat-at-t-0", "massless-sigma",
+            "massless-j_prime"])
     def test_malformed_kernel_is_a_config_error(self, tmp_path, capsys, kernel,
                                                 match):
+        # The default symbol, m = 0, which only sigma and j_prime reject.
         out = tmp_path / "ktab"
-        payload = {"command": "kernel-table", "symbol": {"m": 1.0},
+        payload = {"command": "kernel-table",
                    "grid": {"d": 1, "n": 16, "L": 1.0}, "kernel": kernel,
                    "output_dir": str(out)}
         assert main(["--config", str(write_config(tmp_path, payload))]) == 1
@@ -409,6 +413,20 @@ class TestDispatch:
          "antisym-check needs d = 1, got d = 3"),
         ({"command": "embedding-check", "potential": None, "grid": SMALL_GRID,
           "s": 0.9}, [], "order s must be <= alpha/2 = 0.5, got 0.9"),
+        # JSON booleans and numeric strings are not numbers.
+        ({"command": "kernel-table", "potential": None,
+          "kernel": {"id": "heat", "t": True}}, [],
+         "t must be a number, got true"),
+        ({"grid": dict(SMALL_GRID, d=True)}, [], "d must be a number, got true"),
+        ({"grid": dict(SMALL_GRID, n="64")}, [],
+         'n must be a number, got "64"'),
+        ({"command": "kernel-table", "potential": None,
+          "kernel": {"id": "j", "radii": {"start": "0.1", "stop": 2,
+                                          "num": 5}}}, [],
+         'start must be a number, got "0.1"'),
+        ({"command": "stability-sweep", "grid": SMALL_GRID,
+          "eps_schedule": [0.8, True]}, [],
+         "eps_schedule must be a number, got true"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
@@ -419,7 +437,8 @@ class TestDispatch:
             "negative-rotations", "rotations-in-1d",
             "mollifier-below-the-grid", "nan-mass", "infinite-mass",
             "infinite-tol", "nan-eps", "antisym-in-3d",
-            "embedding-order-above-half-alpha"])
+            "embedding-order-above-half-alpha", "boolean-heat-t", "boolean-d",
+            "string-n", "string-radii-start", "boolean-eps"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"

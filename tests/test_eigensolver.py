@@ -15,7 +15,7 @@ from nonlocal_spectra.experiments import symmetry_check
 from nonlocal_spectra.potentials import (PotentialField, WellSpec, anharmonic,
                                          mollified_well, sharp_well)
 from nonlocal_spectra.spectral_core import (Field, Grid, SpectralOperator,
-                                            dirichlet_form)
+                                            apply_multiplier, dirichlet_form)
 
 from helpers import field_from_function
 
@@ -40,11 +40,15 @@ def constant_potential(grid, c):
 def fourier_residual(symbol, potential, result):
     """L^2 norm of Phi(|xi|^2) phi_hat - lam phi_hat - F[V phi] (Plancherel),
     inside the ball for a Dirichlet result."""
-    grid = result.phi.grid
+    phi = result.phi
+    r = apply_multiplier(symbol, phi).values
+    if potential is not None:
+        r = r + potential.values * phi.values
+    r = r - result.lam * phi.values
     radius = result.meta.get("ball_radius")
-    mask = None if radius is None else grid.radius() <= radius
-    return SpectralOperator(symbol, grid).residual(result.phi, result.lam,
-                                                   potential, mask)
+    if radius is not None:
+        r = r * (phi.grid.radius() <= radius)
+    return Field(grid=phi.grid, values=r).l2_norm()
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +87,7 @@ class TestGroundState:
     def test_rayleigh_consistency(self, s01, well_result):
         pot = sharp_well(WellSpec(a=1.0, v=4.0), GRID)
         form = dirichlet_form(s01, well_result.phi, well_result.phi, pot)
-        assert well_result.lam == pytest.approx(form.total, abs=1e-10)
+        assert well_result.lam == pytest.approx(form, abs=1e-10)
 
     def test_monotone_descent(self, well_result):
         hist = well_result.history
@@ -96,7 +100,7 @@ class TestGroundState:
             rng = np.random.default_rng(seed)
             w = Field(grid=GRID, values=rng.uniform(0.1, 1.0, GRID.shape))
             w = Field(grid=GRID, values=w.values / w.l2_norm())
-            probe = dirichlet_form(s01, w, w, pot).total
+            probe = dirichlet_form(s01, w, w, pot)
             assert well_result.lam <= probe + 1e-10
 
     def test_simplicity_two_seeds(self, s01, well_result):
@@ -579,7 +583,8 @@ class TestPreconditioner:
         assert res.converged and res.meta["stop"] == "residual"
         op = SpectralOperator(symbol, pot.grid)
         c = 1.0 + max(0.0, -float(np.min(pot.values)))
-        t0 = float(np.sum(op.weighted_multiplier)) / pot.values.size
+        # t0, the diagonal of the dense Phi(-Delta).
+        t0 = float(dense_operator(symbol, pot.grid, (np.array([0]),))[0, 0])
         D = np.sqrt((c + t0) / (c + t0 + np.maximum(pot.values, 0.0)))
         inverse = 1.0 / (c + op.multiplier)
         _, _, _, product_iters, stop = eigensolver._lobpcg(
@@ -649,9 +654,8 @@ class TestCountedWork:
         assert counts["evaluate"] == 1
         # On the modes, one matvec pair per iteration and no transform in
         # the preconditioner.  The start's rfftn, the first matvec, phi's
-        # irfftn, the Rayleigh quotient's rfftn and the residual's pair
-        # make 7 per solve.
-        assert counts["rfftn"] + counts["irfftn"] <= 2 * res.iters + 7
+        # irfftn and the check's pair make 6 per solve.
+        assert counts["rfftn"] + counts["irfftn"] <= 2 * res.iters + 6
         return counts
 
     def test_multiplier_evaluated_once_per_solve(self, monkeypatch, s01):
@@ -688,12 +692,12 @@ class TestCountedWork:
         lambda s, cfg: dirichlet_ground_state(s, 1.0, GRID, cfg)],
         ids=["well-1d", "anharmonic-1d", "well-2d", "ball"])
     def test_loop_transforms_write_into_buffers(self, monkeypatch, s01, solve):
-        # Only the form's forward and the residual's inverse transform,
-        # after the loop, return a fresh array; a well's start and phi
-        # transforms write into buffers too.
+        # Only the inverse transform of the check's H phi, after the loop,
+        # returns a fresh array; a well's start and phi transforms and the
+        # anharmonic t0 write into buffers too.
         short = self._unbuffered_transforms(monkeypatch, solve, s01, 4)
         long = self._unbuffered_transforms(monkeypatch, solve, s01, 8)
-        assert short == long == ["irfftn", "rfftn"]
+        assert short == long == ["irfftn"]
 
     def test_missing_potential_rejected(self, s01):
         with pytest.raises(ValueError, match="zero potential"):

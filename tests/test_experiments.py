@@ -421,6 +421,22 @@ class TestEmbeddingTail:
     def test_lower_constant_positive(self, s11):
         assert kernel_lower_constant(s11, 1, 0.5) > 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m, alpha", [(0.0, 1.0), (1.0, 1.5)])
+    def test_lower_constant_is_the_minimum_at_1(self, m, alpha, d):
+        # r^(d+2s) j(r) >= j(1) on (0, 1], to rounding, for s <= alpha/2.
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        r = np.union1d(np.geomspace(1e-6, 1.0, 2001),
+                       np.linspace(1e-3, 1.0, 2001))
+        for s in (0.25 * alpha, 0.5 * alpha):
+            c_low = kernel_lower_constant(symbol, d, s)
+            assert c_low == symbol.jump_kernel(d, 1.0)
+            vals = r ** (d + 2.0 * s) * symbol.jump_kernel(d, r)
+            assert np.all(vals >= c_low * (1.0 - 8.0 * np.finfo(float).eps))
+        # Above alpha/2 the infimum is 0 and there is no constant.
+        with pytest.raises(ValueError, match="order s must"):
+            kernel_lower_constant(symbol, d, 0.75 * alpha)
+
 
 class TestDeterminism:
     def test_reports_bit_identical(self, s01):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from nonlocal_spectra import eigensolver
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 kernel_moment,
                                                 massless_constant)
 from nonlocal_spectra.experiments import random_band_limited
 from nonlocal_spectra.spectral_core import (CostGuardError,
-                                            Field, FormValue, Grid,
+                                            Field, Grid,
                                             SpectralOperator, _lattice_images,
                                             apply_multiplier,
                                             dirichlet_form,
@@ -377,50 +378,44 @@ class TestDirichletForm:
     def test_plane_wave_energy(self, s01, grid128):
         k = 2.0 * math.pi * 4 / grid128.L
         u = field_from_function(grid128, lambda x: np.cos(k * x))
-        form = dirichlet_form(s01, u, u)
-        assert form.kinetic == pytest.approx(
+        assert dirichlet_form(s01, u, u) == pytest.approx(
             s01.evaluate(k * k) * u.l2_norm() ** 2, rel=1e-12)
-        assert form.potential == 0.0
-        assert form.total == form.kinetic
 
     def test_symmetry_and_polarization(self, s11, grid128):
         rng = np.random.default_rng(7)
         u = Field(grid=grid128, values=rng.standard_normal(grid128.shape))
         v = Field(grid=grid128, values=rng.standard_normal(grid128.shape))
-        e_uv = dirichlet_form(s11, u, v).kinetic
-        e_vu = dirichlet_form(s11, v, u).kinetic
+        e_uv = dirichlet_form(s11, u, v)
+        e_vu = dirichlet_form(s11, v, u)
         assert e_uv == pytest.approx(e_vu, abs=1e-12)
         up = Field(grid=grid128, values=u.values + v.values)
         um = Field(grid=grid128, values=u.values - v.values)
-        polar = 0.25 * (dirichlet_form(s11, up, up).kinetic
-                        - dirichlet_form(s11, um, um).kinetic)
+        polar = 0.25 * (dirichlet_form(s11, up, up)
+                        - dirichlet_form(s11, um, um))
         assert e_uv == pytest.approx(polar, abs=1e-10)
 
     def test_kinetic_matches_seminorm(self, s11, gaussian128):
-        form = dirichlet_form(s11, gaussian128, gaussian128)
-        assert form.kinetic == pytest.approx(
+        assert dirichlet_form(s11, gaussian128, gaussian128) == pytest.approx(
             seminorm_fourier(s11, gaussian128) ** 2, rel=1e-12)
 
     def test_positive(self, s11, grid128):
         for seed in range(5):
             u = random_band_limited(grid128, seed)
-            assert dirichlet_form(s11, u, u).kinetic >= 0.0
+            assert dirichlet_form(s11, u, u) >= 0.0
 
     def test_potential_term_and_grid_mismatch(self, s01, grid128):
         V = field_from_function(grid128, lambda x: -np.exp(-x * x))
         u = field_from_function(grid128, lambda x: np.exp(-x * x / 2))
-        form = dirichlet_form(s01, u, u, V)
-        expect = grid128.cell_volume * float(np.sum(V.values * u.values ** 2))
-        assert form.potential == pytest.approx(expect, rel=1e-13)
-        assert form.total == form.kinetic + form.potential
+        v = field_from_function(grid128, lambda x: np.exp(-x * x / 3))
+        for w in (u, v):
+            potential = grid128.cell_volume * float(
+                np.sum(V.values * u.values * w.values))
+            assert dirichlet_form(s01, u, w, V) == pytest.approx(
+                dirichlet_form(s01, u, w) + potential, rel=1e-13)
         other = Grid(d=1, n=64, L=40.0)
         w = field_from_function(other, lambda x: np.exp(-x * x))
         with pytest.raises(ValueError):
             dirichlet_form(s01, u, w)
-
-    def test_formvalue_total(self):
-        fv = FormValue(kinetic=2.0, potential=-0.5)
-        assert fv.total == 1.5
 
 
 def _circulant_oracle(grid, phi):
@@ -455,7 +450,8 @@ class TestSpectralOperatorOracle:
     def test_against_dense_circulant(self, d, n, L, m):
         grid = Grid(d=d, n=n, L=L)
         A = _circulant_oracle(grid, _CLOSED_PHI[m])
-        op = SpectralOperator(BernsteinSymbol.relativistic(m, 1.0), grid)
+        symbol = BernsteinSymbol.relativistic(m, 1.0)
+        op = SpectralOperator(symbol, grid)
         rng = np.random.default_rng(11)
         u = Field(grid=grid, values=rng.standard_normal(grid.shape))
         v = Field(grid=grid, values=rng.standard_normal(grid.shape))
@@ -465,27 +461,40 @@ class TestSpectralOperatorOracle:
         hd = grid.cell_volume
 
         Au = A @ uf
-        got = op.apply(u).values.ravel()
+        got = op.filter(u.values, op.multiplier).ravel()
         assert np.abs(got - Au).max() <= 1e-12 * np.abs(Au).max()
+
+        modes = op.to_modes(u.values, np.empty(op.multiplier.shape,
+                                               dtype=complex))
+        kinetic = hd * float(np.sum(op.multiplier * np.abs(modes) ** 2))
+        assert kinetic == pytest.approx(hd * float(uf @ Au), rel=1e-12)
 
         for w in (u, v):
             expect_kin = hd * float(uf @ A @ w.values.ravel())
             expect_pot = hd * float(np.sum(Vf * uf * w.values.ravel()))
-            form = op.form(u, w, V)
-            assert form.kinetic == pytest.approx(expect_kin, rel=1e-12)
-            assert form.potential == pytest.approx(expect_pot, rel=1e-12)
-            assert form.total == pytest.approx(expect_kin + expect_pot,
-                                               rel=1e-12)
+            assert dirichlet_form(symbol, u, w) == pytest.approx(expect_kin,
+                                                                 rel=1e-12)
+            assert dirichlet_form(symbol, u, w, V) == pytest.approx(
+                expect_kin + expect_pot, rel=1e-12)
 
-        lam = 0.7
-        r = Au + Vf * uf - lam * uf
-        expect = math.sqrt(hd * float(r @ r))
-        assert op.residual(u, lam, V) == pytest.approx(expect, rel=1e-12)
-        mask = (grid.radius() <= L / 4.0).astype(float)
-        rm = r * mask.ravel()
-        expect_masked = math.sqrt(hd * float(rm @ rm))
-        assert op.residual(u, lam, V, mask) == pytest.approx(expect_masked,
-                                                             rel=1e-12)
+        # The solve's final check on a fabricated eigenpair: an apply_H
+        # that returns 0.7 x stops LOBPCG on its start, so the check sees
+        # the start scaled to a unit phi.  With a mask chi, the start is
+        # chi u and H is chi (A + V) chi.
+        for mask in (None, (grid.radius() <= L / 4.0).astype(float)):
+            chi = np.ones(uf.size) if mask is None else mask.ravel()
+            H = chi[:, None] * (A + np.diag(Vf)) * chi
+            res = eigensolver._solve(
+                op, lambda x, out: np.multiply(x, 0.7, out=out), None,
+                u.values * chi.reshape(grid.shape), 0.0,
+                eigensolver.SolverConfig(), {}, potential=V, mask=mask)
+            assert res.iters == 0 and res.meta["stop"] == "residual"
+            phi = res.phi.values.ravel()
+            lam = hd * float(phi @ H @ phi)
+            r = H @ phi - lam * phi
+            assert res.lam == pytest.approx(lam, rel=1e-12)
+            assert res.residual == pytest.approx(math.sqrt(hd * float(r @ r)),
+                                                 rel=1e-12)
 
     @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 16)])
     def test_modes_are_an_isometry_with_exactly_conjugate_planes(self, d, n):
