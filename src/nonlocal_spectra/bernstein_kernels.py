@@ -608,14 +608,16 @@ KERNEL_IDS = ("j", "sigma", "j_prime", "heat", "resolvent")
 
 def validate_kernel_request(symbol, kernel_id, radii, t=None):
     """The radii as a float array, or ValueError unless kernel_id is one of
-    KERNEL_IDS, sigma and j_prime have m > 0, heat has t > 0 and the radii
-    increase in (0, inf)."""
+    KERNEL_IDS, sigma and j_prime have m > 0, heat has t > 0, no other id
+    has a t, and the radii increase in (0, inf)."""
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}, not in {KERNEL_IDS}")
     if kernel_id in ("sigma", "j_prime") and not symbol.m > 0:
         raise ValueError(f"{kernel_id} requires m > 0")
     if kernel_id == "heat" and not (t is not None and t > 0.0):
         raise ValueError(f"a heat table needs t > 0, got {t!r}")
+    if kernel_id != "heat" and t is not None:
+        raise ValueError(f"t is read only by heat tables, not by {kernel_id}")
     radii = np.asarray(radii, dtype=float)
     if not (radii.ndim == 1 and radii.size and 0.0 < radii[0]
             and radii[-1] < np.inf and np.all(np.diff(radii) > 0.0)):

@@ -38,9 +38,11 @@ class ConfigError(ValueError):
     pass
 
 
-# The keys with string values.  Every other value is a number, an array of
-# numbers, an object (a section of its own) or, for s and potential, null.
+# The keys with string values, and those whose value may be an object (a
+# section of its own, never inside an array).  Every other value is a
+# number, an array of numbers or, for s and potential, null.
 _STRING_KEYS = ("command", "kind", "id", "output_dir")
+_SECTION_KEYS = ("symbol", "grid", "solver", "potential", "kernel", "radii")
 
 
 def _section(section, data, allowed, required=()):
@@ -53,11 +55,12 @@ def _section(section, data, allowed, required=()):
     if missing:
         raise ConfigError(f"missing key(s) in {section}: {sorted(missing)}")
     for key, value in data.items():
-        string = key in _STRING_KEYS
+        string, nested = key in _STRING_KEYS, key in _SECTION_KEYS
+        kind = "a string" if string else "an object" if nested else "a number"
         for item in value if isinstance(value, list) else [value]:
-            if not (isinstance(item, str) if string else type(item) in (int, float, dict)
+            if not (isinstance(item, str) if string else type(item) in (int, float)
+                    or nested and type(value) is dict
                     or item is None and key in ("s", "potential")):
-                kind = "a string" if string else "a number"
                 raise ConfigError(f"{key} must be {kind}, got {json.dumps(item)}")
     return dict(data)
 

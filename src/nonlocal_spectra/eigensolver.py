@@ -40,14 +40,16 @@ A ball B solves chi Phi(-Delta) chi, chi = 1_B, with the preconditioner
 chi (1 + Phi(-Delta))^(-1) chi and the start chi, so every iterate is
 exactly 0 outside B; memory is a fixed number of full-grid arrays.
 
-H is applied once to the returned unit phi (one filter and V phi): lambda is
-h^d <phi, H phi>, and converged means that ||(H - lambda) phi||_2 is at
-most max(tol, 100 eps ||H||), with ||H|| <= max Phi + max |V|: absolute,
-so lambda = 0 is covered.  LOBPCG is asked for a tenth of that, as the
-recomputed residual can exceed its own, and stops early on "floor" when
-its recurrence residual stalls within the threshold.  Each solve
-evaluates the multiplier once and records the threshold, the stop reason
-and the loop's residual history in meta.
+H is applied once to the returned unit phi, into a buffer, by the grid
+operator of the grid loops, which for a loop on the modes is a
+recomputation independent of its matvec: lambda is h^d <phi, H phi>, and
+converged means that ||(H - lambda) phi||_2 is at most max(tol, 100 eps
+||H||), with ||H|| <= max Phi + max |V|: absolute, so lambda = 0 is
+covered.  LOBPCG is asked for a tenth of that, as the recomputed residual
+can exceed its own, and stops early on "floor" when its recurrence
+residual stalls within the threshold.  Each solve evaluates the multiplier
+once and records the threshold, the stop reason and the loop's residual
+history in meta.
 """
 
 import math
@@ -167,13 +169,13 @@ def _lobpcg(apply_H, precondition, start, tol, max_iters):
         m = 3 if s > 0.0 else 2
 
 
-def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
-           mask=None, to_grid=None):
+def _solve(op, apply_H, precondition, start, v_max, cfg, meta, grid_H,
+           to_grid=None):
     """One LOBPCG solve from start and its check: threshold
     max(tol, 100 eps (max Phi + v_max)), LOBPCG at a tenth of it, and from
-    one image H phi of phi, x at unit norm and positive sum, its Rayleigh
-    quotient and residual; a ball's H is mask Phi(-Delta) mask.  to_grid
-    maps LOBPCG's x to its grid values when the loop runs on another basis."""
+    one image grid_H(phi, out) of phi, x at unit norm and positive sum, its
+    Rayleigh quotient and residual.  to_grid maps LOBPCG's x to its grid
+    values when the loop runs on another basis than grid_H's."""
     threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
                                                  + v_max))
     x, history, residuals, iters, stop = _lobpcg(
@@ -182,11 +184,8 @@ def _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential=None,
         x = to_grid(x)
     norm = math.sqrt(op.cell_volume * float(np.sum(x ** 2)))
     phi = x / (norm if x.sum() > 0 else -norm)
-    Hphi = op.filter(phi, op.multiplier)
-    if potential is not None:
-        Hphi += potential.values * phi
-    if mask is not None:
-        Hphi *= mask  # phi is 0 outside the mask already
+    Hphi = np.empty_like(phi)
+    grid_H(phi, Hphi)
     lam = op.cell_volume * float(np.sum(phi * Hphi))
     residual = Field(grid=op.grid, values=Hphi - lam * phi).l2_norm()
     return EigenResult(lam=lam, phi=Field(grid=op.grid, values=phi),
@@ -211,20 +210,23 @@ def ground_state(symbol, potential, cfg):
         raise ValueError("potential must be finite (bounded below)")
 
     op = SpectralOperator(symbol, grid)
-    shape = grid.shape
     v_min = float(np.min(V))
     c = 1.0 + max(0.0, -v_min)
     inverse = 1.0 / (c + op.multiplier)
-    # e^(v_min - V) for the start, then V u in apply_H, the Jacobi and
-    # outer products in precondition and, on the modes, phi; nothing keeps
-    # it across calls.
-    scratch = np.empty(shape)
-    start = np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=shape)
+    # e^(v_min - V) for the start, then V u in the matvecs, the Jacobi and
+    # outer products in precondition and, on the modes, the loop's grid
+    # values; nothing keeps it across calls.
+    scratch = np.empty(grid.shape)
+    start = np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=grid.shape)
     with np.errstate(under="ignore"):
         start *= np.exp(np.subtract(v_min, V, out=scratch), out=scratch)
     meta = {"potential": getattr(potential, "meta", {})}
     v_max = float(np.max(np.abs(V)))
     floor = max(v_min, 0.0)
+
+    def grid_H(u, out):  # the grid loop's matvec and every solve's check
+        op.filter(u, op.multiplier, out)
+        out += np.multiply(V, u, out=scratch)
 
     if np.max(V) <= floor:
         # V_+ = 0: the loop runs on the modes, where the preconditioner is
@@ -245,7 +247,7 @@ def ground_state(symbol, potential, cfg):
             np.multiply(r.view(complex), inverse, out=out.view(complex))
 
         return _solve(op, apply_H, precondition, modes.view(float), v_max, cfg,
-                      meta, potential,
+                      meta, grid_H,
                       to_grid=lambda x: op.from_modes(x.view(complex), scratch))
 
     # Points with V_+ > t0 leave the Fourier block for the diagonal; t0 is
@@ -259,16 +261,12 @@ def ground_state(symbol, potential, cfg):
     jacobi = np.where(inner, np.sqrt((c + t0) / diagonal), 0.0)
     outer = np.where(inner, 0.0, 1.0 / diagonal)
 
-    def apply_H(u, out):
-        op.filter(u, op.multiplier, out)
-        out += np.multiply(V, u, out=scratch)
-
     def precondition(r, out):
         op.filter(np.multiply(jacobi, r, out=scratch), inverse, out)
         out *= jacobi
         out += np.multiply(outer, r, out=scratch)
 
-    return _solve(op, apply_H, precondition, start, v_max, cfg, meta, potential)
+    return _solve(op, grid_H, precondition, start, v_max, cfg, meta, grid_H)
 
 
 def dirichlet_ground_state(symbol, radius, grid, cfg):
@@ -291,4 +289,4 @@ def dirichlet_ground_state(symbol, radius, grid, cfg):
         out *= chi
 
     return _solve(op, apply_H, precondition, chi.copy(), 0.0, cfg,
-                  {"ball_radius": radius}, mask=chi)
+                  {"ball_radius": radius}, apply_H)

@@ -47,9 +47,8 @@ def random_band_limited(grid, seed, kmax_frac=0.25):
     kmax_frac * Nyquist, checked by check_band_fraction; generic test data."""
     check_band_fraction(kmax_frac)
     rng = np.random.default_rng(seed)
-    spec_shape = (grid.n,) * (grid.d - 1) + (grid.n // 2 + 1,)
-    spec = rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
     kk = np.sqrt(_freq_sq_rfft(grid.d, grid.n, grid.L))
+    spec = rng.standard_normal(kk.shape) + 1j * rng.standard_normal(kk.shape)
     kmax = kmax_frac * math.pi / grid.h
     spec[kk > kmax] = 0.0
     field = Field(grid=grid, values=np.fft.irfftn(spec, s=grid.shape,
@@ -273,20 +272,11 @@ def moving_plane_min(field, mu):
 # Antisymmetric-minimum estimates
 # ---------------------------------------------------------------------------
 
-def antisym_constant_c1(d, alpha):
-    return relativistic_prefactor(d, alpha, 1.0)
-
-
 def antisym_constant_c2(d, alpha):
     """C2 = int over the half-space of (|z'|^2 + |1+z_1|^2)^-(d+alpha)/2
     = pi^((d-1)/2) Gamma((1+alpha)/2) / (alpha Gamma((d+alpha)/2))."""
     return (math.pi ** ((d - 1) / 2.0) * math.gamma((1.0 + alpha) / 2.0)
             / (alpha * math.gamma((d + alpha) / 2.0)))
-
-
-def antisym_constant_c3(d, alpha, m):
-    return relativistic_prefactor(d, alpha,
-                                  m ** ((d + alpha + 2.0) / (2.0 * alpha)))
 
 
 def antisym_constant_c4(d, alpha, m, delta1):
@@ -351,11 +341,12 @@ def antisymmetric_minimum_check(symbol, w, mu):
 
     lhs = pointwise_nonlocal(symbol, w, x_star)
 
-    constants = {"C1": antisym_constant_c1(d, alpha),
+    constants = {"C1": relativistic_prefactor(d, alpha, 1.0),
                  "C2": antisym_constant_c2(d, alpha)}
     rhs1 = rhs2 = None
     if m > 0:
-        constants["C3"] = antisym_constant_c3(d, alpha, m)
+        constants["C3"] = relativistic_prefactor(
+            d, alpha, m ** ((d + alpha + 2.0) / (2.0 * alpha)))
         constants["C4"] = antisym_constant_c4(d, alpha, m, delta)
         xi_ord = (d + alpha + 2.0) / 2.0
         c = m ** (1.0 / alpha)

@@ -6,9 +6,10 @@ weight h^d.  Fourier-side operations use the real-to-real transform path
 (rfftn/irfftn), which enforces conjugate symmetry structurally.
 
 SpectralOperator(symbol, grid) is the one interface to Phi(-Delta) on a
-grid, on plain arrays: the multiplier Phi(|xi|^2), evaluated once, filter,
-one rfftn/irfftn pair, and to_modes / from_modes, the mode coordinates,
-which alone encode each rfftn mode's multiplicity in the full spectrum.
+grid, on plain arrays: the multiplier Phi(|xi|^2), evaluated on first read,
+filter, one rfftn/irfftn pair, and to_modes / from_modes, the mode
+coordinates, which alone encode each rfftn mode's multiplicity in the full
+spectrum.
 The module-level apply_multiplier, dirichlet_form and seminorm_fourier are
 checked one-shot Field-level calls built on it.
 
@@ -129,7 +130,8 @@ def multiplier_values(symbol, grid):
 
 
 class SpectralOperator:
-    """Phi(-Delta) on one grid, with the multiplier evaluated once.
+    """Phi(-Delta) on one grid, with the multiplier evaluated once, on first
+    read: an operator used only for its mode coordinates evaluates none.
 
     filter, to_modes and from_modes take plain arrays of the grid's shape
     or of the multiplier's and do no checks, so an iterative solver can
@@ -137,12 +139,16 @@ class SpectralOperator:
     """
 
     def __init__(self, symbol, grid):
-        self.grid = grid
-        self.multiplier = multiplier_values(symbol, grid)
+        self.symbol, self.grid = symbol, grid
         self.cell_volume = grid.cell_volume
         self.axes = tuple(range(grid.d))
-        # Scratch that filter and from_modes overwrite on every call.
-        self.spectrum = np.empty(self.multiplier.shape, dtype=complex)
+        # Scratch on the rfftn layout, overwritten by filter and from_modes.
+        self.spectrum = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,),
+                                 dtype=complex)
+
+    @cached_property
+    def multiplier(self):
+        return multiplier_values(self.symbol, self.grid)
 
     def filter(self, values, factor, out=None):
         """irfftn(factor * rfftn(values)): one forward, one inverse transform.

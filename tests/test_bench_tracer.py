@@ -58,6 +58,24 @@ def test_install_traces_and_uninstall_restores(tracer):
     assert BernsteinSymbol.__dict__["__call__"] is evaluate
 
 
+def test_lazy_multiplier_read_is_traced(tracer):
+    # SpectralOperator evaluates its multiplier on first read, through the
+    # module global that install() wraps.
+    for mod, _ in tracer.TARGETS:
+        importlib.import_module(f"{tracer.PKG}.{mod}")
+    from nonlocal_spectra.spectral_core import SpectralOperator
+    symbol, grid = BernsteinSymbol.relativistic(1.0, 1.0), Grid(d=1, n=16, L=4.0)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        op = SpectralOperator(symbol, grid)
+        assert t.multiplier_keys == set()
+        op.multiplier
+    finally:
+        t.uninstall()
+    assert t.multiplier_keys == {("relativistic", 1.0, 1.0, grid)}
+
+
 def test_traced_kernel_table_counts_sigma_radii(tracer):
     for mod, _ in tracer.TARGETS:
         importlib.import_module(f"{tracer.PKG}.{mod}")

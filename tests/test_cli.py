@@ -338,9 +338,13 @@ class TestDispatch:
         ({"id": "heat", "t": 0.0}, "t > 0"),
         ({"id": "sigma"}, "sigma requires m > 0"),
         ({"id": "j_prime"}, "j_prime requires m > 0"),
+        # Only heat reads t.
+        ({"id": "j", "t": 1.0}, "t is read only by heat tables, not by j"),
+        ({"id": "j", "t": [1, 2]}, "t is read only by heat tables, not by j"),
+        ({"id": "j", "t": {"a": 1}}, 't must be a number, got {"a": 1}'),
     ], ids=["radii-without-num", "unknown-id", "radii-list", "decreasing-radii",
             "no-radii", "heat-without-t", "heat-at-t-0", "massless-sigma",
-            "massless-j_prime"])
+            "massless-j_prime", "t-on-j", "t-list-on-j", "t-object-on-j"])
     def test_malformed_kernel_is_a_config_error(self, tmp_path, capsys, kernel,
                                                 match):
         # The default symbol, m = 0, which only sigma and j_prime reject.
@@ -427,6 +431,14 @@ class TestDispatch:
         ({"command": "stability-sweep", "grid": SMALL_GRID,
           "eps_schedule": [0.8, True]}, [],
          "eps_schedule must be a number, got true"),
+        # Only a section takes an object, and never inside an array.
+        ({"command": "stability-sweep", "grid": SMALL_GRID,
+          "eps_schedule": [{"a": 1}]}, [],
+         'eps_schedule must be a number, got {"a": 1}'),
+        ({"solver": dict(BASE["solver"], tol={"x": 1})}, [],
+         'tol must be a number, got {"x": 1}'),
+        ({"grid": dict(SMALL_GRID, n={"x": 1})}, [],
+         'n must be a number, got {"x": 1}'),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
@@ -438,7 +450,8 @@ class TestDispatch:
             "mollifier-below-the-grid", "nan-mass", "infinite-mass",
             "infinite-tol", "nan-eps", "antisym-in-3d",
             "embedding-order-above-half-alpha", "boolean-heat-t", "boolean-d",
-            "string-n", "string-radii-start", "boolean-eps"])
+            "string-n", "string-radii-start", "boolean-eps",
+            "object-in-eps_schedule", "object-tol", "object-n"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"

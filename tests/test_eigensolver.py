@@ -692,12 +692,12 @@ class TestCountedWork:
         lambda s, cfg: dirichlet_ground_state(s, 1.0, GRID, cfg)],
         ids=["well-1d", "anharmonic-1d", "well-2d", "ball"])
     def test_loop_transforms_write_into_buffers(self, monkeypatch, s01, solve):
-        # Only the inverse transform of the check's H phi, after the loop,
-        # returns a fresh array; a well's start and phi transforms and the
-        # anharmonic t0 write into buffers too.
+        # No transform returns a fresh array: a well's start and phi
+        # transforms, the anharmonic t0 and the check's H phi write into
+        # buffers too.
         short = self._unbuffered_transforms(monkeypatch, solve, s01, 4)
         long = self._unbuffered_transforms(monkeypatch, solve, s01, 8)
-        assert short == long == ["irfftn"]
+        assert short == long == []
 
     def test_missing_potential_rejected(self, s01):
         with pytest.raises(ValueError, match="zero potential"):

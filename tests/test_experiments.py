@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from nonlocal_spectra import experiments
-from nonlocal_spectra.bernstein_kernels import BernsteinSymbol
+from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
+                                                relativistic_prefactor)
 from nonlocal_spectra.eigensolver import SolverConfig, ground_state
-from nonlocal_spectra.experiments import (antisym_constant_c1,
-                                          antisym_constant_c2,
+from nonlocal_spectra.experiments import (antisym_constant_c2,
                                           antisym_constant_c4,
                                           antisymmetric_minimum_check,
                                           anharmonic_to_dirichlet,
@@ -293,8 +293,9 @@ class TestMonotonicityCheck:
 
 class TestAntisymmetricMinimum:
     def test_analytic_constants(self):
-        assert antisym_constant_c1(1, 1.0) == pytest.approx(1.0 / math.pi,
-                                                            rel=1e-12)
+        # C1 is the massless kernel's prefactor: 1/pi at d = 1, alpha = 1.
+        assert relativistic_prefactor(1, 1.0, 1.0) == pytest.approx(
+            1.0 / math.pi, rel=1e-12)
         assert antisym_constant_c2(1, 1.0) == pytest.approx(1.0, rel=1e-9)
         assert antisym_constant_c2(2, 1.0) == pytest.approx(2.0, rel=1e-14)
         assert antisym_constant_c2(3, 1.0) == pytest.approx(math.pi,

@@ -42,3 +42,24 @@ def test_every_public_name_has_a_caller():
                 and readers[node.name] == (node.name in names[id(node)])
                 and not re.search(rf"\b{node.name}\b", bench)}
     assert sorted(uncalled - entries - EXCEPTIONS) == []
+
+
+# The functions of the package that call numpy.fft themselves: every other
+# transform goes through spectral_core's SpectralOperator.
+FFT_SITES = {"experiments.random_band_limited", "potentials.mollified_well"}
+
+
+def test_fft_calls_only_at_known_sites():
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # Every transform is spelled np.fft.<name>: no other import of it.
+        assert not any(isinstance(node, ast.ImportFrom)
+                       and node.module in ("numpy", "numpy.fft")
+                       for node in ast.walk(tree)), path.name
+        for node in tree.body:
+            calls = [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                     and ast.unparse(sub.func).startswith("np.fft.")]
+            if calls and path.stem != "spectral_core":
+                sites.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert sites == FFT_SITES

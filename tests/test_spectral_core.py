@@ -362,6 +362,27 @@ class TestSeminorms:
         with pytest.raises(ValueError):
             gagliardo_seminorm(1.0, gaussian128)
 
+    @pytest.mark.parametrize("seminorm, evaluations",
+                             [(seminorm_direct, 0), (seminorm_fourier, 1)],
+                             ids=["direct", "fourier"])
+    def test_multiplier_evaluated_only_where_read(self, monkeypatch, s01,
+                                                  seminorm, evaluations):
+        # The direct route takes only the mode coordinates of u, which read
+        # no multiplier; the symbol route reads it once.
+        calls, evaluate = [], BernsteinSymbol.evaluate
+
+        def counting(symbol, z):
+            calls.append(np.size(z))
+            return evaluate(symbol, z)
+
+        g = Grid(d=2, n=64, L=20.0)
+        u = field_from_function(g, lambda x, y: np.exp(-(x * x + y * y)))
+        with monkeypatch.context() as mp:
+            for name in ("evaluate", "__call__"):
+                mp.setattr(BernsteinSymbol, name, counting)
+            seminorm(s01, u)
+        assert len(calls) == evaluations
+
     def test_refinement_differences_shrink(self, s01):
         # Lorentzian spectrum decays like e^-|xi|, so aliasing falls over
         # several doublings instead of collapsing to roundoff at once.
@@ -479,15 +500,22 @@ class TestSpectralOperatorOracle:
 
         # The solve's final check on a fabricated eigenpair: an apply_H
         # that returns 0.7 x stops LOBPCG on its start, so the check sees
-        # the start scaled to a unit phi.  With a mask chi, the start is
-        # chi u and H is chi (A + V) chi.
-        for mask in (None, (grid.radius() <= L / 4.0).astype(float)):
-            chi = np.ones(uf.size) if mask is None else mask.ravel()
+        # the start scaled to a unit phi, and applies the grid operator it
+        # is given, chi (filter + V) chi, which is chi (A + V) chi.  The
+        # start is chi u.
+        for mask in (np.ones(grid.shape),
+                     (grid.radius() <= L / 4.0).astype(float)):
+            chi = mask.ravel()
             H = chi[:, None] * (A + np.diag(Vf)) * chi
+
+            def grid_H(x, out, mask=mask):
+                op.filter(x, op.multiplier, out)
+                out += V.values * x
+                out *= mask
+
             res = eigensolver._solve(
                 op, lambda x, out: np.multiply(x, 0.7, out=out), None,
-                u.values * chi.reshape(grid.shape), 0.0,
-                eigensolver.SolverConfig(), {}, potential=V, mask=mask)
+                u.values * mask, 0.0, eigensolver.SolverConfig(), {}, grid_H)
             assert res.iters == 0 and res.meta["stop"] == "residual"
             phi = res.phi.values.ravel()
             lam = hd * float(phi @ H @ phi)
@@ -495,6 +523,35 @@ class TestSpectralOperatorOracle:
             assert res.lam == pytest.approx(lam, rel=1e-12)
             assert res.residual == pytest.approx(math.sqrt(hd * float(r @ r)),
                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("d, n, L", [(1, 32, 8.0), (2, 16, 6.0)])
+    def test_each_solve_checks_with_its_operator(self, d, n, L, s11):
+        # Three steps leave a residual far above rounding, so lambda and
+        # the residual of each solve's check can be compared relatively
+        # with the dense H at its phi: V with a positive part (the grid
+        # loop), a well (the loop on the modes), and a ball, chi A chi.
+        grid = Grid(d=d, n=n, L=L)
+        A = _circulant_oracle(grid, _CLOSED_PHI[1.0])
+        hd = grid.cell_volume
+        cfg = eigensolver.SolverConfig(tol=1e-300, max_iters=3, seed=2)
+        well = field_from_function(grid, lambda *x: -4.0 * np.exp(-sum(
+            xi * xi for xi in x)))
+        bumpy = Field(grid=grid, values=well.values + 0.5 * np.cos(
+            grid.meshgrid()[0]))
+        chi = (grid.radius() <= L / 4.0).astype(float).ravel()
+        solves = [(eigensolver.ground_state(s11, V, cfg),
+                   A + np.diag(V.values.ravel())) for V in (bumpy, well)]
+        solves.append((eigensolver.dirichlet_ground_state(s11, L / 4.0, grid,
+                                                          cfg),
+                       chi[:, None] * A * chi))
+        for res, H in solves:
+            assert res.meta["stop"] == "budget"
+            phi = res.phi.values.ravel()
+            lam = hd * float(phi @ H @ phi)
+            r = H @ phi - lam * phi
+            assert res.lam == pytest.approx(lam, rel=1e-12)
+            assert res.residual == pytest.approx(math.sqrt(hd * float(r @ r)),
+                                                 rel=1e-11)
 
     @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 16)])
     def test_modes_are_an_isometry_with_exactly_conjugate_planes(self, d, n):
