@@ -38,31 +38,93 @@ class ConfigError(ValueError):
     pass
 
 
-# The keys with string values, and those whose value may be an object (a
-# section of its own, never inside an array).  Every other value is a
-# number, an array of numbers or, for s and potential, null.
-_STRING_KEYS = ("command", "kind", "id", "output_dir")
-_SECTION_KEYS = ("symbol", "grid", "solver", "potential", "kernel", "radii")
+# Each section maps its keys to their defaults, and a required key to the
+# type it takes instead.  The default's JSON type is the type the key
+# accepts: a string, an object (a section), an array of numbers, an integer
+# (an int default or marker: 256.0 becomes 256, and 16.9 is an error) or a
+# number (a float or None default).  Of the numbers only a float marker
+# converts, so "L": 8 gives 8.0 and "a": 1 stays 1.  k and k_list are
+# integral through anharmonic_exponent.
+_SYMBOL = {"m": 0.0, "alpha": 1.0}
+_GRID = {"d": int, "n": int, "L": float}
+# tau and min_iters belonged to the deleted imaginary-time solver; they are
+# accepted and ignored while the benchmark workload configs still pass them.
+_SOLVER = {"tol": SolverConfig.tol, "max_iters": SolverConfig.max_iters,
+           "seed": SolverConfig.seed, "tau": None, "min_iters": None}
+_POTENTIALS = {"well": {"kind": str, "a": 1.0, "v": 4.0, "eps": 0.0},
+               "anharmonic": {"kind": str, "k": 1.0}}
+_KERNEL = {"id": str, "radii": {"start": 0.1, "stop": 10.0, "num": 50},
+           "t": None}
+_RADII = {"start": float, "stop": float, "num": int}
+# The top-level keys every command reads (solver too: its seed goes into
+# the manifest), and the further keys of each command.  An empty potential
+# is a missing one.
+_TOP = {"command": str, "symbol": {}, "grid": dict, "solver": {},
+        "output_dir": "out"}
+_COMMAND_KEYS = {
+    "kernel-table": {"kernel": {}},
+    "ground-state": {"potential": {}},
+    "dirichlet-eig": {"ball_radius": 1.0},
+    "stability-sweep": {"potential": {},
+                        "eps_schedule": [0.4, 0.2, 0.1, 0.05]},
+    "anharmonic-limit": {"k_list": [1, 2, 4, 8, 16]},
+    "monotonicity": {"potential": {}, "rotations": 0},
+    "antisym-check": {},
+    "embedding-check": {"num_fields": 20, "kmax_frac": 0.25, "s": None},
+}
+COMMANDS = tuple(_COMMAND_KEYS)
+_JSON_NAMES = {str: "a string", dict: "an object", list: "an array"}
 
 
-def _section(section, data, allowed, required=()):
-    """A copy of data, which holds only allowed and all required keys, each
-    with a value of its JSON type: true and "1" are not numbers."""
-    unknown = set(data) - set(allowed)
+def _section(section, data, keys):
+    """data with the defaults of keys filled in, or ConfigError naming the
+    first unknown key, missing key or value of the wrong JSON type."""
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
-    missing = set(required) - set(data)
+    missing = {key for key in keys if isinstance(keys[key], type)} - set(data)
     if missing:
         raise ConfigError(f"missing key(s) in {section}: {sorted(missing)}")
+    out = dict(keys)
     for key, value in data.items():
-        string, nested = key in _STRING_KEYS, key in _SECTION_KEYS
-        kind = "a string" if string else "an object" if nested else "a number"
-        for item in value if isinstance(value, list) else [value]:
-            if not (isinstance(item, str) if string else type(item) in (int, float)
-                    or nested and type(value) is dict
-                    or item is None and key in ("s", "potential")):
-                raise ConfigError(f"{key} must be {kind}, got {json.dumps(item)}")
-    return dict(data)
+        default = keys[key]
+        kind = default if isinstance(default, type) else type(default)
+        if kind in _JSON_NAMES and type(value) is not kind:
+            raise ConfigError(f"{key} must be {_JSON_NAMES[kind]}, got "
+                              f"{json.dumps(value)}")
+        numbers = (value if kind is list else [] if kind in _JSON_NAMES
+                   else [value])
+        for item in numbers:  # true and "1" are not numbers
+            if type(item) not in (int, float):
+                raise ConfigError(f"{key} must be a number, got "
+                                  f"{json.dumps(item)}")
+        if kind is int and not float(value).is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        out[key] = (int(value) if kind is int
+                    else float(value) if default is float else value)
+    return out
+
+
+def _resolve_potential(command, potential, grid):
+    """The sampled PotentialField, defaults filled in; for stability-sweep
+    the WellSpec, whose eps values come from eps_schedule."""
+    if not potential:
+        raise ConfigError(f"command {command!r} requires a potential")
+    kind = potential.get("kind")
+    keys = _POTENTIALS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    values = _section("potential", potential, keys)
+    del values["kind"]
+    if command == "stability-sweep" and (kind != "well" or "eps" in potential):
+        raise ConfigError("stability-sweep requires a well potential without "
+                          "eps; its eps values come from eps_schedule")
+    if kind == "anharmonic":
+        return anharmonic(values["k"], grid)
+    spec = WellSpec(**values)
+    if command == "stability-sweep":
+        return spec
+    return (mollified_well if spec.eps > 0.0 else sharp_well)(spec, grid)
 
 
 @dataclass
@@ -76,74 +138,8 @@ class RunConfig:
     raw: dict
 
 
-# tau and min_iters belonged to the deleted imaginary-time solver; they are
-# accepted and ignored while the benchmark workload configs still pass them.
-_SOLVER_KEYS = ("tau", "tol", "max_iters", "seed", "min_iters")
-# The top-level keys every command reads (solver too: its seed goes into
-# the manifest), and the further keys of each command with the defaults
-# parse_config fills in.  A listed potential is required.
-_SHARED_KEYS = ("command", "symbol", "grid", "solver", "output_dir")
-_COMMAND_KEYS = {
-    "kernel-table": {"kernel": {}},
-    "ground-state": {"potential": None},
-    "dirichlet-eig": {"ball_radius": 1.0},
-    "stability-sweep": {"potential": None,
-                        "eps_schedule": [0.4, 0.2, 0.1, 0.05]},
-    "anharmonic-limit": {"k_list": [1, 2, 4, 8, 16]},
-    "monotonicity": {"potential": None, "rotations": 0},
-    "antisym-check": {},
-    "embedding-check": {"num_fields": 20, "kmax_frac": 0.25, "s": None},
-}
-COMMANDS = tuple(_COMMAND_KEYS)
-
-
-def _integer(key, value):
-    """value as an int: 256.0 passes, and 16.9 is an error, not 16."""
-    if not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _resolve_potential(command, pot_raw, grid):
-    """The sampled PotentialField, defaults filled in; for stability-sweep
-    the WellSpec, whose eps values come from eps_schedule."""
-    if not pot_raw:
-        raise ConfigError(f"command {command!r} requires a potential")
-    kind = pot_raw.get("kind")
-    keys = {"well": ("a", "v", "eps"), "anharmonic": ("k",)}.get(kind)
-    if keys is None:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    pot_raw = _section("potential", pot_raw, ("kind",) + keys)
-    if command == "stability-sweep" and (kind != "well" or "eps" in pot_raw):
-        raise ConfigError("stability-sweep requires a well potential without "
-                          "eps; its eps values come from eps_schedule")
-    if kind == "anharmonic":
-        return anharmonic(pot_raw.get("k", 1), grid)
-    spec = WellSpec(a=pot_raw.get("a", 1.0), v=pot_raw.get("v", 4.0),
-                    eps=pot_raw.get("eps", 0.0))
-    if command == "stability-sweep":
-        return spec
-    return (mollified_well if spec.eps > 0.0 else sharp_well)(spec, grid)
-
-
-def _resolve_kernel(symbol, kernel):
-    """The kernel id, its radii as a geomspace array, and t."""
-    kernel = _section("kernel", kernel, ("id", "radii", "t"), required=("id",))
-    radii = _section("kernel radii", kernel.get("radii", {
-        "start": 0.1, "stop": 10.0, "num": 50}), ("start", "stop", "num"),
-        required=("start", "stop", "num"))
-    radii = np.geomspace(float(radii["start"]), float(radii["stop"]),
-                         _integer("kernel radii num", radii["num"]))
-    t = kernel.get("t")
-    return {"id": kernel["id"], "t": t,
-            "radii": validate_kernel_request(symbol, kernel["id"], radii, t)}
-
-
 def parse_config(path, seed=None):
-    """Load a run configuration file and resolve it, defaults included,
-    into what dispatch passes to the library; seed replaces the solver
-    seed.  A key the command does not read, or a value the library's own
-    check rejects, is a ConfigError."""
+    """Load a run configuration file and resolve it (_resolve_config)."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -151,6 +147,13 @@ def parse_config(path, seed=None):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: "
                           f"{exc.msg}") from None
+    return _resolve_config(raw, seed)
+
+
+def _resolve_config(raw, seed=None):
+    """raw resolved, defaults included, into what dispatch passes to the
+    library, seed replacing the solver seed; a key the command does not
+    read, or a value the library's own check rejects, is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"the config must be a JSON object, not "
                           f"{type(raw).__name__}")
@@ -159,32 +162,29 @@ def parse_config(path, seed=None):
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
                           f"{COMMANDS}")
-    _section("top level", raw, _SHARED_KEYS + tuple(_COMMAND_KEYS[command]),
-             required=("command", "grid"))
     try:
+        top = _section("top level", raw, {**_TOP, **_COMMAND_KEYS[command]})
         if seed is not None:
-            raw.setdefault("solver", {})["seed"] = seed
-        sym_raw = _section("symbol", raw.get("symbol", {}), ("m", "alpha"))
-        symbol = BernsteinSymbol.relativistic(sym_raw.get("m", 0.0),
-                                              sym_raw.get("alpha", 1.0))
-        grid_raw = _section("grid", raw["grid"], ("d", "n", "L"),
-                            required=("d", "n", "L"))
-        grid = Grid(d=_integer("d", grid_raw["d"]),
-                    n=_integer("n", grid_raw["n"]), L=float(grid_raw["L"]))
-        sol_raw = _section("solver", raw.get("solver", {}), _SOLVER_KEYS)
-        solver = SolverConfig(tol=float(sol_raw.get("tol", SolverConfig.tol)),
-                              **{key: _integer(key, sol_raw[key]) for key
-                                 in ("max_iters", "seed") if key in sol_raw})
+            raw["solver"] = top["solver"] = dict(top["solver"], seed=seed)
+        symbol = BernsteinSymbol.relativistic(
+            **_section("symbol", top["symbol"], _SYMBOL))
+        grid = Grid(**_section("grid", top["grid"], _GRID))
+        sol = _section("solver", top["solver"], _SOLVER)
+        solver = SolverConfig(sol["tol"], sol["max_iters"], sol["seed"])
 
-        extras = {key: raw.get(key, default)
-                  for key, default in _COMMAND_KEYS[command].items()}
+        extras = {key: top[key] for key in _COMMAND_KEYS[command]}
         if "potential" in extras:
             extras["potential"] = _resolve_potential(
-                command, dict(extras["potential"] or {}), grid)
-        if "kernel" in extras:
-            extras["kernel"] = _resolve_kernel(symbol, dict(extras["kernel"]))
+                command, extras["potential"], grid)
+        if "kernel" in extras:  # id, t and the radii as a geomspace array
+            kernel = extras["kernel"] = _section("kernel", extras["kernel"],
+                                                 _KERNEL)
+            with np.errstate(all="ignore"):  # NaN radii fail the check
+                radii = np.geomspace(**_section("kernel radii",
+                                                kernel["radii"], _RADII))
+            kernel["radii"] = validate_kernel_request(
+                symbol, kernel["id"], radii, kernel["t"])
         if "rotations" in extras:
-            extras["rotations"] = _integer("rotations", extras["rotations"])
             check_rotations(extras["rotations"], grid.d)
         # The Dirichlet ball must fit in the box: dirichlet-eig's, or the
         # unit ball that anharmonic-limit's potentials approach.
@@ -200,16 +200,14 @@ def parse_config(path, seed=None):
         if command == "embedding-check":
             validate_embedding_order(symbol, extras["s"])
             check_band_fraction(extras["kmax_frac"])
-            num = extras["num_fields"] = _integer("num_fields",
-                                                  extras["num_fields"])
-            if num < 1:
-                raise ConfigError(f"num_fields must be >= 1, got {num}")
-    except (OverflowError, TypeError, ValueError) as exc:  # wrong JSON types
+            if extras["num_fields"] < 1:
+                raise ConfigError(f"num_fields must be >= 1, got "
+                                  f"{extras['num_fields']}")
+    except (OverflowError, TypeError, ValueError) as exc:  # 10**400 overflows
         raise ConfigError(str(exc)) from None
 
     return RunConfig(command=command, symbol=symbol, grid=grid, solver=solver,
-                     extras=extras,
-                     output_dir=raw.get("output_dir", "out"), raw=raw)
+                     extras=extras, output_dir=top["output_dir"], raw=raw)
 
 
 def _write_eigenresult(out, result):
@@ -281,9 +279,9 @@ def dispatch(cfg):
         status = 0 if report["sign_ok"] and report["bounds_ok"] else 2
 
     elif cfg.command == "embedding-check":
-        fields = [random_band_limited(cfg.grid, cfg.solver.seed + i,
+        fields = (random_band_limited(cfg.grid, cfg.solver.seed + i,
                                       extras["kmax_frac"])
-                  for i in range(extras["num_fields"])]
+                  for i in range(extras["num_fields"]))
         report = embedding_tail_check(cfg.symbol, fields, s=extras["s"])
         io_utils.write_json(out / "report.json", report)
         status = 0 if report["all_pass"] else 2

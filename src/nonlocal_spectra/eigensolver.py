@@ -176,8 +176,8 @@ def _solve(op, apply_H, precondition, start, v_max, cfg, meta, grid_H,
     one image grid_H(phi, out) of phi, x at unit norm and positive sum, its
     Rayleigh quotient and residual.  to_grid maps LOBPCG's x to its grid
     values when the loop runs on another basis than grid_H's."""
-    threshold = max(cfg.tol, _ROUNDOFF_FACTOR * (float(np.max(op.multiplier))
-                                                 + v_max))
+    threshold = max(float(cfg.tol),
+                    _ROUNDOFF_FACTOR * (float(np.max(op.multiplier)) + v_max))
     x, history, residuals, iters, stop = _lobpcg(
         apply_H, precondition, start, 0.1 * threshold, cfg.max_iters)
     if to_grid is not None:

@@ -400,8 +400,8 @@ def kernel_lower_constant(symbol, d, s):
 
 def embedding_tail_check(symbol, fields, s=None):
     """Verify [[u]]_s^2 <= (2/C_low) [u]_Phi^2 + (4 sigma_d / 2s) ||u||_2^2
-    for each field of the list fields; returns the embedding-check report:
-    one flag per field (passes), all_pass and C_low (c_low).
+    for each field of the iterable fields, one at a time; returns the
+    report: one flag per field (passes), all_pass and C_low (c_low).
 
     s must pass validate_embedding_order, alpha/2 by default.  C_low is
     the verified kernel lower-bound constant; the factor 2 (rather than 1)
@@ -410,16 +410,17 @@ def embedding_tail_check(symbol, fields, s=None):
     [[u]]_s^2 = (2/c(d,2s)) [u]_{Phi_{0,2s}}^2, with Phi_{0,2s}(z) = z^s.
     """
     s = validate_embedding_order(symbol, s)
-    fields = list(fields)
-    if not fields:
+    fields = iter(fields)
+    first = next(fields, None)
+    if first is None:
         raise ValueError("embedding_tail_check needs at least one field")
-    d = fields[0].grid.d
+    d = first.grid.d
     c_low = kernel_lower_constant(symbol, d, s)
     frac = BernsteinSymbol.relativistic(0.0, 2.0 * s)
     c_gag = massless_constant(d, 2.0 * s)
     tail_coeff = 4.0 * sphere_surface(d) / (2.0 * s)
     results = []
-    for u in fields:
+    for u in itertools.chain([first], fields):
         gag_sq = (2.0 / c_gag) * seminorm_fourier(frac, u) ** 2
         phi_sq = seminorm_fourier(symbol, u) ** 2
         bound = (2.0 / c_low) * phi_sq + tail_coeff * u.l2_norm() ** 2

@@ -69,9 +69,9 @@ class Grid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not 0 < self.L < math.inf:
-            raise ValueError(f"box side must be finite and positive, "
-                             f"got {self.L}")
+        if not (0 < self.L and self.d * self.L * self.L < math.inf):
+            raise ValueError(f"box side must be finite and positive, with "
+                             f"d L^2 finite; got {self.L}")
 
     @property
     def h(self):

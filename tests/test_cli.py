@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nonlocal_spectra
-from nonlocal_spectra.cli import ConfigError, main, parse_config
+from nonlocal_spectra import cli
+from nonlocal_spectra.cli import ConfigError, dispatch, main, parse_config
 from nonlocal_spectra.eigensolver import SolverConfig
 from nonlocal_spectra.potentials import WellSpec
 
@@ -260,6 +263,25 @@ class TestDispatch:
         rep = json.loads((tmp_path / "emb" / "report.json").read_text())
         assert rep["all_pass"]
 
+    def test_embedding_check_memory_does_not_grow_with_num_fields(
+            self, tmp_path):
+        # Each field is built and checked before the next: 64 fields of a
+        # 64^2 grid are 2 MB, the peak of one field's check about 0.2 MB.
+        peaks = []
+        for num in (4, 4, 64):
+            cfg = parse_config(write_config(tmp_path, {
+                "command": "embedding-check",
+                "grid": {"d": 2, "n": 64, "L": 16.0}, "num_fields": num,
+                "output_dir": str(tmp_path / f"emb{len(peaks)}")}))
+            tracemalloc.start()
+            try:
+                assert dispatch(cfg) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The first run is a warm-up: it may fill caches.
+        assert peaks[2] < 1.5 * peaks[1], peaks
+
     def test_monotonicity_report(self, tmp_path):
         payload = dict(BASE, command="monotonicity",
                        output_dir=str(tmp_path / "mono"))
@@ -328,7 +350,7 @@ class TestDispatch:
     @pytest.mark.parametrize("kernel, match", [
         ({"id": "j", "radii": {"start": 0.1, "stop": 2.0}}, "missing key.*num"),
         ({"id": "bessel"}, "unknown kernel id"),
-        ({"id": "j", "radii": [2.0, 1.0, 0.5]}, "unknown key.*kernel radii"),
+        ({"id": "j", "radii": [2.0, 1.0, 0.5]}, "radii must be an object"),
         ({"id": "j", "radii": {"start": 2.0, "stop": 0.5, "num": 5}},
          "radii must be nonempty and increase within \\(0, inf\\)"),
         ({"id": "j", "radii": {"start": 0.1, "stop": 2.0, "num": 0}},
@@ -340,7 +362,7 @@ class TestDispatch:
         ({"id": "j_prime"}, "j_prime requires m > 0"),
         # Only heat reads t.
         ({"id": "j", "t": 1.0}, "t is read only by heat tables, not by j"),
-        ({"id": "j", "t": [1, 2]}, "t is read only by heat tables, not by j"),
+        ({"id": "j", "t": [1, 2]}, "t must be a number, got \\[1, 2\\]"),
         ({"id": "j", "t": {"a": 1}}, 't must be a number, got {"a": 1}'),
     ], ids=["radii-without-num", "unknown-id", "radii-list", "decreasing-radii",
             "no-radii", "heat-without-t", "heat-at-t-0", "massless-sigma",
@@ -389,6 +411,12 @@ class TestDispatch:
         ({"grid": dict(SMALL_GRID, n=10 ** 400)}, [], "too large"),
         ({"grid": dict(SMALL_GRID, L=float("inf"))}, [],
          "box side must be finite"),
+        # radius() would overflow, and np.geomspace warn, before a check.
+        ({"grid": dict(SMALL_GRID, L=1e300)}, [], "with d L\\^2 finite"),
+        ({"command": "kernel-table", "potential": None,
+          "kernel": {"id": "j", "radii": {"start": -1.0, "stop": 2.0,
+                                          "num": 3}}}, [],
+         "radii must be nonempty and increase"),
         ({"potential": {"kind": "well", "v": float("inf")}}, [],
          "well depth v must be finite"),
         ({"solver": dict(BASE["solver"], max_iters=10.7)}, [],
@@ -439,19 +467,34 @@ class TestDispatch:
          'tol must be a number, got {"x": 1}'),
         ({"grid": dict(SMALL_GRID, n={"x": 1})}, [],
          'n must be a number, got {"x": 1}'),
+        # A number or an array where the key takes another JSON type.
+        ({"grid": 5}, [], "grid must be an object, got 5"),
+        ({"symbol": 1}, [], "symbol must be an object, got 1"),
+        ({"solver": {"tol": [1e-9]}}, [],
+         "tol must be a number, got \\[1e-09\\]"),
+        ({"command": "kernel-table", "potential": None,
+          "kernel": {"id": "heat", "t": [1, 2]}}, [],
+         "t must be a number, got \\[1, 2\\]"),
+        ({"potential": {"kind": "well", "a": [1]}}, [],
+         "a must be a number, got \\[1\\]"),
+        # The seed override comes after the solver slot's check.
+        ({"solver": 5}, ["--seed", "1"], "solver must be an object, got 5"),
     ], ids=["ball-outside-the-box", "unit-ball-outside-the-box", "negative-seed",
             "negative-seed-flag", "sweep-well-leaves-the-box",
             "decreasing-k_list", "fractional-k_list", "fractional-k",
             "antisym-mu", "no-embedding-fields", "embedding-order-above-1",
             "negative-kmax_frac", "nan-kmax_frac",
-            "fractional-n", "huge-n", "infinite-box", "infinite-well-depth",
+            "fractional-n", "huge-n", "infinite-box", "huge-box",
+            "negative-radii-start", "infinite-well-depth",
             "fractional-max_iters", "fractional-rotations",
             "negative-rotations", "rotations-in-1d",
             "mollifier-below-the-grid", "nan-mass", "infinite-mass",
             "infinite-tol", "nan-eps", "antisym-in-3d",
             "embedding-order-above-half-alpha", "boolean-heat-t", "boolean-d",
             "string-n", "string-radii-start", "boolean-eps",
-            "object-in-eps_schedule", "object-tol", "object-n"])
+            "object-in-eps_schedule", "object-tol", "object-n",
+            "number-grid", "number-symbol", "array-tol", "array-heat-t",
+            "array-well-a", "number-solver-with-seed"])
     def test_invalid_run_makes_no_directory(self, tmp_path, capsys, mutation,
                                             flags, match):
         out = tmp_path / "run"
@@ -474,10 +517,86 @@ class TestDispatch:
         assert type(cfg.grid.n) is int and type(cfg.solver.seed) is int
 
     def test_wrongly_typed_section_is_a_config_error(self, tmp_path, capsys):
-        for mutation in ({"potential": [1]}, {"symbol": {"m": "heavy"}}):
-            bad = dict(BASE, **mutation)
+        out = tmp_path / "run"
+        for mutation, match in (
+                ({"potential": [1]}, "potential must be an object, got"),
+                ({"symbol": {"m": "heavy"}},
+                 'm must be a number, got "heavy"'),
+                # JSON's null, which test_invalid_run_makes_no_directory
+                # reads as a key left out.
+                ({"symbol": None}, "symbol must be an object, got null")):
+            bad = dict(BASE, output_dir=str(out), **mutation)
             assert main(["--config", str(write_config(tmp_path, bad))]) == 1
-            assert "config error" in capsys.readouterr().err
+            assert match in capsys.readouterr().err
+            assert not out.exists()
+
+
+# A small valid configuration of each command, and a ground state of the
+# anharmonic potential.
+_CONFIGS = {
+    "kernel-table": {"command": "kernel-table",
+                     "grid": {"d": 1, "n": 16, "L": 1.0},
+                     "kernel": {"id": "heat", "t": 0.5, "radii": {
+                         "start": 0.1, "stop": 2.0, "num": 3}}},
+    "ground-state": dict(BASE, grid={"d": 1, "n": 64, "L": 8.0}),
+    "dirichlet-eig": {"command": "dirichlet-eig",
+                      "grid": {"d": 1, "n": 64, "L": 8.0}, "ball_radius": 1.0},
+    "stability-sweep": dict(BASE, command="stability-sweep",
+                            grid={"d": 1, "n": 64, "L": 16.0},
+                            eps_schedule=[1.0, 0.5]),
+    "anharmonic-limit": {"command": "anharmonic-limit",
+                         "grid": {"d": 1, "n": 64, "L": 8.0},
+                         "k_list": [1, 2]},
+    "monotonicity": dict(BASE, command="monotonicity",
+                         grid={"d": 2, "n": 16, "L": 8.0}, rotations=1),
+    "antisym-check": {"command": "antisym-check",
+                      "grid": {"d": 1, "n": 16, "L": 8.0}},
+    "embedding-check": {"command": "embedding-check",
+                        "grid": {"d": 1, "n": 16, "L": 8.0}, "num_fields": 2,
+                        "kmax_frac": 0.25, "s": 0.5},
+    "anharmonic": dict(BASE, grid={"d": 1, "n": 64, "L": 8.0},
+                       potential={"kind": "anharmonic", "k": 2}),
+}
+# Every key of every section table, as (configuration, path to the key).
+_SLOTS = (
+    [(command, (key,)) for command, keys in cli._COMMAND_KEYS.items()
+     for key in {**cli._TOP, **keys}]
+    + [("ground-state", (section, key)) for section, table in
+       (("symbol", cli._SYMBOL), ("grid", cli._GRID), ("solver", cli._SOLVER),
+        ("potential", cli._POTENTIALS["well"])) for key in table]
+    + [("anharmonic", ("potential", key))
+       for key in cli._POTENTIALS["anharmonic"]]
+    + [("kernel-table", ("kernel", key)) for key in cli._KERNEL]
+    + [("kernel-table", ("kernel", "radii", key)) for key in cli._RADII])
+# Any JSON value; an object never has the keys d, n or num, which size the
+# arrays that parse_config allocates.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=4).filter(lambda k: k not in ("d", "n", "num")),
+        inner, max_size=4),
+    max_leaves=8)
+# d, n and num take only small valid values: a d = 3, n = 1024 grid is
+# gigabytes.
+_SMALL = {"d": st.sampled_from([1, 2, 3]), "n": st.sampled_from([16, 32]),
+          "num": st.sampled_from([1, 3, 8])}
+
+
+@pytest.mark.parametrize("name, path", _SLOTS, ids=[
+    f"{name}-{'.'.join(path)}" for name, path in _SLOTS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_value_in_any_slot_parses_or_is_a_config_error(
+        name, path, data):
+    payload = json.loads(json.dumps(_CONFIGS[name]))
+    section = payload
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = data.draw(_SMALL.get(path[-1], _JSON))
+    try:  # what parse_config resolves once it has loaded the file
+        assert isinstance(cli._resolve_config(payload), cli.RunConfig)
+    except ConfigError:
+        pass
 
 
 class TestFlagsAndFormats:

@@ -8,7 +8,8 @@ import pytest
 from nonlocal_spectra import experiments
 from nonlocal_spectra.bernstein_kernels import (BernsteinSymbol,
                                                 relativistic_prefactor)
-from nonlocal_spectra.eigensolver import SolverConfig, ground_state
+from nonlocal_spectra.eigensolver import (SolverConfig,
+                                          dirichlet_ground_state, ground_state)
 from nonlocal_spectra.experiments import (antisym_constant_c2,
                                           antisym_constant_c4,
                                           antisymmetric_minimum_check,
@@ -20,8 +21,8 @@ from nonlocal_spectra.experiments import (antisym_constant_c2,
                                           random_band_limited,
                                           stability_sweep, symmetry_check)
 from nonlocal_spectra.potentials import (BoxTooSmallError, PotentialField,
-                                         WellSpec, reflected_values,
-                                         sharp_well)
+                                         WellSpec, anharmonic, mollified_well,
+                                         reflected_values, sharp_well)
 from nonlocal_spectra.spectral_core import Field, Grid
 
 from helpers import field_from_function
@@ -444,3 +445,59 @@ class TestDeterminism:
         rep1 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG)
         rep2 = stability_sweep(s01, WELL, [0.4, 0.2], GRID, CFG)
         assert rep1 == rep2
+
+
+def _shift(phi, upper, lower):
+    """<phi, (upper - lower) phi> for a unit grid function phi."""
+    return phi.grid.cell_volume * float(
+        np.sum(phi.values ** 2 * (upper.values - lower.values)))
+
+
+class TestMinMaxEnclosure:
+    """For potentials V and W on one discrete operator, the min-max
+    principle gives <phi_W, (W - V) phi_W> <= lambda(W) - lambda(V) <=
+    <phi_V, (W - V) phi_V>: lambda(W) <= R_W(phi_V) and lambda(V) <=
+    R_V(phi_W).  Computed eigenpairs move each side by about residual^2 /
+    gap, 1e-25 here, so the slack is rounding only."""
+
+    CFG = SolverConfig(tol=1e-13, max_iters=60000, seed=3)
+    SLACK = 1e-10
+
+    def margins(self, symbol, grid, eps_list):
+        """gap - lower and upper - gap for the mollified wells of eps_list
+        against the sharp well a = 1, v = 4, all of them >= 0 if the
+        enclosure holds."""
+        target = sharp_well(WELL, grid)
+        v = ground_state(symbol, target, self.CFG)
+        margins = []
+        for eps in eps_list:
+            well = mollified_well(WellSpec(a=1.0, v=4.0, eps=eps), grid)
+            w = ground_state(symbol, well, self.CFG)
+            assert v.converged and w.converged
+            gap = w.lam - v.lam
+            margins += [gap - _shift(w.phi, well, target),
+                        _shift(v.phi, well, target) - gap]
+        return margins
+
+    @pytest.mark.parametrize("m, alpha", [(0.0, 1.0), (1.0, 1.0), (0.0, 0.5),
+                                          (0.0, 1.5)])
+    def test_sweep_gaps_in_1d(self, m, alpha):
+        symbol = BernsteinSymbol.relativistic(m, alpha)
+        margins = self.margins(symbol, Grid(d=1, n=2048, L=32.0),
+                               [0.4, 0.2, 0.1, 0.05])
+        assert min(margins) >= -self.SLACK, margins
+
+    def test_sweep_gaps_in_2d(self, s01):
+        margins = self.margins(s01, Grid(d=2, n=128, L=16.0), [0.8, 0.4])
+        assert min(margins) >= -self.SLACK, margins
+
+    def test_anharmonic_below_the_dirichlet_form(self, s01):
+        # phi_D vanishes outside B_1, so <phi_D, Phi(-Delta) phi_D> = lambda_D
+        # and R_k(phi_D) = lambda_D + <phi_D, V_k phi_D> bounds lambda_k.
+        grid = Grid(d=1, n=2048, L=32.0)
+        ball = dirichlet_ground_state(s01, 1.0, grid, self.CFG)
+        zero = PotentialField(grid=grid, values=np.zeros(grid.shape), meta={})
+        for k in (1, 2, 4, 8, 16):
+            pot = anharmonic(k, grid)
+            lam = ground_state(s01, pot, self.CFG).lam
+            assert lam <= ball.lam + _shift(ball.phi, pot, zero) + self.SLACK
